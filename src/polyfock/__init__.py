@@ -28,9 +28,9 @@ from .radial_ops import (BasisMatrix, DiagonalRep, RadialityError,
                          is_radial, off_block_mass, phi_n, phi_true,
                          radialize_matrix, radialize_numeric, rotate_vector,
                          vanishing_berezin_witness)
-from .toeplitz import (EigenvalueSequence, LimitRecord, RadialSymbol, beta,
-                       const_symbol, exp_decay_symbol, gaussian_symbol,
-                       indicator_symbol, inverse_linear_symbol,
+from .toeplitz import (EigenvalueSequence, LimitRecord, NonFiniteIntegrandError,
+                       RadialSymbol, beta, const_symbol, exp_decay_symbol,
+                       gaussian_symbol, indicator_symbol, inverse_linear_symbol,
                        inverse_quadratic_symbol, lambda_indicator, lambda_seq,
                        limit_diagnostic, separation_check, squared_radius_symbol,
                        symbol_from_spec, toeplitz_block, toeplitz_matrix)

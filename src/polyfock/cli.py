@@ -19,6 +19,7 @@ import numpy as np
 
 from .fock_spaces import (SpaceId, kernel_partial_sum, kernel_poly, kernel_true)
 from .hermite_basis import HermiteIndex, b_eval, basis_json_dict
+from .quadrature import QuadratureConvergenceError
 from .toeplitz import (DEFAULT_D_MAX, DEFAULT_P_MAX, lambda_seq,
                        symbol_from_spec, toeplitz_block)
 from .verify import SUITE_NAMES, run_suites
@@ -31,15 +32,13 @@ class RunConfig:
     n: int = 1
     p_truncation: int = DEFAULT_P_MAX
     d_max: int = DEFAULT_D_MAX
-    radial_nodes: int = 64
-    angles: int = 64
     rel_tol: float = 1e-9
     out_format: str = "json"
     path: str | None = None
 
     def __post_init__(self):
-        if min(self.p_truncation, self.d_max, self.radial_nodes, self.angles) < 1:
-            raise ValueError("truncations and rule sizes must be positive")
+        if min(self.p_truncation, self.d_max) < 1:
+            raise ValueError("truncations must be positive")
         if not 0.0 < self.rel_tol <= 1e-2:
             raise ValueError("rel_tol must lie in (0, 1e-2]")
 
@@ -225,7 +224,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, KeyError) as exc:
+    except (ValueError, OverflowError, KeyError,
+            QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

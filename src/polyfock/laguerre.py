@@ -114,25 +114,6 @@ def laguerre_function_values(m: int, alpha: int, t: np.ndarray) -> np.ndarray:
     return np.where(t > 0, vals, 1.0 if alpha == 0 else 0.0)
 
 
-def laguerre_function_log_values(m: int, alpha: int,
-                                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (sign, log magnitude) of the normalized Laguerre function."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("arguments must be nonnegative")
-    lval = _recurrence_array(m, alpha, t)
-    signs = np.sign(lval)
-    logpre = 0.5 * (math.lgamma(m + 1) - math.lgamma(m + alpha + 1)) - 0.5 * t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = logpre + np.where(lval != 0, np.log(np.abs(lval)), -np.inf)
-        if alpha > 0:
-            logs = logs + 0.5 * alpha * np.where(t > 0, np.log(t), -np.inf)
-    at_zero_sign = 1.0 if alpha == 0 else 0.0
-    signs = np.where(t > 0, signs, at_zero_sign)
-    logs = np.where(t > 0, logs, 0.0 if alpha == 0 else -np.inf)
-    return signs, logs
-
-
 def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> float:
     """Max of |laguerre_function| over a uniform grid on [0, x].
 

@@ -3,8 +3,8 @@ two normalized Laguerre functions, the resulting operator blocks and
 eigenvalue sequences, limit diagnostics, and separation witnesses.
 
 Symbols are callables in the radius r; the substitution t = r^2 and the
-mapping of declared breakpoints are handled here, in one place.  Every
-integral is self-checked by doubling the rule size.
+mapping of declared breakpoints are handled here, in one place.  All beta
+values and blocks share one self-checked window rule (see `_block_once`).
 """
 
 from __future__ import annotations
@@ -17,26 +17,24 @@ import numpy as np
 
 from .fock_spaces import SpaceId
 from .hermite_basis import HermiteIndex, b_polar_values
-from .laguerre import (_recurrence_array, laguerre_function_log_values,
-                       laguerre_function_values)
+from .laguerre import _recurrence_array, laguerre_function_values
 from .quadrature import (CircleRule, QuadratureConvergenceError, QuadratureRule,
                          gauss_laguerre, legendre_rule, piecewise_halfline_rule)
 from .radial_ops import BasisMatrix
 
-#: below this |d| the weight-absorbed Gauss-Laguerre route is replaced by a
-#: split rule whose head integrates in u = sqrt(t); symbols smooth in the
-#: radius (e.g. exp(-r)) have sqrt(t)-type kinks at t = 0 that plain
-#: Gauss-Laguerre resolves only algebraically.
-LARGE_ALPHA = 12
-
-HEAD_SPLIT = 4.0
 BETA_REL_TOL = 1e-9
 BETA_ABS_TOL = 1e-12
 _N_START = 64
 _N_MAX = 512
+#: least self-check tolerance, relative to the sum of |w a phi_j phi_k|
+ROUNDING_FLOOR = 1000 * float(np.finfo(float).eps)
 
 DEFAULT_D_MAX = 200
 DEFAULT_P_MAX = 200
+
+
+class NonFiniteIntegrandError(QuadratureConvergenceError):
+    """Raised when a beta integrand is not finite at a quadrature node."""
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,9 @@ class RadialSymbol:
     name: str = "custom"
 
     def __post_init__(self):
+        if not all(math.isfinite(u) and u > 0 for u in self.breakpoints):
+            raise ValueError(f"breakpoints of {self.name} must be finite "
+                             f"positive radii, got {self.breakpoints}")
         if list(self.breakpoints) != sorted(self.breakpoints):
             raise ValueError("breakpoints must be sorted")
 
@@ -82,10 +83,10 @@ def indicator_symbol(u: float) -> RadialSymbol:
 
 
 def gaussian_symbol(s: float) -> RadialSymbol:
-    """a(r) = exp(-r^2 / s^2)."""
+    """a(r) = exp(-r^2 / s^2); 0 where (r/s)^2 overflows."""
     if s <= 0:
         raise ValueError("scale must be positive")
-    return RadialSymbol(lambda r: math.exp(-(r / s) ** 2),
+    return RadialSymbol(lambda r: math.exp(-(r / s) * (r / s)),
                         limit_at_infinity=0.0, bound=1.0, name=f"gauss:{s}")
 
 
@@ -116,15 +117,15 @@ def squared_radius_symbol() -> RadialSymbol:
 def symbol_from_spec(text: str) -> RadialSymbol:
     """Parse the CLI mini-language: const:c, indicator:u, gauss:s, rational."""
     head, _, arg = text.partition(":")
-    if head == "const":
-        return const_symbol(float(arg))
-    if head == "indicator":
-        return indicator_symbol(float(arg))
-    if head == "gauss":
-        return gaussian_symbol(float(arg))
     if head == "rational":
         return inverse_quadratic_symbol()
-    raise ValueError(f"unknown symbol spec {text!r}")
+    factory = {"const": const_symbol, "indicator": indicator_symbol,
+               "gauss": gaussian_symbol}.get(head)
+    if factory is None:
+        raise ValueError(f"unknown symbol spec {text!r}")
+    if not math.isfinite(value := float(arg)):
+        raise ValueError(f"symbol spec {text!r} has a non-finite parameter")
+    return factory(value)
 
 
 @dataclass(frozen=True)
@@ -137,49 +138,77 @@ class EigenvalueSequence:
 
 
 def _symbol_values_radius(a: RadialSymbol, radii: np.ndarray) -> np.ndarray:
-    return np.array([a(float(r)) for r in radii], dtype=complex)
+    fn = a.fn
+    return np.array([fn(r) for r in radii.tolist()], dtype=complex)
 
 
-def _beta_once(a: RadialSymbol, d: int, j: int, k: int, n_nodes: int) -> complex:
-    alpha = abs(d)
-    mj, mk = min(j, j + d), min(k, k + d)
-    bps_t = tuple(u * u for u in a.breakpoints)
-
-    if not bps_t and alpha >= LARGE_ALPHA:
-        # absorbed route: weight t^alpha e^{-t} carries the shared t^alpha of
-        # the two Laguerre functions; normalization assembled in log space
-        rule = gauss_laguerre(alpha, n_nodes)
-        lognorm = 0.5 * (math.lgamma(mj + 1) + math.lgamma(mk + 1)
-                         - math.lgamma(mj + alpha + 1) - math.lgamma(mk + alpha + 1))
-        t = rule.nodes
-        avals = _symbol_values_radius(a, np.sqrt(t))
-        lj = _recurrence_array(mj, alpha, t)
-        lk = _recurrence_array(mk, alpha, t)
-        return complex(np.sum(np.exp(rule.log_weights + lognorm) * avals * lj * lk))
-
-    edges = [0.0] + (list(bps_t) if bps_t else [HEAD_SPLIT])
-    total = 0j
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        u, v = legendre_rule(math.sqrt(lo), math.sqrt(hi), n_nodes)
-        t = u * u
-        avals = _symbol_values_radius(a, u)
-        vals = laguerre_function_values(mj, alpha, t) * \
-            laguerre_function_values(mk, alpha, t)
-        total += complex(np.sum(v * 2.0 * u * avals * vals))
-    # tail: integral over t >= b via t = b + s against e^{-s}, so each node
-    # contributes w_i e^{s_i} G(b+s_i); magnitudes fused in log space so that
-    # large alpha neither overflows t^alpha nor underflows the normalization
-    b = edges[-1]
+def _block_once(a: RadialSymbol, d: int, ms: Sequence[int],
+                n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phi diag(a) Phi^T and its rounding scale |Phi| diag|a| |Phi|^T, where
+    row k of Phi is (-1)^k phi_k^(|d|), k in ms, times the root node weights.
+    t^|d| e^{-t} is centred at c = |d| + 1, width sqrt(c): Legendre pieces in
+    u = sqrt(t) span the turning points of phi_max(ms) widened by 12 sqrt(c),
+    split at c, at breakpoints and once per 8 degrees; a shifted
+    Gauss-Laguerre rule covers the rest.  No piece size depends on d."""
+    alpha, c, m = abs(d), abs(d) + 1.0, max(ms)
+    # turning points of phi_m^alpha: t_lo + t_hi = 4m + 2c, t_lo t_hi ~ alpha^2
+    nu = 4 * m + 2 * c
+    t_hi = 0.5 * (nu + math.sqrt(nu * nu - 4.0 * alpha * alpha))
+    margin = 12 * math.sqrt(c)
+    lo, mid = math.sqrt(max(0.0, alpha * alpha / t_hi - margin)), math.sqrt(c)
+    pieces = 1 + m // 8
+    edges = sorted({*np.linspace(lo, mid, pieces + 1),
+                    *np.linspace(mid, math.sqrt(t_hi + margin), pieces + 1),
+                    *(u for u in a.breakpoints if u > lo)})
+    rules = [legendre_rule(u0, u1, n_nodes) for u0, u1 in zip(edges, edges[1:])]
+    # tail past the last edge b: t = b + s against e^{-s}
     tail = gauss_laguerre(0, n_nodes)
-    t = b + tail.nodes
-    avals = _symbol_values_radius(a, np.sqrt(t))
-    sj, logj = laguerre_function_log_values(mj, alpha, t)
-    sk, logk = laguerre_function_log_values(mk, alpha, t)
-    with np.errstate(invalid="ignore"):
-        mags = np.exp(tail.log_weights + tail.nodes + logj + logk)
-    total += complex(np.sum(sj * sk * np.where(np.isfinite(mags), mags, 0.0)
-                            * avals))
-    return total
+    r = np.concatenate([u for u, _ in rules]
+                       + [np.sqrt(edges[-1] ** 2 + tail.nodes)])
+    log_w = np.concatenate([np.log(2.0 * u * v) for u, v in rules]
+                           + [tail.log_weights + tail.nodes])
+    t = r * r
+    # t^alpha e^{-t} = exp(alpha log c - c) exp(alpha log1p(s/c) - s), s = t-c;
+    # the constant goes into the rows, so no factor under- or overflows alone
+    root_w = np.exp(0.5 * (log_w + alpha * np.log1p((t - c) / c) - (t - c)))
+    avals = _symbol_values_radius(a, r)
+    log_c = alpha * math.log(c) - c
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.array([(-1) ** k * math.exp(0.5 * (
+            log_c + math.lgamma(k + 1) - math.lgamma(k + alpha + 1)))
+            * root_w * _recurrence_array(k, alpha, t) for k in ms])
+        weighted = phi * avals
+    bad = np.argwhere(~np.isfinite(weighted))
+    if len(bad):
+        k, i = bad[0]
+        raise NonFiniteIntegrandError(
+            f"integrand not finite at t={t[i]} (d={d}, m={ms[k]}): symbol "
+            f"{a.name} is {avals[i]}, Laguerre function value {phi[k, i]}")
+    block = weighted @ phi.T
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteIntegrandError(f"block sums overflow (d={d}, {a.name})")
+    return block, (np.abs(phi) * np.abs(avals)) @ np.abs(phi).T
+
+
+def _block_checked(a: RadialSymbol, d: int, ms: Sequence[int], rel_tol: float,
+                   n_start: int = _N_START, n_max: int = _N_MAX) -> np.ndarray:
+    """`_block_once`, doubling the node count until every entry agrees with
+    the previous size to atol + rel_tol |entry|.  atol is BETA_ABS_TOL or the
+    rounding floor ROUNDING_FLOOR * sum |w a phi_j phi_k| if larger,
+    which by Cauchy-Schwarz happens only for symbols with sup |a| > 2.
+    """
+    n = n_start
+    prev, _ = _block_once(a, d, ms, n)
+    while n < n_max:
+        n *= 2
+        cur, scale = _block_once(a, d, ms, n)
+        atol = np.maximum(BETA_ABS_TOL, ROUNDING_FLOOR * scale)
+        if np.all(np.abs(cur - prev) <= atol + rel_tol * np.abs(cur)):
+            return cur
+        prev = cur
+    raise QuadratureConvergenceError(
+        f"block on diagonal d={d} for degrees {list(ms)} did not converge up "
+        f"to {n_max} nodes for symbol {a.name}")
 
 
 def beta(a: RadialSymbol, d: int, j: int, k: int,
@@ -197,18 +226,8 @@ def beta(a: RadialSymbol, d: int, j: int, k: int,
     """
     if min(j, k, j + d, k + d) < 0:
         raise ValueError(f"indices (d={d}, j={j}, k={k}) leave the valid range")
-    sign = -1.0 if (min(j, j + d) + min(k, k + d)) % 2 else 1.0
-    n = n_start
-    prev = _beta_once(a, d, j, k, n)
-    while n < n_max:
-        n *= 2
-        cur = _beta_once(a, d, j, k, n)
-        if abs(cur - prev) <= BETA_ABS_TOL + rel_tol * abs(cur):
-            return sign * cur
-        prev = cur
-    raise QuadratureConvergenceError(
-        f"beta(d={d}, j={j}, k={k}) did not converge up to {n_max} nodes "
-        f"for symbol {a.name}")
+    ms = sorted({min(j, j + d), min(k, k + d)})  # blocks are symmetric
+    return complex(_block_checked(a, d, ms, rel_tol, n_start, n_max)[0, -1])
 
 
 def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
@@ -243,10 +262,7 @@ def toeplitz_block(a: RadialSymbol, n: int, d: int,
     beta values over the indices living inside the order-n space."""
     if d < -n + 1:
         raise ValueError(f"diagonal {d} is empty in a space of order {n}")
-    lo = max(0, -d)
-    ks = list(range(lo, n))
-    return np.array([[beta(a, d, jj, kk, rel_tol=rel_tol) for kk in ks]
-                     for jj in ks])
+    return _block_checked(a, d, range(min(n, n + d)), rel_tol)
 
 
 def _radial_rule_for(symbol: RadialSymbol, n_nodes: int) -> QuadratureRule:

@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from polyfock import cli
 from polyfock.cli import dumps_fixed, format_float, main, parse_complex
+from polyfock.quadrature import QuadratureConvergenceError
 
 
 def run_cli(*args):
@@ -169,6 +171,30 @@ class TestExitCodes:
 
     def test_main_callable_directly(self):
         assert main(["basis", "--p", "0", "--q", "1", "--eval", "1+1i"]) == 0
+
+    @pytest.mark.parametrize("spec", ["indicator:nan", "indicator:inf",
+                                      "const:nan", "gauss:nan"])
+    def test_non_finite_symbol_parameter_exit_one(self, spec, capsys):
+        code = main(["toeplitz", "--n", "1", "--symbol", spec, "--pmax", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and spec in err
+
+    def test_tiny_gauss_scale_gives_zeros(self, capsys):
+        code = main(["toeplitz", "--n", "2", "--symbol", "gauss:1e-300",
+                     "--pmax", "3"])
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert code == 0
+        assert [line.split(",")[1:] for line in rows] == [["0", "0"]] * 4
+
+    def test_convergence_error_exit_one(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureConvergenceError("beta did not converge")
+        monkeypatch.setattr(cli, "lambda_seq", fail)
+        code = main(["toeplitz", "--n", "1", "--symbol", "const:1",
+                     "--pmax", "2"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: beta did not converge\n"
 
 
 class TestDeterminism:

@@ -6,9 +6,11 @@ import pytest
 from polyfock.exact_poly import BiPolynomial, gaussian_inner
 from polyfock.fock_spaces import SpaceId
 from polyfock.hermite_basis import HermiteIndex, b_coeffs
+from polyfock.quadrature import QuadratureConvergenceError
 from polyfock.radial_ops import is_radial, phi_n, phi_true
-from polyfock.toeplitz import (EigenvalueSequence, RadialSymbol, beta,
-                               const_symbol, exp_decay_symbol, gaussian_symbol,
+from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
+                               RadialSymbol, beta, const_symbol,
+                               exp_decay_symbol, gaussian_symbol,
                                indicator_symbol, inverse_linear_symbol,
                                inverse_quadratic_symbol, lambda_indicator,
                                lambda_seq, limit_diagnostic, separation_check,
@@ -53,6 +55,25 @@ class TestSymbols:
         with pytest.raises(ValueError):
             indicator_symbol(0.0)
 
+    @pytest.mark.parametrize("spec", ["indicator:nan", "indicator:inf",
+                                      "const:nan", "const:-inf", "gauss:nan",
+                                      "gauss:inf"])
+    def test_spec_rejects_non_finite_parameters(self, spec):
+        with pytest.raises(ValueError, match=spec):
+            symbol_from_spec(spec)
+
+    def test_breakpoints_must_be_finite_positive_radii(self):
+        for bad in ((math.nan,), (math.inf,), (0.0, 1.0)):
+            with pytest.raises(ValueError, match="breakpoints"):
+                RadialSymbol(lambda r: r, breakpoints=bad)
+        with pytest.raises(ValueError, match="indicator:nan"):
+            indicator_symbol(math.nan)
+
+    def test_gauss_tiny_scale_underflows_to_zero(self):
+        a = symbol_from_spec("gauss:1e-300")
+        assert a(0.0) == 1.0
+        assert a(1.0) == 0.0 and a(1e300) == 0.0
+
 
 class TestBeta:
     def test_unit_symbol_gives_delta(self):
@@ -87,7 +108,7 @@ class TestBeta:
         assert beta(a, 2, 0, 1) == pytest.approx(beta(a, 2, 1, 0), abs=1e-13)
 
     def test_negative_order_large_magnitude(self):
-        # |d| = 20 takes the weight-absorbed route with shifted indices
+        # negative d: the block indices are shifted by |d|
         assert beta(const_symbol(1.0), -20, 25, 25) == pytest.approx(1.0,
                                                                      abs=1e-11)
         assert abs(beta(const_symbol(1.0), -20, 25, 24)) < 1e-11
@@ -95,6 +116,23 @@ class TestBeta:
     def test_precondition(self):
         with pytest.raises(ValueError):
             beta(const_symbol(1.0), -3, 1, 1)
+
+    def test_unit_symbol_at_high_degree(self):
+        for d, j in ((0, 250), (30, 220), (300, 150)):
+            assert beta(const_symbol(1.0), d, j, j) == pytest.approx(1.0,
+                                                                     abs=1e-10)
+
+    def test_non_finite_symbol_is_named(self):
+        a = RadialSymbol(lambda r: math.nan if r > 2.0 else 1.0, name="spiky")
+        with pytest.raises(NonFiniteIntegrandError,
+                           match=r"t=4\.\d+ \(d=3, m=0\): symbol spiky is \(nan"):
+            beta(a, 3, 0, 0)
+
+    def test_recurrence_overflow_is_named(self):
+        # the raw Laguerre recurrence overflows on the far tail nodes
+        with pytest.raises(NonFiniteIntegrandError, match=r"t=.* \(d=0, m=300\)"):
+            beta(const_symbol(1.0), 0, 300, 300)
+        assert issubclass(NonFiniteIntegrandError, QuadratureConvergenceError)
 
 
 class TestLambdaSequences:
@@ -176,6 +214,80 @@ class TestBlocks:
         norms = [np.linalg.norm(toeplitz_block(a, 2, d), 2) for d in (10, 50, 200)]
         assert norms[0] > norms[1] > norms[2]
         assert norms[2] < 1e-6
+
+
+def _radius_squared_block(n: int, d: int) -> np.ndarray:
+    """Exact block of r^2 = t: the Jacobi matrix of the Laguerre weight."""
+    alpha, size = abs(d), min(n, n + d)
+    m = np.arange(size)
+    off = np.sqrt((m[:-1] + 1.0) * (m[:-1] + 1 + alpha))
+    return np.diag(2.0 * m + alpha + 1) + np.diag(off, 1) + np.diag(off, -1)
+
+
+#: block entries of the weight-absorbed and split routes that the window
+#: rule replaced, (symbol, n, d, row, column) -> value; both agree to 1e-14
+FROZEN_BLOCK_ENTRIES = [
+    (("rational", 8, -7, 0, 0), 0.12289755012652319),
+    (("rational", 8, 0, 0, 0), 0.5963473623231903),
+    (("rational", 8, 0, 7, 7), 0.18033817984887052),
+    (("rational", 8, 0, 0, 7), -0.00694233533278046),
+    (("rational", 8, 11, 3, 4), -0.03747963909588814),
+    (("rational", 8, 12, 7, 7), 0.0708539762280063),
+    (("rational", 8, 13, 0, 1), -0.017544609323673625),
+    (("rational", 8, 100, 5, 6), -0.0023295463021797817),
+    (("rational", 8, 100, 0, 0), 0.0099000100979091),
+    (("exp_decay", 3, 0, 0, 0), 0.4543586392349501),
+    (("exp_decay", 3, 0, 1, 2), -0.1473483507317619),
+    (("exp_decay", 3, 1, 2, 2), 0.1859727468337071),
+    (("inverse_linear", 2, -1, 0, 0), 0.4484134713515826),
+    (("inverse_linear", 2, 0, 0, 1), -0.11377307454724084),
+    (("inverse_linear", 2, 5, 1, 1), 0.2866757293191504),
+]
+
+_NAMED = {"rational": inverse_quadratic_symbol, "exp_decay": exp_decay_symbol,
+          "inverse_linear": inverse_linear_symbol}
+
+
+class TestWindowRule:
+    @pytest.mark.parametrize("key,value", FROZEN_BLOCK_ENTRIES)
+    def test_frozen_previous_route_values(self, key, value):
+        name, n, d, i, j = key
+        block = toeplitz_block(_NAMED[name](), n, d)
+        assert block[i, j].real == pytest.approx(value, abs=1e-10)
+        assert block[i, j].imag == 0.0
+
+    def test_block_matches_beta_and_is_symmetric(self):
+        for a in (inverse_quadratic_symbol(), indicator_symbol(1.5),
+                  exp_decay_symbol()):
+            for n, d in ((4, -3), (5, -2), (5, 0), (5, 3), (5, 40), (3, 300)):
+                block = toeplitz_block(a, n, d)
+                lo = max(0, -d)
+                for jj in range(lo, n):
+                    for kk in range(lo, n):
+                        assert block[jj - lo, kk - lo] == pytest.approx(
+                            beta(a, d, jj, kk), abs=1e-12)
+                assert np.max(np.abs(block - block.T)) <= 1e-13
+
+    def test_radius_squared_blocks_exact(self):
+        a = squared_radius_symbol()
+        for n in (1, 3, 8):
+            for d in (-n + 1, 0, 1, 11, 40, 150, 300):
+                exact = _radius_squared_block(n, d)
+                got = toeplitz_block(a, n, d)
+                assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(exact)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 10.0, 40.0])
+    def test_gauss_closed_form_to_p_1000(self, s):
+        values = lambda_seq(gaussian_symbol(s), 1, 1000).values
+        p = np.arange(1001)
+        assert np.max(np.abs(values - (1 + 1 / s**2) ** -(p + 1.0))) < 1e-11
+
+    @pytest.mark.parametrize("u", [0.5, 2.0, 10.0, 19.0])
+    def test_indicator_incomplete_gamma_to_p_400(self, u):
+        values = lambda_seq(indicator_symbol(u), 1, 400).values
+        want = [gammp(p + 1, u * u) for p in range(401)]
+        assert np.max(np.abs(values.real - want)) < 1e-11
+        assert np.all(values.imag == 0.0)
 
 
 class TestToeplitzMatrix:
