@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .exact_poly import (BiPolynomial, creation_adagger, creation_adagger_bar)
-from .hermite_basis import HermiteIndex, b_eval
+from .hermite_basis import b_values
 from .laguerre import LaguerreParams, _recurrence_scalar, laguerre_exact
 
 Kind = Literal["poly", "true_poly"]
@@ -134,12 +134,8 @@ def kernel_poly_log(n: int, z: complex, w: complex) -> tuple[float, float]:
 def kernel_partial_sum(space: SpaceId, z: complex, w: complex,
                        truncation: int) -> complex:
     """Truncated basis series sum of conj(b(z)) b(w) over the space's basis."""
-    cap = max(truncation, 128)
-    total = 0j
-    for p, q in space.basis_indices(truncation):
-        idx = HermiteIndex(p, q)
-        total += b_eval(idx, z, cap).conjugate() * b_eval(idx, w, cap)
-    return total
+    indices = space.basis_indices(truncation)
+    return complex(np.sum(b_values(indices, z).conjugate() * b_values(indices, w)))
 
 
 def kernel_recursion_check(n: int) -> bool:
@@ -206,8 +202,7 @@ def berezin(space: SpaceId, operator_matrix: np.ndarray, z: complex,
     if operator_matrix.shape != (k, k):
         raise ValueError(f"matrix shape {operator_matrix.shape} does not match "
                          f"enumeration of size {k}")
-    cap = max(truncation, 128)
-    values = np.array([b_eval(HermiteIndex(p, q), z, cap) for p, q in indices])
+    values = b_values(indices, z)
     den_terms = np.abs(values) ** 2
     den = float(np.sum(den_terms))
     tail_start = truncation - max(1, truncation // _TAIL_FRACTION)

@@ -3,9 +3,9 @@
 Each basis element carries three representations that are kept permanently
 as a self-test pair: the exact polynomial built by repeated creation
 operators, the exact closed-form coefficient expansion, and a floating-point
-evaluator routed through Laguerre polynomials of degree min(p, q) (the
-monomial expansion cancels catastrophically for large min(p, q) and is never
-used numerically).
+evaluator routed through the scaled orthonormal Laguerre recurrence of
+degree min(p, q) (the monomial expansion cancels catastrophically for large
+min(p, q) and is never used numerically).
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .exact_poly import (BiPolynomial, ScaledPolynomial, creation_adagger,
                          creation_adagger_bar, factorial)
-from .laguerre import _recurrence_array, _recurrence_scalar
+from .laguerre import _alpha_log, orthonormal_scaled
 
 MAX_EXACT_INDEX = 32
 MAX_NUMERIC_INDEX = 128
@@ -113,8 +113,30 @@ def b_coeffs(idx: HermiteIndex, max_index: int = MAX_EXACT_INDEX) -> ScaledPolyn
     return _b_coeffs(idx.p, idx.q)
 
 
-def _radial_log_prefactor(m: int, alpha: int) -> float:
-    return 0.5 * (math.lgamma(m + 1) - math.lgamma(m + alpha + 1))
+def _radial_values(pairs: Sequence[tuple[int, int]], r) -> np.ndarray:
+    """b_{p,q}(r) at real radii r >= 0: shape (len(pairs),) + shape of r.
+
+    With m = min(p, q) and alpha = |p - q|, b_{p,q}(r tau) = tau^(p-q)
+    psi_m(r^2) r^alpha / sqrt(alpha!), psi_m the orthonormal polynomial of
+    `orthonormal_scaled`; the prefactor joins its log scale.
+    """
+    m = [min(p, q) for p, q in pairs]
+    alphas = [abs(p - q) for p, q in pairs]
+    degrees = sorted(set(m))
+    row = {k: i for i, k in enumerate(degrees)}
+    r = np.asarray(r, dtype=float)
+    alpha = np.array(alphas, dtype=float).reshape((-1,) + (1,) * r.ndim)
+    v, s = orthonormal_scaled(degrees, alpha, r * r)
+    pick = [row[k] for k in m], range(len(m))
+    log_norm = np.array([0.5 * math.lgamma(a + 1) for a in alphas])
+    log_pre = _alpha_log(alpha, r) - log_norm.reshape(alpha.shape)
+    return v[pick] * np.exp(s[pick] + log_pre)
+
+
+def b_values(pairs: Sequence[tuple[int, int]], z: complex) -> np.ndarray:
+    """Values b_{p,q}(z) for every pair (p, q), in one pass."""
+    phase = z / abs(z) if z != 0 else 1.0
+    return _radial_values(pairs, abs(z)) * phase ** np.array([p - q for p, q in pairs])
 
 
 def b_eval(idx: HermiteIndex, z: complex,
@@ -122,18 +144,7 @@ def b_eval(idx: HermiteIndex, z: complex,
     """Floating-point value via the Laguerre form of degree min(p, q)."""
     if idx.p > max_index or idx.q > max_index:
         raise ValueError(f"numeric layer capped at index {max_index}")
-    m, d = idx.m, idx.d
-    alpha = abs(d)
-    x = abs(z) ** 2
-    lag = _recurrence_scalar(m, alpha, x)
-    sign = -1.0 if m % 2 else 1.0
-    if alpha == 0:
-        return complex(sign * lag)
-    if z == 0:
-        return 0j
-    mag = math.exp(_radial_log_prefactor(m, alpha) + alpha * math.log(abs(z)))
-    phase = (z / abs(z)) ** d
-    return sign * mag * phase * lag
+    return complex(b_values([(idx.p, idx.q)], complex(z))[0])
 
 
 def b_eval_polar(idx: HermiteIndex, r: float, tau: complex,
@@ -143,33 +154,13 @@ def b_eval_polar(idx: HermiteIndex, r: float, tau: complex,
         raise ValueError(f"|tau| = {abs(tau)} is off the unit circle")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    m, d = idx.m, idx.d
-    alpha = abs(d)
-    lag = _recurrence_scalar(m, alpha, r * r)
-    sign = -1.0 if m % 2 else 1.0
-    if alpha == 0:
-        return complex(sign * lag)
-    if r == 0.0:
-        return 0j
-    mag = math.exp(_radial_log_prefactor(m, alpha) + alpha * math.log(r))
-    return sign * mag * tau**d * lag
+    return float(_radial_values([(idx.p, idx.q)], r)[0]) * complex(tau) ** idx.d
 
 
 def b_polar_values(idx: HermiteIndex, t: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Matrix of values b_idx(sqrt(t_i) tau_j), vectorized over a polar grid."""
-    m, d = idx.m, idx.d
-    alpha = abs(d)
-    t = np.asarray(t, dtype=float)
-    lag = _recurrence_array(m, alpha, t)
-    sign = -1.0 if m % 2 else 1.0
-    if alpha == 0:
-        radial = sign * lag
-    else:
-        with np.errstate(divide="ignore"):
-            logmag = _radial_log_prefactor(m, alpha) + 0.5 * alpha * np.where(
-                t > 0, np.log(t), -np.inf)
-        radial = np.where(t > 0, sign * np.exp(logmag) * lag, 0.0)
-    return radial[:, None] * (np.asarray(taus, dtype=complex) ** d)[None, :]
+    radial = _radial_values([(idx.p, idx.q)], np.sqrt(np.asarray(t, dtype=float)))[0]
+    return radial[:, None] * (np.asarray(taus, dtype=complex) ** idx.d)[None, :]
 
 
 class SignedSquare(NamedTuple):

@@ -1,9 +1,12 @@
 """Associated Laguerre polynomials and normalized Laguerre functions.
 
-Numeric evaluation goes through the stable three-term recurrence; the exact
-rational coefficient list is kept alongside as an oracle.  The normalized
-functions are computed in log space so that large orders (several hundred)
-neither overflow nor underflow prematurely.
+The plain polynomial L_n^(alpha) is evaluated by its three-term recurrence,
+with the exact rational coefficient list kept alongside as an oracle.  Every
+normalized radial profile (the Laguerre functions here, the Hermite basis,
+the Toeplitz blocks and the Gauss-Laguerre weights) goes through one routine,
+`orthonormal_scaled`: the orthonormal recurrence with a per-entry log scale,
+which neither overflows nor underflows at any degree.  Each caller adds its
+own log prefactor to that scale.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -41,14 +45,56 @@ def _recurrence_scalar(n: int, alpha: int, x: float) -> float:
     return cur
 
 
-def _recurrence_array(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    if n == 0:
-        return np.ones_like(x)
-    prev = np.ones_like(x)
-    cur = 1.0 + alpha - x
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
-    return cur
+def orthonormal_scaled(ms: Sequence[int], alpha, t) -> tuple[np.ndarray, np.ndarray]:
+    """psi_m(t) as (v, s) with psi_m(t) = v e^s, for each degree m in ms.
+
+    psi_m is the orthonormal polynomial for the probability weight
+    t^alpha e^(-t) / alpha! on [0, inf), psi_0 = 1, with positive leading
+    coefficient: psi_m = (-1)^m sqrt(m! alpha! / (m+alpha)!) L_m^(alpha).
+    The integer order alpha >= 0 broadcasts against t; both outputs have
+    shape (len(ms),) + that broadcast shape.  The recurrence divides an entry
+    by its magnitude whenever it leaves [1e-100, 1e100] and adds the log to
+    s, so no degree overflows or underflows; where that never happens, s = 0
+    and v is the plain value.  A caller adds its log prefactor to s.
+    """
+    a = np.asarray(alpha, dtype=float)
+    x = np.asarray(t, dtype=float)
+    shape = np.broadcast(a, x).shape
+    m_prev = np.zeros(shape)
+    m_cur = np.ones(shape)
+    scale = np.zeros(shape)
+    wanted = set(ms)
+    kept = {0: (m_cur, scale)}
+    top = max(wanted, default=0) if m_cur.size else 0
+    # Jacobi coefficients: diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha))
+    ks = np.arange(top + 1).reshape((-1,) + (1,) * a.ndim)
+    diag = 2 * ks + a + 1
+    off = np.sqrt(ks * (ks + a))
+    for k in range(top):
+        m_next = ((x - diag[k]) * m_cur - off[k] * m_prev) / off[k + 1]
+        m_prev, m_cur = m_cur, m_next
+        # |m_prev| <= 1e100 already, so only |m_cur| can put an entry out of
+        # range (a NaN also takes the full check)
+        size = np.abs(m_cur)
+        if not (size.max() <= 1e100 and size.min() >= 1e-100):
+            mag = np.maximum(size, np.abs(m_prev))
+            off_range = (mag > 1e100) | ((mag > 0) & (mag < 1e-100))
+            c = np.where(off_range, mag, 1.0)
+            m_prev = m_prev / c
+            m_cur = m_cur / c
+            scale = scale + np.log(c)
+        if k + 1 in wanted:
+            kept[k + 1] = (m_cur, scale)
+    out = (len(ms),) + shape
+    return (np.array([kept[m][0] for m in ms]).reshape(out),
+            np.array([kept[m][1] for m in ms]).reshape(out))
+
+
+def _alpha_log(alpha, x) -> np.ndarray:
+    """alpha log x, read as 0 where alpha = 0 (also at x = 0)."""
+    alpha = np.asarray(alpha)
+    with np.errstate(divide="ignore"):
+        return alpha * np.log(np.where(alpha > 0, x, 1.0))
 
 
 def laguerre_eval(params: LaguerreParams, x: float) -> float:
@@ -68,11 +114,18 @@ def laguerre_exact(params: LaguerreParams) -> list[Fraction]:
             for k in range(n + 1)]
 
 
+def _function_scaled(m: int, alpha: int, t) -> tuple[np.ndarray, np.ndarray]:
+    # phi = (-1)^m psi_m t^(alpha/2) e^(-t/2) / sqrt(alpha!) = v e^s
+    v, s = orthonormal_scaled([m], alpha, t)
+    log_pre = 0.5 * _alpha_log(alpha, t) - 0.5 * t - 0.5 * math.lgamma(alpha + 1)
+    return (-1) ** m * v[0], s[0] + log_pre
+
+
 def laguerre_function(m: int, alpha: int, t: float) -> float:
     """Normalized Laguerre function: L2([0,inf), dt) unit norm for each (m, alpha).
 
-    Equals sqrt(m!/(m+alpha)!) t^(alpha/2) e^(-t/2) L_m^(alpha)(t), with the
-    scalar prefactor assembled in log space.
+    Equals sqrt(m!/(m+alpha)!) t^(alpha/2) e^(-t/2) L_m^(alpha)(t), assembled
+    in log space.
     """
     sign, logmag = laguerre_function_log(m, alpha, t)
     if sign == 0:
@@ -86,18 +139,10 @@ def laguerre_function_log(m: int, alpha: int, t: float) -> tuple[int, float]:
         raise ValueError(f"argument must be nonnegative, got {t}")
     if m < 0 or alpha < 0:
         raise ValueError("indices must be nonnegative")
-    if t == 0.0:
-        # value is binom(m+alpha, m) * sqrt(m!/(m+alpha)!) * 0^(alpha/2)
-        if alpha > 0:
-            return (0, -math.inf)
-        return (1, 0.0)
-    lval = _recurrence_scalar(m, alpha, t)
-    if lval == 0.0:
+    v, s = _function_scaled(m, alpha, float(t))
+    if v == 0 or s == -math.inf:
         return (0, -math.inf)
-    logpre = (0.5 * (math.lgamma(m + 1) - math.lgamma(m + alpha + 1))
-              + 0.5 * alpha * math.log(t) - 0.5 * t)
-    sign = 1 if lval > 0 else -1
-    return (sign, logpre + math.log(abs(lval)))
+    return (1 if v > 0 else -1, math.log(abs(v)) + float(s))
 
 
 def laguerre_function_values(m: int, alpha: int, t: np.ndarray) -> np.ndarray:
@@ -105,13 +150,8 @@ def laguerre_function_values(m: int, alpha: int, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("arguments must be nonnegative")
-    lval = _recurrence_array(m, alpha, t)
-    logpre = 0.5 * (math.lgamma(m + 1) - math.lgamma(m + alpha + 1)) - 0.5 * t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if alpha > 0:
-            logpre = logpre + 0.5 * alpha * np.where(t > 0, np.log(t), -np.inf)
-        vals = np.exp(logpre) * lval
-    return np.where(t > 0, vals, 1.0 if alpha == 0 else 0.0)
+    v, s = _function_scaled(m, alpha, t)
+    return v * np.exp(s)
 
 
 def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> float:

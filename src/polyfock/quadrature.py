@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .laguerre import orthonormal_scaled
+
 
 class QuadratureConvergenceError(RuntimeError):
     """Raised when a self-checked integral fails to converge under refinement."""
@@ -44,33 +46,15 @@ def _christoffel_log_weights(nodes: np.ndarray, alpha: int,
                              n_nodes: int) -> np.ndarray:
     """Log weights via the inverse Christoffel function w = mu0 / sum psi_k^2.
 
-    psi_k are the recurrence polynomials normalized to psi_0 = 1, evaluated at
-    every node with a shared floating scale per node so that rules with large
-    node ranges neither overflow nor lose their far-tail weights.  Unlike the
-    squared first eigenvector component, this is relatively accurate even for
+    psi_k are the orthonormal polynomials of `orthonormal_scaled`, which
+    carries a floating log scale per node so that rules with large node ranges
+    neither overflow nor lose their far-tail weights.  Unlike the squared
+    first eigenvector component, this is relatively accurate even for
     weights far below machine epsilon.
     """
-    x = np.asarray(nodes, dtype=float)
-    m_prev = np.zeros_like(x)
-    m_cur = np.ones_like(x)
-    scale = np.zeros_like(x)
-    logs = np.full((n_nodes, len(x)), -np.inf)
-    logs[0] = 0.0
-    for k in range(n_nodes - 1):
-        b_k = math.sqrt((k + 1) * (k + 1 + alpha))
-        b_km1 = math.sqrt(k * (k + alpha))
-        m_next = ((x - (2 * k + alpha + 1)) * m_cur - b_km1 * m_prev) / b_k
-        m_prev, m_cur = m_cur, m_next
-        mag = np.maximum(np.abs(m_cur), np.abs(m_prev))
-        off_range = (mag > 1e100) | ((mag > 0) & (mag < 1e-100))
-        if np.any(off_range):
-            c = np.where(off_range, mag, 1.0)
-            m_prev = m_prev / c
-            m_cur = m_cur / c
-            scale = scale + np.log(c)
-        with np.errstate(divide="ignore"):
-            logs[k + 1] = 2.0 * (np.where(m_cur != 0, np.log(np.abs(m_cur)),
-                                          -np.inf) + scale)
+    v, s = orthonormal_scaled(range(n_nodes), alpha, nodes)
+    with np.errstate(divide="ignore"):
+        logs = 2.0 * (np.log(np.abs(v)) + s)
     top = logs.max(axis=0)
     log_sum = top + np.log(np.sum(np.exp(logs - top[None, :]), axis=0))
     return math.lgamma(alpha + 1) - log_sum

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fock_spaces import SpaceId
 from .hermite_basis import HermiteIndex, b_polar_values
-from .laguerre import _recurrence_array, laguerre_function_values
+from .laguerre import laguerre_function_values, orthonormal_scaled
 from .quadrature import (CircleRule, QuadratureConvergenceError, QuadratureRule,
                          gauss_laguerre, legendre_rule, piecewise_halfline_rule)
 from .radial_ops import BasisMatrix
@@ -43,8 +43,7 @@ class RadialSymbol:
 
     `breakpoints` are discontinuity radii (quadrature pieces are aligned to
     them); `limit_at_infinity` enables the limit diagnostics; `bound` is the
-    sup norm, infinite for unbounded symbols (permitted, flagged).  The
-    callable must be safe to invoke concurrently.
+    sup norm, infinite for unbounded symbols (permitted, flagged).
     """
 
     fn: Callable[[float], complex]
@@ -168,15 +167,14 @@ def _block_once(a: RadialSymbol, d: int, ms: Sequence[int],
     log_w = np.concatenate([np.log(2.0 * u * v) for u, v in rules]
                            + [tail.log_weights + tail.nodes])
     t = r * r
-    # t^alpha e^{-t} = exp(alpha log c - c) exp(alpha log1p(s/c) - s), s = t-c;
-    # the constant goes into the rows, so no factor under- or overflows alone
-    root_w = np.exp(0.5 * (log_w + alpha * np.log1p((t - c) / c) - (t - c)))
+    # row k is psi_k(t) sqrt(w t^alpha e^{-t} / alpha!), with t^alpha e^{-t} =
+    # exp(alpha log c - c) exp(alpha log1p(s/c) - s), s = t - c, all in logs
+    log_root_w = 0.5 * (log_w + alpha * np.log1p((t - c) / c) - (t - c)
+                        + alpha * math.log(c) - c - math.lgamma(alpha + 1))
+    v, s = orthonormal_scaled(ms, alpha, t)
     avals = _symbol_values_radius(a, r)
-    log_c = alpha * math.log(c) - c
     with np.errstate(over="ignore", invalid="ignore"):
-        phi = np.array([(-1) ** k * math.exp(0.5 * (
-            log_c + math.lgamma(k + 1) - math.lgamma(k + alpha + 1)))
-            * root_w * _recurrence_array(k, alpha, t) for k in ms])
+        phi = v * np.exp(s + log_root_w)
         weighted = phi * avals
     bad = np.argwhere(~np.isfinite(weighted))
     if len(bad):

@@ -9,13 +9,10 @@ reports.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammainc
 
 from . import radial_ops
 from .exact_poly import BiPolynomial, ScaledPolynomial, gaussian_inner
@@ -413,6 +410,8 @@ def suite_radial(quick: bool = False) -> list[CheckResult]:
 
 
 def suite_toeplitz(quick: bool = False) -> list[CheckResult]:
+    from scipy.special import gammainc  # the oracle; only this suite needs it
+
     out = []
     jk = 2
     worst = 0.0
@@ -509,30 +508,16 @@ _SUITES = {
 }
 
 
-def max_threads() -> int:
-    value = os.environ.get("POLYFOCK_THREADS", "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 4
-
-
 def run_suites(names: list[str], quick: bool = False,
                corrupt: bool = False) -> list[CheckResult]:
     """Run the named suites (in their canonical order) and collect results."""
     ordered = [n for n in SUITE_NAMES if n in names]
     if not ordered:
         raise ValueError(f"no known suite among {names}")
-
-    def run_one(name: str) -> list[CheckResult]:
+    out = []
+    for name in ordered:
         if name == "basis":
-            return suite_basis(quick=quick, corrupt=corrupt)
-        return _SUITES[name](quick=quick)
-
-    workers = min(max_threads(), len(ordered))
-    if workers == 1:
-        groups = [run_one(n) for n in ordered]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(run_one, ordered))
-    return [result for group in groups for result in group]
+            out += suite_basis(quick=quick, corrupt=corrupt)
+        else:
+            out += _SUITES[name](quick=quick)
+    return out

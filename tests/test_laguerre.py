@@ -7,7 +7,7 @@ import pytest
 from polyfock.laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
                                laguerre_function, laguerre_function_log,
                                laguerre_function_sup, laguerre_function_values,
-                               rodrigues_identity_residual)
+                               orthonormal_scaled, rodrigues_identity_residual)
 from polyfock.quadrature import gauss_laguerre
 
 
@@ -98,6 +98,41 @@ class TestLaguerreFunction:
                                for t in rule.nodes])
                 val = norm * float(np.sum(rule.weights * lm * lm))
                 assert val == pytest.approx(1.0, abs=1e-10)
+
+
+class TestOrthonormalScaled:
+    def test_matches_explicit_sum(self):
+        # psi_m = (-1)^m sqrt(m! alpha! / (m+alpha)!) L_m^alpha; errors are
+        # measured against the Christoffel sum, which has no zeros
+        for alpha in (0, 3, 20):
+            for t in (0.0, 0.5, 7.0, 60.0):
+                v, s = orthonormal_scaled(range(31), alpha, t)
+                want = np.array([
+                    (-1) ** m * math.sqrt(math.factorial(m) * math.factorial(alpha)
+                                          / math.factorial(m + alpha))
+                    * explicit_sum(m, alpha, t) for m in range(31)])
+                envelope = np.sqrt(np.cumsum(want * want))
+                assert np.all(np.abs(v * np.exp(s) - want) <= 1e-12 * envelope)
+
+    def test_log_scale_past_double_range(self):
+        # psi_300(1500) = L_300(1500) is about e^700, beyond a double
+        v, s = orthonormal_scaled([300], 0, 1500.0)
+        lag = sum(Fraction((-1) ** k * math.comb(300, k), math.factorial(k))
+                  * 1500 ** k for k in range(301))
+        assert v[0] > 0
+        assert math.log(v[0]) + s[0] == pytest.approx(
+            math.log(lag.numerator) - math.log(lag.denominator), rel=1e-13)
+
+    def test_broadcast_and_repeated_degrees(self):
+        alpha = np.array([[0], [7]])
+        t = np.array([0.5, 3.0, 40.0])
+        v, s = orthonormal_scaled([4, 0, 4], alpha, t)
+        assert v.shape == s.shape == (3, 2, 3)
+        assert np.array_equal(v[0], v[2]) and np.all(v[1] == 1.0)
+        for i, a in enumerate((0, 7)):
+            for j, x in enumerate(t):
+                vi, si = orthonormal_scaled([4], a, x)
+                assert (v[0, i, j], s[0, i, j]) == (vi[0], si[0])
 
 
 class TestOrthogonality:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyfock.exact_poly import BiPolynomial, gaussian_inner
 from polyfock.fock_spaces import SpaceId
@@ -118,7 +120,8 @@ class TestBeta:
             beta(const_symbol(1.0), -3, 1, 1)
 
     def test_unit_symbol_at_high_degree(self):
-        for d, j in ((0, 250), (30, 220), (300, 150)):
+        for d, j in ((0, 250), (30, 220), (300, 150), (0, 300), (0, 600),
+                     (100, 600)):
             assert beta(const_symbol(1.0), d, j, j) == pytest.approx(1.0,
                                                                      abs=1e-10)
 
@@ -127,12 +130,17 @@ class TestBeta:
         with pytest.raises(NonFiniteIntegrandError,
                            match=r"t=4\.\d+ \(d=3, m=0\): symbol spiky is \(nan"):
             beta(a, 3, 0, 0)
-
-    def test_recurrence_overflow_is_named(self):
-        # the raw Laguerre recurrence overflows on the far tail nodes
-        with pytest.raises(NonFiniteIntegrandError, match=r"t=.* \(d=0, m=300\)"):
-            beta(const_symbol(1.0), 0, 300, 300)
         assert issubclass(NonFiniteIntegrandError, QuadratureConvergenceError)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_unit_symbol_is_delta(self, data):
+        # every index j, k, j + d, k + d in [0, 400]
+        j, k = data.draw(st.integers(0, 400)), data.draw(st.integers(0, 400))
+        d = data.draw(st.integers(-min(j, k), 400 - max(j, k)))
+        target = 1.0 if j == k else 0.0
+        assert beta(const_symbol(1.0), d, j, k) == pytest.approx(target,
+                                                                 abs=1e-10)
 
 
 class TestLambdaSequences:
