@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .laguerre import orthonormal_scaled
 
@@ -66,18 +65,20 @@ def gauss_laguerre(alpha: int, n_nodes: int) -> QuadratureRule:
 
     Recurrence coefficients for the weight t^alpha e^(-t): diagonal
     a_k = 2k + alpha + 1, off-diagonal b_k = sqrt(k (k + alpha)).  Nodes are
-    the Jacobi-matrix eigenvalues; weights come from the Christoffel sum at
-    each node.
+    the eigenvalues of the dense symmetric Jacobi matrix (`np.linalg.eigvalsh`,
+    ascending); weights come from the Christoffel sum at each node.
     """
     if n_nodes < 1:
         raise ValueError("need at least one node")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    diag = np.array([2 * k + alpha + 1 for k in range(n_nodes)], dtype=float)
-    off = np.array([math.sqrt(k * (k + alpha)) for k in range(1, n_nodes)],
-                   dtype=float)
-    # eigh_tridiagonal raises LinAlgError on failure; that is a hard error here
-    nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
+    k = np.arange(n_nodes, dtype=float)
+    diag = 2.0 * k + alpha + 1.0
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    # eigvalsh raises LinAlgError when it fails to converge; that is a hard
+    # error here
+    nodes = np.linalg.eigvalsh(jacobi)
     log_w = _christoffel_log_weights(nodes, alpha, n_nodes)
     with np.errstate(over="ignore"):
         weights = np.exp(log_w)

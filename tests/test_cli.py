@@ -17,6 +17,20 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def test_commands_do_not_import_scipy():
+    # numpy is the only runtime dependency
+    script = ("import sys\n"
+              "from polyfock.cli import main\n"
+              "codes = [main(['verify', '--suite', 'all', '--quick']),\n"
+              "         main(['toeplitz', '--n', '1', '--symbol', 'indicator:1',\n"
+              "               '--pmax', '5'])]\n"
+              "print(codes, 'scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 class TestHelpers:
     def test_parse_complex(self):
         assert parse_complex("2+0i") == 2.0

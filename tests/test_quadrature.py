@@ -45,6 +45,23 @@ class TestGaussLaguerre:
                 want = math.factorial(k + alpha)
                 assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("n_nodes", [64, 128, 256, 512])
+    def test_node_sum_is_jacobi_trace(self, n_nodes):
+        # the eigenvalues sum to the trace sum(2k + alpha + 1) = N (N + alpha)
+        for alpha in (0, 12):
+            nodes = gauss_laguerre(alpha, n_nodes).nodes
+            assert math.fsum(nodes) == pytest.approx(n_nodes * (n_nodes + alpha),
+                                                     rel=1e-13)
+
+    @pytest.mark.parametrize("n_nodes", [64, 128, 256])
+    def test_nodes_match_numpy_laggauss(self, n_nodes):
+        # numpy's independent companion-matrix rule; its weights overflow
+        # from N = 256 and its nodes are NaN at N = 512
+        with np.errstate(all="ignore"):
+            want, _ = np.polynomial.laguerre.laggauss(n_nodes)
+        np.testing.assert_allclose(gauss_laguerre(0, n_nodes).nodes, want,
+                                   rtol=1e-12, atol=0)
+
     def test_large_alpha_log_weights_finite(self):
         rule = gauss_laguerre(200, 64)
         assert np.all(np.isfinite(rule.log_weights))

@@ -27,6 +27,12 @@ def test_gammp_oracle_self_check():
     for x in (0.25, 1.0, 2.0, 9.0):
         assert gammp(1, x) == pytest.approx(1 - math.exp(-x), rel=1e-13)
         assert gammp(2, x) == pytest.approx(1 - (1 + x) * math.exp(-x), rel=1e-13)
+    # large order at the transition x ~ s, where both expansions need more
+    # than a few hundred terms: P(s, x) = 1 - sum_{k<s} x^k e^-x / k!
+    s, x = 10001, 1e4
+    poisson = 1 - math.fsum(math.exp(k * math.log(x) - x - math.lgamma(k + 1))
+                            for k in range(s))
+    assert gammp(s, x) == pytest.approx(poisson, abs=1e-10)
 
 
 class TestSymbols:
@@ -141,6 +147,21 @@ class TestBeta:
         target = 1.0 if j == k else 0.0
         assert beta(const_symbol(1.0), d, j, k) == pytest.approx(target,
                                                                  abs=1e-10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_indicator_is_incomplete_gamma(self, data):
+        # on F_(1), beta(indicator:u, p, 0, 0) = P(p + 1, u^2)
+        p = data.draw(st.integers(0, 10_000))
+        c = p + 1
+        if data.draw(st.integers(0, 3)) < 3:
+            # mostly u^2 in the transition window c +- 8 sqrt(c)
+            u = math.sqrt(data.draw(st.floats(max(c - 8 * math.sqrt(c), 0.0025),
+                                              c + 8 * math.sqrt(c))))
+        else:
+            u = data.draw(st.floats(0.05, 150.0))
+        assert beta(indicator_symbol(u), p, 0, 0) == pytest.approx(
+            gammp(c, u * u), abs=1e-9)
 
 
 class TestLambdaSequences:
