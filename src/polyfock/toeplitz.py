@@ -4,7 +4,8 @@ eigenvalue sequences, limit diagnostics, and separation witnesses.
 
 Symbols are callables in the radius r; the substitution t = r^2 and the
 mapping of declared breakpoints are handled here, in one place.  All beta
-values and blocks share one self-checked window rule (see `_block_once`).
+values, blocks and matrices of radial symbols share one self-checked window
+rule (see `_block_once`).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 from .fock_spaces import SpaceId
 from .hermite_basis import HermiteIndex, b_polar_values
 from .laguerre import laguerre_function_values, orthonormal_scaled
-from .quadrature import (CircleRule, QuadratureConvergenceError, QuadratureRule,
-                         gauss_laguerre, legendre_rule, piecewise_halfline_rule)
+from .quadrature import (CircleRule, QuadratureConvergenceError, gauss_laguerre,
+                         legendre_rule)
 from .radial_ops import BasisMatrix
 
 BETA_REL_TOL = 1e-9
@@ -263,43 +264,39 @@ def toeplitz_block(a: RadialSymbol, n: int, d: int,
     return _block_checked(a, d, range(min(n, n + d)), rel_tol)
 
 
-def _radial_rule_for(symbol: RadialSymbol, n_nodes: int) -> QuadratureRule:
-    bps_t = tuple(u * u for u in symbol.breakpoints)
-    return piecewise_halfline_rule(bps_t, n_nodes, n_nodes)
-
-
 def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
-                    space: SpaceId, truncation: int,
-                    n_radial: int = 64, m_angles: int | None = None) -> BasisMatrix:
+                    space: SpaceId, truncation: int) -> BasisMatrix:
     """Dense matrix of the Toeplitz operator with symbol g on the space.
 
-    Entries <g b_in, b_out> are computed by tensor quadrature over the polar
-    grid.  Radial symbols get a radial rule aligned to their breakpoints and
-    accurate for radius-smooth profiles; for a plain callable g(z) the plain
-    Gauss-Laguerre radial rule is used.  The angle count is raised
-    automatically so that no diagonal gap of the truncation aliases.
+    Entries are <g b_in, b_out>.  A radial symbol's matrix is its block
+    sequence: the indices on each diagonal d = p - q form one self-checked
+    block (`toeplitz_block` when the diagonal is whole, a leading part of it
+    near the truncation, a single eigenvalue on the true layer), and every
+    entry between two diagonals is 0.  A plain callable g(z) is integrated
+    by tensor quadrature over the polar grid: 64 Gauss-Laguerre radial nodes
+    and at least 64 angles, raised so that no diagonal gap of the truncation
+    aliases.
     """
     indices = space.basis_indices(truncation)
-    dvals = [p - q for p, q in indices]
-    spread = max(dvals) - min(dvals)
-    min_angles = spread + 8  # margin for low-degree angular content of g
-    m = max(m_angles or 0, 64, min_angles)
-
     if isinstance(symbol, RadialSymbol):
-        radial_rule = _radial_rule_for(symbol, n_radial)
-    else:
-        radial_rule = gauss_laguerre(0, n_radial)
+        on_diagonal: dict[int, list[tuple[int, int]]] = {}
+        for i, (p, q) in enumerate(indices):
+            on_diagonal.setdefault(p - q, []).append((min(p, q), i))
+        entries = np.zeros((len(indices), len(indices)), dtype=complex)
+        for d, degree_rows in on_diagonal.items():
+            ms, rows = zip(*sorted(degree_rows))
+            entries[np.ix_(rows, rows)] = _block_checked(symbol, d, ms,
+                                                         BETA_REL_TOL)
+        return BasisMatrix(space, truncation, entries)
+
+    dvals = [p - q for p, q in indices]
+    # 8 angles of margin for low-degree angular content of g
+    m = max(64, max(dvals) - min(dvals) + 8)
+    radial_rule = gauss_laguerre(0, 64)
     taus = CircleRule(m).taus
     t = radial_rule.nodes
-
-    if isinstance(symbol, RadialSymbol):
-        gvals = _symbol_values_radius(symbol, np.sqrt(t))[:, None] * \
-            np.ones((1, m), dtype=complex)
-    else:
-        radii = np.sqrt(t)
-        gvals = np.array([[complex(symbol(complex(r * tau))) for tau in taus]
-                          for r in radii])
-
+    gvals = np.array([[complex(symbol(complex(r * tau))) for tau in taus]
+                      for r in np.sqrt(t)])
     values = np.stack([b_polar_values(HermiteIndex(p, q), t, taus).reshape(-1)
                        for p, q in indices])
     wg = (radial_rule.weights[:, None] / m * gvals).reshape(-1)

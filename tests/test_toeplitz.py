@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyfock.exact_poly import BiPolynomial, gaussian_inner
 from polyfock.fock_spaces import SpaceId
 from polyfock.hermite_basis import HermiteIndex, b_coeffs
 from polyfock.quadrature import QuadratureConvergenceError
-from polyfock.radial_ops import is_radial, phi_n, phi_true
+from polyfock.radial_ops import is_radial, off_block_mass, phi_n, phi_true
 from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                RadialSymbol, beta, const_symbol,
                                exp_decay_symbol, gaussian_symbol,
@@ -323,6 +323,33 @@ class TestToeplitzMatrix:
     def test_unit_symbol_is_identity(self):
         m = toeplitz_matrix(const_symbol(1.0), SpaceId("poly", 2), 10)
         assert np.max(np.abs(m.entries - np.eye(20))) < 1e-12
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.sampled_from(["poly", "true_poly"]), st.integers(1, 4),
+           st.integers(1, 300))
+    @example("poly", 2, 200)
+    def test_unit_symbol_is_identity_to_p_300(self, kind, n, truncation):
+        m = toeplitz_matrix(const_symbol(1.0), SpaceId(kind, n), truncation)
+        assert np.max(np.abs(m.entries - np.eye(len(m.entries)))) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["poly", "true_poly"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+    def test_polar_route_on_radial_callable_matches_blocks(self, s, n, kind):
+        # the polar tensor rule never sees the blocks: this is an independent
+        # witness that a radial operator is its block sequence
+        space = SpaceId(kind, n)
+        dense = toeplitz_matrix(lambda z: math.exp(-abs(z) ** 2 / s**2),
+                                space, 40)
+        blocks = toeplitz_matrix(gaussian_symbol(s), space, 40)
+        assert np.max(np.abs(dense.entries - blocks.entries)) < 1e-12
+        off, total = off_block_mass(dense)
+        assert off <= 1e-12 * total
+
+    def test_non_finite_symbol_is_named(self):
+        a = RadialSymbol(lambda r: math.nan if r > 1.0 else 1.0, name="spiky")
+        with pytest.raises(NonFiniteIntegrandError, match=r"symbol spiky is \(nan"):
+            toeplitz_matrix(a, SpaceId("poly", 2), 10)
 
     def test_radial_matches_block_assembly(self):
         a = indicator_symbol(1.0)
