@@ -19,7 +19,7 @@ import numpy as np
 
 from polyfock.toeplitz import (RadialSymbol, exp_decay_symbol, gaussian_symbol,
                                indicator_symbol, inverse_quadratic_symbol,
-                               lambda_seq, toeplitz_block)
+                               lambda_seq, toeplitz_blocks)
 
 
 def oscillating_symbol(freq: float) -> RadialSymbol:
@@ -58,11 +58,13 @@ def emit_eigenvalue_oscillation(outdir: str, n: int, pmax: int) -> None:
 def emit_block_scalar_distance(outdir: str, n: int, dmax: int) -> None:
     symbols = [indicator_symbol(1.0), exp_decay_symbol(),
                inverse_quadratic_symbol()]
+    ds = sorted({0, 1, 2, 5, 10, 20, 50, 100, dmax})
     records = []
     for a in symbols:
         v = a.limit_at_infinity
-        for d in sorted({0, 1, 2, 5, 10, 20, 50, 100, dmax}):
-            block = toeplitz_block(a, n, d)
+        blocks = toeplitz_blocks(a, n, ds[-1])  # from d = -n + 1
+        for d in ds:
+            block = blocks[d + n - 1]
             dist = float(np.linalg.norm(block - v * np.eye(block.shape[0]), 2))
             records.append({"symbol": a.name, "d": d,
                             "distance_to_scalar": dist})

@@ -20,8 +20,7 @@ from .laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
                        laguerre_function, laguerre_function_sup,
                        rodrigues_identity_residual)
 from .quadrature import (CircleRule, QuadratureConvergenceError, QuadratureRule,
-                         circle_average, gauss_laguerre, integrate_halfline,
-                         integrate_piecewise, piecewise_halfline_rule, plane_inner)
+                         gauss_laguerre, plane_inner)
 from .radial_ops import (BasisMatrix, DiagonalRep, RadialityError,
                          RadialityReport, RadialOperatorRep, assemble_blocks,
                          commutator_csv, commutator_norms, finite_rank_radial,
@@ -33,6 +32,7 @@ from .toeplitz import (EigenvalueSequence, LimitRecord, NonFiniteIntegrandError,
                        gaussian_symbol, indicator_symbol, inverse_linear_symbol,
                        inverse_quadratic_symbol, lambda_indicator, lambda_seq,
                        limit_diagnostic, separation_check, squared_radius_symbol,
-                       symbol_from_spec, toeplitz_block, toeplitz_matrix)
+                       symbol_from_spec, toeplitz_block, toeplitz_blocks,
+                       toeplitz_matrix)
 
 __version__ = "0.1.0"

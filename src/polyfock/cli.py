@@ -21,7 +21,7 @@ from .fock_spaces import (SpaceId, kernel_partial_sum, kernel_poly, kernel_true)
 from .hermite_basis import HermiteIndex, b_eval, basis_json_dict
 from .quadrature import QuadratureConvergenceError
 from .toeplitz import (DEFAULT_D_MAX, DEFAULT_P_MAX, lambda_seq,
-                       symbol_from_spec, toeplitz_block)
+                       symbol_from_spec, toeplitz_blocks)
 from .verify import SUITE_NAMES, run_suites
 
 
@@ -139,10 +139,9 @@ def cmd_toeplitz(args) -> int:
                        path=args.out)
     symbol = symbol_from_spec(args.symbol)
     if args.blocks:
-        blocks = []
-        for d in range(-config.n + 1, config.d_max + 1):
-            block = toeplitz_block(symbol, config.n, d, rel_tol=config.rel_tol)
-            blocks.append([[[v.real, v.imag] for v in row] for row in block])
+        blocks = [[[[v.real, v.imag] for v in row] for row in block]
+                  for block in toeplitz_blocks(symbol, config.n, config.d_max,
+                                               rel_tol=config.rel_tol)]
         record = {"n": config.n, "symbol": symbol.name, "d_min": -config.n + 1,
                   "d_max": config.d_max, "blocks": blocks}
         _emit(dumps_fixed(record) + "\n", config.path)

@@ -1,5 +1,6 @@
-"""Integration rules: generalized Gauss-Laguerre, piecewise half-line rules,
-circle averaging, and the Gaussian-plane inner product via polar factorization.
+"""Integration rules: generalized Gauss-Laguerre, Gauss-Legendre on intervals,
+equispaced circle samples, and the Gaussian-plane inner product via polar
+factorization.
 
 All rules are immutable once built; integration itself is pure, so rules can
 be shared freely across threads.
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -94,72 +95,15 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def legendre_rule(a: float, b: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on a finite interval [a, b]."""
+def legendre_rule(a, b, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on a finite interval [a, b].
+
+    Endpoint arrays of shape (..., 1) give one rule per interval, with the
+    nodes along the last axis.
+    """
     x, w = _leggauss(n_nodes)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
-
-
-def piecewise_halfline_rule(breakpoints: Sequence[float] = (),
-                            n_per_piece: int = 64,
-                            n_tail: int = 64,
-                            head_split: float = 4.0) -> QuadratureRule:
-    """Composite rule for integrals of f(t) e^(-t) over [0, inf).
-
-    Finite pieces between consecutive breakpoints use Gauss-Legendre after the
-    substitution t = u^2, which removes sqrt(t)-type kinks of radius-smooth
-    integrands near the origin; past the last breakpoint a shifted
-    Gauss-Laguerre rule covers the tail.  The e^(-t) factor is folded into the
-    weights, so the rule composes with alpha = 0 semantics.
-    """
-    bps = sorted({float(b) for b in breakpoints if b > 0})
-    if any(not math.isfinite(b) for b in bps):
-        raise ValueError("breakpoints must be finite")
-    if not bps:
-        bps = [head_split]
-    edges = [0.0] + bps
-    all_nodes, all_weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        u, v = legendre_rule(math.sqrt(a), math.sqrt(b), n_per_piece)
-        t = u * u
-        all_nodes.append(t)
-        all_weights.append(v * 2.0 * u * np.exp(-t))
-    last = edges[-1]
-    tail = gauss_laguerre(0, n_tail)
-    all_nodes.append(last + tail.nodes)
-    all_weights.append(tail.weights * math.exp(-last))
-    nodes = np.concatenate(all_nodes)
-    weights = np.concatenate(all_weights)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureRule(nodes=nodes, weights=weights, alpha=0)
-
-
-def integrate_halfline(f: Callable[[float], complex], rule: QuadratureRule) -> complex:
-    """Sum of w_i f(t_i); f receives the bare node, without the weight factor."""
-    total = 0j
-    for t, w in zip(rule.nodes, rule.weights):
-        val = complex(f(float(t)))
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise ValueError(f"integrand not finite at node t={t}")
-        total += w * val
-    return total
-
-
-def integrate_piecewise(f: Callable[[float], complex],
-                        weight_alpha: int = 0,
-                        breakpoints: Sequence[float] = (),
-                        n_per_piece: int = 64) -> complex:
-    """Integral of f(t) t^weight_alpha e^(-t) honoring declared breakpoints.
-
-    Undeclared discontinuities are integrated silently but inaccurately:
-    Gauss rules lose their accuracy on jumps inside a piece.
-    """
-    rule = piecewise_halfline_rule(tuple(breakpoints), n_per_piece, n_per_piece)
-    if weight_alpha == 0:
-        return integrate_halfline(f, rule)
-    return integrate_halfline(lambda t: f(t) * t ** weight_alpha, rule)
 
 
 @dataclass(frozen=True)
@@ -176,11 +120,6 @@ class CircleRule:
     def taus(self) -> np.ndarray:
         angles = 2.0 * np.pi * np.arange(self.m_angles) / self.m_angles
         return np.exp(1j * angles)
-
-
-def circle_average(g: Callable[[complex], complex], rule: CircleRule) -> complex:
-    """Mean of g over the sampled roots of unity."""
-    return sum(complex(g(complex(tau))) for tau in rule.taus) / rule.m_angles
 
 
 DEFAULT_RADIAL_NODES = 64

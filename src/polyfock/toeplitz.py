@@ -4,8 +4,13 @@ eigenvalue sequences, limit diagnostics, and separation witnesses.
 
 Symbols are callables in the radius r; the substitution t = r^2 and the
 mapping of declared breakpoints are handled here, in one place.  All beta
-values, blocks and matrices of radial symbols share one self-checked window
-rule (see `_block_once`).
+values, blocks, eigenvalue sequences and matrices of radial symbols come from
+one batched pass over their diagonals (`_diagonal_blocks`) on one
+self-checked window rule (`_block_once`).  The pass stacks the diagonals as
+rows of (rows, nodes) arrays; rows with the same degrees run together, in
+chunks of bounded size.  Each row doubles its rule until it converges on its
+own.  The symbol is evaluated on whole arrays of radii, and a callable that
+takes only one radius at a time is called once per radius instead.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ class RadialSymbol:
 
     `breakpoints` are discontinuity radii (quadrature pieces are aligned to
     them); `limit_at_infinity` enables the limit diagnostics; `bound` is the
-    sup norm, infinite for unbounded symbols (permitted, flagged).
+    sup norm, infinite for unbounded symbols (permitted, flagged).  The
+    quadrature calls `fn` on whole arrays of radii; a callable that only
+    takes one radius at a time is called once per radius instead.
     """
 
     fn: Callable[[float], complex]
@@ -77,7 +84,7 @@ def indicator_symbol(u: float) -> RadialSymbol:
     """Characteristic function of the open interval (0, u)."""
     if u <= 0:
         raise ValueError("indicator radius must be positive")
-    return RadialSymbol(lambda r: 1.0 if 0.0 < r < u else 0.0,
+    return RadialSymbol(lambda r: 1.0 * ((0.0 < r) & (r < u)),
                         breakpoints=(u,), limit_at_infinity=0.0, bound=1.0,
                         name=f"indicator:{u}")
 
@@ -86,8 +93,12 @@ def gaussian_symbol(s: float) -> RadialSymbol:
     """a(r) = exp(-r^2 / s^2); 0 where (r/s)^2 overflows."""
     if s <= 0:
         raise ValueError("scale must be positive")
-    return RadialSymbol(lambda r: math.exp(-(r / s) * (r / s)),
-                        limit_at_infinity=0.0, bound=1.0, name=f"gauss:{s}")
+
+    def fn(r):
+        with np.errstate(over="ignore"):
+            x = r / s
+            return np.exp(-(x * x))
+    return RadialSymbol(fn, limit_at_infinity=0.0, bound=1.0, name=f"gauss:{s}")
 
 
 def inverse_quadratic_symbol() -> RadialSymbol:
@@ -104,7 +115,7 @@ def inverse_linear_symbol() -> RadialSymbol:
 
 def exp_decay_symbol() -> RadialSymbol:
     """a(r) = exp(-r)."""
-    return RadialSymbol(lambda r: math.exp(-r), limit_at_infinity=0.0,
+    return RadialSymbol(lambda r: np.exp(-r), limit_at_infinity=0.0,
                         bound=1.0, name="exp_decay")
 
 
@@ -137,77 +148,179 @@ class EigenvalueSequence:
     quadrature_meta: dict = field(default_factory=dict)
 
 
-def _symbol_values_radius(a: RadialSymbol, radii: np.ndarray) -> np.ndarray:
-    fn = a.fn
-    return np.array([fn(r) for r in radii.tolist()], dtype=complex)
+#: degrees times rows per `_block_checked` call: bounds the (degrees, rows,
+#: nodes) arrays of a pass, however many diagonals it covers
+_CHUNK = 64
 
 
-def _block_once(a: RadialSymbol, d: int, ms: Sequence[int],
+def _symbol_sampler(a: RadialSymbol) -> Callable[[np.ndarray], np.ndarray]:
+    """Values of the symbol on arrays of radii, for one pass.
+
+    `a.fn` is applied to the whole array.  The first time that raises, or
+    returns something that is not numeric or does not broadcast to the radii
+    (a scalar-only callable), the pass switches to one call per radius for
+    good; those calls raise the symbol's own errors.
+    """
+    fn, scalar = a.fn, False
+
+    def values(r: np.ndarray) -> np.ndarray:
+        nonlocal scalar
+        if not scalar:
+            try:
+                out = np.asarray(fn(r))
+                if out.dtype.kind in "biufc":
+                    return out if out.shape == r.shape \
+                        else np.broadcast_to(out, r.shape)
+            except Exception:  # any failure on an array marks it scalar-only
+                pass
+            scalar = True
+        return np.array([fn(x) for x in r.ravel().tolist()],
+                        dtype=complex).reshape(r.shape)
+    return values
+
+
+def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
+                ds: np.ndarray, ms: Sequence[int],
                 n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phi diag(a) Phi^T and its rounding scale |Phi| diag|a| |Phi|^T, where
-    row k of Phi is (-1)^k phi_k^(|d|), k in ms, times the root node weights.
+    """Phi diag(a) Phi^T and its rounding scale |Phi| diag|a| |Phi|^T for each
+    diagonal d in ds, stacked along the first axis, where row k of Phi is
+    (-1)^k phi_k^(|d|), k in ms, times the root node weights.
     t^|d| e^{-t} is centred at c = |d| + 1, width sqrt(c): Legendre pieces in
     u = sqrt(t) span the turning points of phi_max(ms) widened by 12 sqrt(c),
     split at c, at breakpoints and once per 8 degrees; a shifted
-    Gauss-Laguerre rule covers the rest.  No piece size depends on d."""
-    alpha, c, m = abs(d), abs(d) + 1.0, max(ms)
+    Gauss-Laguerre rule covers the rest.  No piece size depends on d, and
+    every diagonal has the same number of pieces: a breakpoint below a
+    diagonal's window is moved up to its lower edge, where its piece has
+    zero length and zero weight."""
+    alpha = np.abs(ds).astype(float)
+    c, m = alpha + 1.0, max(ms)
     # turning points of phi_m^alpha: t_lo + t_hi = 4m + 2c, t_lo t_hi ~ alpha^2
     nu = 4 * m + 2 * c
-    t_hi = 0.5 * (nu + math.sqrt(nu * nu - 4.0 * alpha * alpha))
-    margin = 12 * math.sqrt(c)
-    lo, mid = math.sqrt(max(0.0, alpha * alpha / t_hi - margin)), math.sqrt(c)
+    t_hi = 0.5 * (nu + np.sqrt(nu * nu - 4.0 * alpha * alpha))
+    margin = 12 * np.sqrt(c)
+    lo = np.sqrt(np.maximum(0.0, alpha * alpha / t_hi - margin))
+    mid = np.sqrt(c)
     pieces = 1 + m // 8
-    edges = sorted({*np.linspace(lo, mid, pieces + 1),
-                    *np.linspace(mid, math.sqrt(t_hi + margin), pieces + 1),
-                    *(u for u in a.breakpoints if u > lo)})
-    rules = [legendre_rule(u0, u1, n_nodes) for u0, u1 in zip(edges, edges[1:])]
+    # np.linspace(lo, mid) and np.linspace(mid, hi), row by row
+    steps = np.arange(pieces + 1.0)
+    ends = np.stack([lo, mid, np.sqrt(t_hi + margin)], axis=1)
+    spaced = (steps * ((ends[:, 1:] - ends[:, :-1]) / pieces)[:, :, None]
+              + ends[:, :-1, None])
+    spaced[:, :, -1] = ends[:, 1:]
+    edges = np.sort(np.concatenate(
+        [spaced[:, 0], spaced[:, 1, 1:],
+         np.maximum(np.array(a.breakpoints)[None, :], lo[:, None])], axis=1),
+        axis=1)
+    u, v = legendre_rule(edges[:, :-1, None], edges[:, 1:, None], n_nodes)
     # tail past the last edge b: t = b + s against e^{-s}
     tail = gauss_laguerre(0, n_nodes)
-    r = np.concatenate([u for u, _ in rules]
-                       + [np.sqrt(edges[-1] ** 2 + tail.nodes)])
-    log_w = np.concatenate([np.log(2.0 * u * v) for u, v in rules]
-                           + [tail.log_weights + tail.nodes])
+    rows = len(ds)
+    r = np.concatenate([u.reshape(rows, -1),
+                        np.sqrt(edges[:, -1:] ** 2 + tail.nodes)], axis=1)
+    with np.errstate(divide="ignore"):  # zero-length pieces
+        log_w = np.concatenate(
+            [np.log(2.0 * u * v).reshape(rows, -1),
+             np.broadcast_to(tail.log_weights + tail.nodes, (rows, n_nodes))],
+            axis=1)
     t = r * r
     # row k is psi_k(t) sqrt(w t^alpha e^{-t} / alpha!), with t^alpha e^{-t} =
     # exp(alpha log c - c) exp(alpha log1p(s/c) - s), s = t - c, all in logs
+    log_c = np.array([[math.log(x)] for x in c.tolist()])
+    lgam = np.array([[math.lgamma(x + 1)] for x in alpha.tolist()])
+    alpha, c = alpha[:, None], c[:, None]
     log_root_w = 0.5 * (log_w + alpha * np.log1p((t - c) / c) - (t - c)
-                        + alpha * math.log(c) - c - math.lgamma(alpha + 1))
+                        + alpha * log_c - c - lgam)
     v, s = orthonormal_scaled(ms, alpha, t)
-    avals = _symbol_values_radius(a, r)
+    avals = values(r)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = v * np.exp(s + log_root_w)
         weighted = phi * avals
-    bad = np.argwhere(~np.isfinite(weighted))
-    if len(bad):
-        k, i = bad[0]
+    if not np.isfinite(weighted).all():
+        k, i, j = np.argwhere(~np.isfinite(weighted))[0]
         raise NonFiniteIntegrandError(
-            f"integrand not finite at t={t[i]} (d={d}, m={ms[k]}): symbol "
-            f"{a.name} is {avals[i]}, Laguerre function value {phi[k, i]}")
-    block = weighted @ phi.T
-    if not np.all(np.isfinite(block)):
-        raise NonFiniteIntegrandError(f"block sums overflow (d={d}, {a.name})")
-    return block, (np.abs(phi) * np.abs(avals)) @ np.abs(phi).T
+            f"integrand not finite at t={t[i, j]} (d={ds[i]}, m={ms[k]}): "
+            f"symbol {a.name} is {complex(avals[i, j])}, Laguerre function "
+            f"value {phi[k, i, j]}")
+    # (rows, degrees, nodes) @ (rows, nodes, degrees)
+    block = weighted.transpose(1, 0, 2) @ phi.transpose(1, 2, 0)
+    if not np.isfinite(block).all():
+        i = np.argwhere(~np.isfinite(block))[0][0]
+        raise NonFiniteIntegrandError(
+            f"block sums overflow (d={ds[i]}, {a.name})")
+    size = np.abs(phi)
+    scale = (size * np.abs(avals)).transpose(1, 0, 2) @ size.transpose(1, 2, 0)
+    return block, scale
 
 
-def _block_checked(a: RadialSymbol, d: int, ms: Sequence[int], rel_tol: float,
-                   n_start: int = _N_START, n_max: int = _N_MAX) -> np.ndarray:
-    """`_block_once`, doubling the node count until every entry agrees with
-    the previous size to atol + rel_tol |entry|.  atol is BETA_ABS_TOL or the
-    rounding floor ROUNDING_FLOOR * sum |w a phi_j phi_k| if larger,
-    which by Cauchy-Schwarz happens only for symbols with sup |a| > 2.
+def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
+                   ds: np.ndarray, ms: Sequence[int], rel_tol: float,
+                   n_start: int = _N_START,
+                   n_max: int = _N_MAX) -> tuple[np.ndarray, np.ndarray]:
+    """`_block_once` on a stack of diagonals sharing the degrees ms, doubling
+    the node count of each row until every entry of its block agrees with
+    the previous size to atol + rel_tol |entry|; only the rows that have not
+    converged are computed again.  atol is BETA_ABS_TOL or the rounding floor
+    ROUNDING_FLOOR * sum |w a phi_j phi_k| if larger, which by Cauchy-Schwarz
+    happens only for symbols with sup |a| > 2.  Returns the blocks and, per
+    row, the node count at which it converged.
     """
     n = n_start
-    prev, _ = _block_once(a, d, ms, n)
+    prev, _ = _block_once(a, values, ds, ms, n)
+    blocks = np.empty(prev.shape, dtype=complex)
+    nodes = np.zeros(len(ds), dtype=int)
+    todo = np.arange(len(ds))
     while n < n_max:
         n *= 2
-        cur, scale = _block_once(a, d, ms, n)
+        cur, scale = _block_once(a, values, ds[todo], ms, n)
         atol = np.maximum(BETA_ABS_TOL, ROUNDING_FLOOR * scale)
-        if np.all(np.abs(cur - prev) <= atol + rel_tol * np.abs(cur)):
-            return cur
-        prev = cur
+        ok = np.all(np.abs(cur - prev) <= atol + rel_tol * np.abs(cur),
+                    axis=(1, 2))
+        blocks[todo[ok]] = cur[ok]
+        nodes[todo[ok]] = n
+        todo, prev = todo[~ok], cur[~ok]
+        if not len(todo):
+            return blocks, nodes
     raise QuadratureConvergenceError(
-        f"block on diagonal d={d} for degrees {list(ms)} did not converge up "
-        f"to {n_max} nodes for symbol {a.name}")
+        f"block on diagonal d={ds[todo[0]]} for degrees {list(ms)} did not "
+        f"converge up to {n_max} nodes for symbol {a.name}")
+
+
+def _diagonal_blocks(a: RadialSymbol,
+                     diagonals: Sequence[tuple[int, Sequence[int]]],
+                     rel_tol: float = BETA_REL_TOL, n_start: int = _N_START,
+                     n_max: int = _N_MAX
+                     ) -> tuple[list[np.ndarray], np.ndarray]:
+    """The self-checked blocks of many diagonals in one pass.
+
+    `diagonals` lists (d, ms) pairs.  Diagonals that share the degrees ms are
+    computed together, _CHUNK // len(ms) at a time (at least one), and every
+    call samples the symbol through one `_symbol_sampler`.  Returns the
+    blocks in the order given and the node count at which each converged.
+    """
+    values = _symbol_sampler(a)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (_, ms) in enumerate(diagonals):
+        groups.setdefault(tuple(ms), []).append(i)
+    blocks: list[np.ndarray] = [np.empty(0)] * len(diagonals)
+    nodes = np.zeros(len(diagonals), dtype=int)
+    for ms, rows in groups.items():
+        ds = np.array([diagonals[i][0] for i in rows])
+        step = max(1, _CHUNK // len(ms))
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            got, nodes[chunk] = _block_checked(a, values, ds[lo:lo + step],
+                                               ms, rel_tol, n_start, n_max)
+            for i, block in zip(chunk, got):
+                blocks[i] = block
+    return blocks, nodes
+
+
+def _beta_degrees(d: int, j: int, k: int) -> list[int]:
+    """The degrees of the block holding beta(a, d, j, k), which sits at its
+    [0, -1] entry (blocks are symmetric)."""
+    if min(j, k, j + d, k + d) < 0:
+        raise ValueError(f"indices (d={d}, j={j}, k={k}) leave the valid range")
+    return sorted({min(j, j + d), min(k, k + d)})
 
 
 def beta(a: RadialSymbol, d: int, j: int, k: int,
@@ -223,21 +336,26 @@ def beta(a: RadialSymbol, d: int, j: int, k: int,
     Self-checked by doubling the node count until two consecutive values
     agree; raises QuadratureConvergenceError otherwise.
     """
-    if min(j, k, j + d, k + d) < 0:
-        raise ValueError(f"indices (d={d}, j={j}, k={k}) leave the valid range")
-    ms = sorted({min(j, j + d), min(k, k + d)})  # blocks are symmetric
-    return complex(_block_checked(a, d, ms, rel_tol, n_start, n_max)[0, -1])
+    blocks, _ = _diagonal_blocks(a, [(d, _beta_degrees(d, j, k))], rel_tol,
+                                 n_start, n_max)
+    return complex(blocks[0][0, -1])
 
 
 def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
                rel_tol: float = BETA_REL_TOL) -> EigenvalueSequence:
     """Eigenvalue sequence of the radial Toeplitz operator on the true layer:
-    lambda(p) = beta(a, p-n+1, n-1, n-1)."""
+    lambda(p) = beta(a, p-n+1, n-1, n-1), all p in one pass.
+
+    `quadrature_meta["nodes"][p]` is the node count at which lambda(p)
+    passed its self-check.
+    """
     if n < 1:
         raise ValueError("order must be >= 1")
-    values = np.array([beta(a, p - n + 1, n - 1, n - 1, rel_tol=rel_tol)
-                       for p in range(p_max + 1)])
-    meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": rel_tol}
+    blocks, nodes = _diagonal_blocks(
+        a, [(p - n + 1, (min(p, n - 1),)) for p in range(p_max + 1)], rel_tol)
+    values = np.array([block[0, 0] for block in blocks], dtype=complex)
+    meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": rel_tol,
+            "nodes": nodes.tolist()}
     return EigenvalueSequence(n=n, values=values, quadrature_meta=meta)
 
 
@@ -261,7 +379,17 @@ def toeplitz_block(a: RadialSymbol, n: int, d: int,
     beta values over the indices living inside the order-n space."""
     if d < -n + 1:
         raise ValueError(f"diagonal {d} is empty in a space of order {n}")
-    return _block_checked(a, d, range(min(n, n + d)), rel_tol)
+    return _diagonal_blocks(a, [(d, range(min(n, n + d)))], rel_tol)[0][0]
+
+
+def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int,
+                    rel_tol: float = BETA_REL_TOL) -> list[np.ndarray]:
+    """The blocks `toeplitz_block(a, n, d)` for d = -n+1, ..., d_max, in one
+    pass."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    return _diagonal_blocks(a, [(d, range(min(n, n + d)))
+                                for d in range(-n + 1, d_max + 1)], rel_tol)[0]
 
 
 def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
@@ -282,11 +410,14 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
         on_diagonal: dict[int, list[tuple[int, int]]] = {}
         for i, (p, q) in enumerate(indices):
             on_diagonal.setdefault(p - q, []).append((min(p, q), i))
-        entries = np.zeros((len(indices), len(indices)), dtype=complex)
+        diagonals, rows_of = [], []
         for d, degree_rows in on_diagonal.items():
             ms, rows = zip(*sorted(degree_rows))
-            entries[np.ix_(rows, rows)] = _block_checked(symbol, d, ms,
-                                                         BETA_REL_TOL)
+            diagonals.append((d, ms))
+            rows_of.append(rows)
+        entries = np.zeros((len(indices), len(indices)), dtype=complex)
+        for rows, block in zip(rows_of, _diagonal_blocks(symbol, diagonals)[0]):
+            entries[np.ix_(rows, rows)] = block
         return BasisMatrix(space, truncation, entries)
 
     dvals = [p - q for p, q in indices]
@@ -325,9 +456,11 @@ def limit_diagnostic(a: RadialSymbol, j: int, k: int,
     if a.limit_at_infinity is None:
         raise ValueError("symbol must declare its limit at infinity")
     target = a.limit_at_infinity if j == k else 0.0
+    ds = sorted(d_list)
+    blocks, _ = _diagonal_blocks(a, [(d, _beta_degrees(d, j, k)) for d in ds])
     records = []
-    for d in sorted(d_list):
-        val = beta(a, d, j, k)
+    for d, block in zip(ds, blocks):
+        val = complex(block[0, -1])
         records.append(LimitRecord(d=d, beta=val, residual=abs(val - target)))
     return records
 

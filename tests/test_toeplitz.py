@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from polyfock.fock_spaces import SpaceId
 from polyfock.hermite_basis import HermiteIndex, b_coeffs
 from polyfock.quadrature import QuadratureConvergenceError
 from polyfock.radial_ops import is_radial, off_block_mass, phi_n, phi_true
+from polyfock import toeplitz
 from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                RadialSymbol, beta, const_symbol,
                                exp_decay_symbol, gaussian_symbol,
@@ -17,7 +19,7 @@ from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                inverse_quadratic_symbol, lambda_indicator,
                                lambda_seq, limit_diagnostic, separation_check,
                                squared_radius_symbol, symbol_from_spec,
-                               toeplitz_block, toeplitz_matrix)
+                               toeplitz_block, toeplitz_blocks, toeplitz_matrix)
 
 from oracles import gammp
 
@@ -317,6 +319,115 @@ class TestWindowRule:
         want = [gammp(p + 1, u * u) for p in range(401)]
         assert np.max(np.abs(values.real - want)) < 1e-11
         assert np.all(values.imag == 0.0)
+
+
+_REAL_SPECS = ["gauss:2", "rational", "const:2.5", "indicator:1.3"]
+
+
+class TestBatchedPass:
+    """Sequences and block sweeps come from one pass over all their rows."""
+
+    @pytest.mark.parametrize("spec", _REAL_SPECS)
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_sequence_is_one_row_beta(self, spec, n):
+        a = symbol_from_spec(spec)
+        values = lambda_seq(a, n, 60).values
+        for p in range(61):
+            assert abs(values[p] - beta(a, p - n + 1, n - 1, n - 1)) <= 1e-14
+
+    def test_sweep_is_one_block_per_diagonal(self):
+        for spec, n in (("rational", 8), ("indicator:1.3", 4), ("gauss:2", 1)):
+            a = symbol_from_spec(spec)
+            blocks = toeplitz_blocks(a, n, 40)
+            assert len(blocks) == 40 + n
+            for d, block in zip(range(-n + 1, 41), blocks):
+                assert np.array_equal(block, toeplitz_block(a, n, d))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch, chunk):
+        cases = [(symbol_from_spec(spec), n) for spec in _REAL_SPECS
+                 for n in (1, 3)]
+        seqs = [lambda_seq(a, n, 150) for a, n in cases]
+        sweeps = [toeplitz_blocks(a, n, 70) for a, n in cases]
+        monkeypatch.setattr(toeplitz, "_CHUNK", chunk)
+        for (a, n), seq, sweep in zip(cases, seqs, sweeps):
+            other = lambda_seq(a, n, 150)
+            assert np.array_equal(other.values, seq.values)
+            assert other.quadrature_meta["nodes"] == seq.quadrature_meta["nodes"]
+            for got, want in zip(toeplitz_blocks(a, n, 70), sweep):
+                assert np.array_equal(got, want)
+
+    def test_breakpoint_at_the_split(self):
+        # u = 1 is also the split sqrt(c) of the d = 0 window
+        assert beta(indicator_symbol(1.0), 0, 0, 0) == pytest.approx(
+            gammp(1, 1.0), abs=1e-9)
+        assert lambda_seq(indicator_symbol(1.0), 1, 0).values[0] == \
+            pytest.approx(gammp(1, 1.0), abs=1e-9)
+
+    @pytest.mark.parametrize("u,p_max", [(30.0, 50), (0.5, 400)])
+    def test_breakpoint_beyond_or_below_the_window(self, u, p_max):
+        # u = 30 lies past every window for p <= 50 and extends it; u = 0.5
+        # lies below the windows of p >~ 170, where its piece is empty
+        values = lambda_seq(indicator_symbol(u), 1, p_max).values
+        want = [gammp(p + 1, u * u) for p in range(p_max + 1)]
+        assert np.max(np.abs(values - want)) <= 1e-9
+
+    def test_scalar_only_callable_falls_back_once(self):
+        calls = []
+
+        def exp_decay(r):
+            calls.append(isinstance(r, np.ndarray))
+            return math.exp(-r)
+
+        scalar = RadialSymbol(exp_decay, limit_at_infinity=0.0, bound=1.0)
+        got = lambda_seq(scalar, 2, 100).values
+        want = lambda_seq(exp_decay_symbol(), 2, 100).values
+        assert np.max(np.abs(got - want)) <= 1e-14
+        # one array call, then one call per node for the rest of the pass
+        assert calls[0] and not any(calls[1:]) and len(calls) > 1000
+        blocks = toeplitz_blocks(scalar, 3, 20)
+        for got, want in zip(blocks, toeplitz_blocks(exp_decay_symbol(), 3, 20)):
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_unconverged_row_is_named(self):
+        # an undeclared jump at r = 10 defeats the self-check on the
+        # diagonals whose window reaches t = 100; the pass names the first
+        jump = RadialSymbol(lambda r: 1.0 * (r < 10.0), name="jump")
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"d=(\d+) .*symbol jump") as info:
+            lambda_seq(jump, 1, 300)
+        d = int(re.search(r"d=(\d+)", str(info.value)).group(1))
+        assert d > 0
+        beta(jump, d - 1, 0, 0)
+        with pytest.raises(QuadratureConvergenceError, match=f"d={d} "):
+            beta(jump, d, 0, 0)
+
+    def test_non_finite_node_is_named_with_its_row(self):
+        # p = 0 on F_(3) is the row d = -2, the first one computed
+        spiky = RadialSymbol(lambda r: np.where(r > 2.0, np.nan, 1.0),
+                             name="spiky")
+        with pytest.raises(NonFiniteIntegrandError,
+                           match=r"t=4\.\d+ \(d=-2, m=0\): symbol spiky is "
+                                 r"\(nan"):
+            lambda_seq(spiky, 3, 30)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda spec=spec: symbol_from_spec(spec) for spec in _REAL_SPECS),
+        exp_decay_symbol, inverse_linear_symbol, squared_radius_symbol])
+    def test_real_symbol_values_are_real(self, make):
+        a = make()
+        assert np.all(lambda_seq(a, 2, 200).values.imag == 0.0)
+        assert all(np.all(b.imag == 0.0) for b in toeplitz_blocks(a, 3, 50))
+
+    def test_nodes_record_where_each_row_converged(self):
+        seq = lambda_seq(indicator_symbol(2.0), 2, 300)
+        nodes = seq.quadrature_meta["nodes"]
+        assert len(nodes) == 301 and set(nodes) <= {128, 256, 512}
+        assert seq.quadrature_meta["n_start"] == 64
+
+    def test_complex_symbol(self):
+        a = const_symbol(0.5 - 2j)
+        assert np.max(np.abs(lambda_seq(a, 3, 40).values - (0.5 - 2j))) < 1e-12
 
 
 class TestToeplitzMatrix:
