@@ -270,18 +270,39 @@ def wirtinger_dzbar(f: BiPolynomial) -> BiPolynomial:
     return out
 
 
-_ZBAR = BiPolynomial.monomial(0, 1)
-_Z = BiPolynomial.monomial(1, 0)
+def _raise_minus_derivative(f: BiPolynomial, wrt_z: bool) -> BiPolynomial:
+    """zbar*f - df/dz (wrt_z) or z*f - df/dzbar, in one pass over the terms.
+
+    Real and imaginary parts add up as plain rationals in one dict; the
+    coefficients that cancel to zero are dropped at the end.
+    """
+    acc: dict[tuple[int, int], list] = {}
+    for (j, k), c in f.terms():
+        if wrt_z:
+            up, n, down = (j, k + 1), j, (j - 1, k)
+        else:
+            up, n, down = (j + 1, k), k, (j, k - 1)
+        slot = acc.setdefault(up, [0, 0])
+        slot[0] += c.re
+        slot[1] += c.im
+        if n:
+            slot = acc.setdefault(down, [0, 0])
+            slot[0] -= n * c.re
+            slot[1] -= n * c.im
+    out = BiPolynomial()
+    out._terms = {key: RationalComplex(Fraction(re), Fraction(im))
+                  for key, (re, im) in acc.items() if re or im}
+    return out
 
 
 def creation_adagger(f: BiPolynomial) -> BiPolynomial:
     """Creation operator zbar*f - df/dz."""
-    return _ZBAR * f - wirtinger_dz(f)
+    return _raise_minus_derivative(f, wrt_z=True)
 
 
 def creation_adagger_bar(f: BiPolynomial) -> BiPolynomial:
     """Creation operator z*f - df/dzbar."""
-    return _Z * f - wirtinger_dzbar(f)
+    return _raise_minus_derivative(f, wrt_z=False)
 
 
 def gaussian_inner(f: BiPolynomial, g: BiPolynomial) -> RationalComplex:
@@ -289,14 +310,24 @@ def gaussian_inner(f: BiPolynomial, g: BiPolynomial) -> RationalComplex:
 
     Reduces to the monomial rule <z^p zbar^q, z^j zbar^k> =
     delta_{p+k, q+j} * (p+k)!, extended sesquilinearly (conjugate-linear in
-    the second argument).
+    the second argument).  Only terms on the same diagonal p - q = j - k
+    pair up; their real and imaginary parts add up as plain rationals.
     """
-    total = RC_ZERO
+    by_diagonal: dict[int, list] = {}
+    for (j, k), c in g.terms():
+        by_diagonal.setdefault(j - k, []).append((k, c.re, c.im))
+    re = im = 0
     for (p, q), cf in f.terms():
-        for (j, k), cg in g.terms():
-            if p + k == q + j:
-                total = total + cf * cg.conjugate() * factorial(p + k)
-    return total
+        a, b = cf.re, cf.im
+        for k, c, d in by_diagonal.get(p - q, ()):
+            w = factorial(p + k)
+            if b or d:
+                # (a + ib)(c - id)
+                re += (a * c + b * d) * w
+                im += (b * c - a * d) * w
+            else:
+                re += a * c * w
+    return RationalComplex(Fraction(re), Fraction(im))
 
 
 @dataclass(frozen=True)

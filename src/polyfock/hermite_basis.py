@@ -79,21 +79,23 @@ def truncated_diagonal(spec: DiagonalSpec) -> list[HermiteIndex]:
     return [HermiteIndex(spec.d + k, k) for k in range(start, start + spec.count)]
 
 
-@lru_cache(maxsize=None)
-def _b_exact(p: int, q: int) -> ScaledPolynomial:
-    body = BiPolynomial.one()
-    for _ in range(p):
-        body = creation_adagger_bar(body)
-    for _ in range(q):
-        body = creation_adagger(body)
-    return ScaledPolynomial(body, Fraction(1, factorial(p) * factorial(q)))
+@lru_cache(maxsize=(MAX_EXACT_INDEX + 1) ** 2)
+def _body(p: int, q: int) -> BiPolynomial:
+    """(a^dagger)^q (a-bar^dagger)^p 1: one creation step on the cached body
+    of (p, q-1), or of (p-1, 0) when q = 0."""
+    if q:
+        return creation_adagger(_body(p, q - 1))
+    if p:
+        return creation_adagger_bar(_body(p - 1, 0))
+    return BiPolynomial.one()
 
 
 def b_exact(idx: HermiteIndex, max_index: int = MAX_EXACT_INDEX) -> ScaledPolynomial:
     """Basis element from q creation and p conjugate-creation steps on 1."""
     if idx.p > max_index or idx.q > max_index:
         raise ValueError(f"exact layer capped at index {max_index}")
-    return _b_exact(idx.p, idx.q)
+    return ScaledPolynomial(_body(idx.p, idx.q),
+                            Fraction(1, factorial(idx.p) * factorial(idx.q)))
 
 
 @lru_cache(maxsize=None)

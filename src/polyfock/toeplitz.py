@@ -34,6 +34,8 @@ _N_START = 64
 _N_MAX = 512
 #: least self-check tolerance, relative to the sum of |w a phi_j phi_k|
 ROUNDING_FLOOR = 1000 * float(np.finfo(float).eps)
+#: c = |d| + 1 from which a row's log constant comes from Stirling's series
+_STIRLING_FROM = 100
 
 DEFAULT_D_MAX = 200
 DEFAULT_P_MAX = 200
@@ -179,6 +181,15 @@ def _symbol_sampler(a: RadialSymbol) -> Callable[[np.ndarray], np.ndarray]:
     return values
 
 
+def _stirling_constant(c: np.ndarray, log_c: np.ndarray) -> np.ndarray:
+    """(c - 1) log c - c - lgamma(c) from Stirling's series,
+    -log(2 pi c)/2 - 1/(12c) + 1/(360c^3) - 1/(1260c^5) + 1/(1680c^7);
+    the first omitted term is below 1e-20 for c >= 100."""
+    x = 1.0 / (c * c)
+    return (-0.5 * (math.log(2 * math.pi) + log_c)
+            - (1.0 / 12 - x * (1.0 / 360 - x * (1.0 / 1260 - x / 1680))) / c)
+
+
 def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
                 ds: np.ndarray, ms: Sequence[int],
                 n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,12 +235,18 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
             axis=1)
     t = r * r
     # row k is psi_k(t) sqrt(w t^alpha e^{-t} / alpha!), with t^alpha e^{-t} =
-    # exp(alpha log c - c) exp(alpha log1p(s/c) - s), s = t - c, all in logs
+    # exp(alpha log c - c) exp(alpha log1p(s/c) - s), s = t - c, all in logs.
+    # alpha log c - c - lgamma(c) cancels terms of size alpha log alpha; from
+    # c = _STIRLING_FROM on, Stirling's series gives it with no cancellation.
+    # It stands in the head of the sum, with c and lgamma replaced by 0, so
+    # rows below it give the plain expression's sum, rounding included
     log_c = np.array([[math.log(x)] for x in c.tolist()])
     lgam = np.array([[math.lgamma(x + 1)] for x in alpha.tolist()])
     alpha, c = alpha[:, None], c[:, None]
+    big = c >= _STIRLING_FROM
+    head = np.where(big, _stirling_constant(c, log_c), alpha * log_c)
     log_root_w = 0.5 * (log_w + alpha * np.log1p((t - c) / c) - (t - c)
-                        + alpha * log_c - c - lgam)
+                        + head - np.where(big, 0.0, c) - np.where(big, 0.0, lgam))
     v, s = orthonormal_scaled(ms, alpha, t)
     avals = values(r)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,11 +1,18 @@
-"""Independent numeric oracles shared by the test modules.
+"""Independent oracles shared by the test modules.
 
 These deliberately avoid every code path they are used to check: the
 regularized incomplete gamma goes through the classic series / continued
-fraction pair, not through any quadrature of this package.
+fraction pair, not through any quadrature of this package.  The exact
+references build the creation operators from the general polynomial
+product, the Gaussian inner product from `RationalComplex` sums over every
+pair of terms, and each basis body by a fresh fold of creation steps on 1.
 """
 
 import math
+from fractions import Fraction
+
+from polyfock.exact_poly import (BiPolynomial, RationalComplex, factorial,
+                                 wirtinger_dz, wirtinger_dzbar)
 
 
 def gammp(s: float, x: float) -> float:
@@ -58,3 +65,38 @@ def gammp(s: float, x: float) -> float:
         raise ArithmeticError(f"gammp fraction: no convergence at {(s, x)}")
     q = math.exp(-x + s * math.log(x) - math.lgamma(s)) * h
     return 1.0 - q
+
+
+_ZBAR = BiPolynomial.monomial(0, 1)
+_Z = BiPolynomial.monomial(1, 0)
+
+
+def creation_adagger(f: BiPolynomial) -> BiPolynomial:
+    """zbar*f - df/dz through the polynomial product and difference."""
+    return _ZBAR * f - wirtinger_dz(f)
+
+
+def creation_adagger_bar(f: BiPolynomial) -> BiPolynomial:
+    """z*f - df/dzbar through the polynomial product and difference."""
+    return _Z * f - wirtinger_dzbar(f)
+
+
+def gaussian_inner(f: BiPolynomial, g: BiPolynomial) -> RationalComplex:
+    """<f, g> as a RationalComplex sum over every pair of terms."""
+    total = RationalComplex()
+    for (p, q), cf in f.terms():
+        for (j, k), cg in g.terms():
+            if p + k == q + j:
+                total = total + cf * cg.conjugate() * factorial(p + k)
+    return total
+
+
+def b_exact_fold(p: int, q: int) -> tuple[BiPolynomial, Fraction]:
+    """Body and squared scale of b_{p,q}: p conjugate-creation steps on 1,
+    then q creation steps, every one of them taken afresh."""
+    body = BiPolynomial.one()
+    for _ in range(p):
+        body = creation_adagger_bar(body)
+    for _ in range(q):
+        body = creation_adagger(body)
+    return body, Fraction(1, factorial(p) * factorial(q))

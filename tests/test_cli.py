@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -156,15 +155,6 @@ class TestVerifyCommand:
                        "--inject-corruption")
         assert proc.returncode == 1
         assert "FAIL  basis/operator_vs_closed_coefficients" in proc.stdout
-
-    def test_thread_cap_does_not_change_output(self):
-        env_one = dict(os.environ, POLYFOCK_THREADS="1")
-        env_four = dict(os.environ, POLYFOCK_THREADS="4")
-        args = [sys.executable, "-m", "polyfock.cli", "verify", "--quick"]
-        first = subprocess.run(args, capture_output=True, text=True, env=env_one)
-        second = subprocess.run(args, capture_output=True, text=True, env=env_four)
-        assert first.stdout == second.stdout
-        assert first.returncode == second.returncode == 0
 
 
 class TestExitCodes:

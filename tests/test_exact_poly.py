@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from polyfock.exact_poly import (BiPolynomial, RationalComplex, ScaledPolynomial,
                                  creation_adagger, creation_adagger_bar, factorial,
                                  gaussian_inner, sqrt_fraction, wirtinger_dz,
@@ -13,6 +14,16 @@ from polyfock.exact_poly import (BiPolynomial, RationalComplex, ScaledPolynomial
 
 def mono(j, k, c=1):
     return BiPolynomial.monomial(j, k, c)
+
+
+# polynomials of low degree, so that shifted and differentiated terms
+# collide, with rational coefficients whose imaginary parts are nonzero
+complex_polys = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-6, 6),
+              st.integers(-6, 6).filter(bool), st.integers(1, 5)),
+    max_size=6).map(lambda terms: sum(
+        (mono(j, k, RationalComplex(Fraction(a, e), Fraction(b, e)))
+         for j, k, a, b, e in terms), BiPolynomial.zero()))
 
 
 class TestWirtinger:
@@ -69,6 +80,18 @@ class TestCreationOperators:
         assert creation_adagger(creation_adagger_bar(f)) == \
             creation_adagger_bar(creation_adagger(f))
 
+    def test_cancelled_terms_are_dropped(self):
+        # zbar (1 + z zbar) - d/dz (1 + z zbar) = z zbar^2: the zbar cancels,
+        # and equality would fail on a stored zero coefficient
+        assert creation_adagger(mono(0, 0) + mono(1, 1)) == mono(1, 2)
+        assert creation_adagger_bar(mono(0, 0) + mono(1, 1)) == mono(2, 1)
+
+    @given(complex_polys)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_operators_match_product_construction(self, f):
+        assert creation_adagger(f) == oracles.creation_adagger(f)
+        assert creation_adagger_bar(f) == oracles.creation_adagger_bar(f)
+
 
 class TestGaussianInner:
     def test_monomial_rule_examples(self):
@@ -99,6 +122,20 @@ class TestGaussianInner:
             assert gaussian_inner(f, f).re > 0
         g = mono(1, 2) - mono(0, 1, 3)
         assert gaussian_inner(f, g) == gaussian_inner(g, f).conjugate()
+
+    @given(complex_polys, complex_polys)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_rational_complex_sum(self, f, g):
+        got = gaussian_inner(f, g)
+        want = oracles.gaussian_inner(f, g)
+        assert (got.re, got.im) == (want.re, want.im)
+        assert type(got.re) is type(got.im) is Fraction
+        # real pairs, and a real coefficient against a complex one
+        fr, gr = (BiPolynomial({key: c.re for key, c in x.terms()})
+                  for x in (f, g))
+        for left, right in ((fr, gr), (fr, g), (f, gr)):
+            assert gaussian_inner(left, right) == \
+                oracles.gaussian_inner(left, right)
 
 
 class TestRationalComplex:

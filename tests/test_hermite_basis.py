@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from polyfock import hermite_basis
 from polyfock.exact_poly import BiPolynomial, ScaledPolynomial, gaussian_inner
 from polyfock.hermite_basis import (DiagonalSpec, HermiteIndex, b_coeffs, b_eval,
                                     b_eval_polar, b_exact, b_polar_values,
@@ -44,6 +46,16 @@ class TestExactConstructions:
             for q in range(7):
                 idx = HermiteIndex(p, q)
                 assert b_exact(idx).same_polynomial(b_coeffs(idx))
+
+    def test_recurrence_matches_fold_in_any_fill_order(self):
+        indices = [(p, q) for p in range(17) for q in range(17)]
+        want = {(p, q): oracles.b_exact_fold(p, q) for p, q in indices}
+        for order in (indices, indices[::-1]):
+            hermite_basis._body.cache_clear()
+            for p, q in order:
+                got = b_exact(HermiteIndex(p, q))
+                assert (got.body, got.scale_sq) == want[(p, q)], (p, q)
+            assert hermite_basis._body.cache_info().currsize == len(indices)
 
     def test_index_cap(self):
         with pytest.raises(ValueError):

@@ -129,7 +129,7 @@ class TestBeta:
 
     def test_unit_symbol_at_high_degree(self):
         for d, j in ((0, 250), (30, 220), (300, 150), (0, 300), (0, 600),
-                     (100, 600)):
+                     (100, 600), (10**4, 0), (10**5, 0), (10**6, 0)):
             assert beta(const_symbol(1.0), d, j, j) == pytest.approx(1.0,
                                                                      abs=1e-10)
 
