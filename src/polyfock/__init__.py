@@ -4,35 +4,70 @@ Exact complex Hermite polynomials, Laguerre functions, Gaussian-plane
 quadrature, reproducing kernels, radial operator block decompositions, and
 radial Toeplitz eigenvalue sequences, with an exact rational layer
 cross-checking the floating-point layer throughout.
+
+The namespace is lazy: `import polyfock` loads no submodule, and each name
+below imports its submodule on first access (PEP 562).  So a caller that
+needs only the exact layer never loads numpy.
 """
 
-from .exact_poly import (BiPolynomial, RationalComplex, ScaledPolynomial,
-                         creation_adagger, creation_adagger_bar, factorial,
-                         gaussian_inner, wirtinger_dz, wirtinger_dzbar)
-from .fock_spaces import (FockVector, SpaceId, berezin, creation_apply,
-                          evaluation_bound, evaluation_bound_log, kernel_partial_sum,
-                          kernel_poly, kernel_poly_log, kernel_recursion_check,
-                          kernel_true, kernel_true_log)
-from .hermite_basis import (DiagonalSpec, HermiteIndex, b_coeffs, b_eval,
-                            b_eval_polar, b_exact, monomial_b_inner,
-                            truncated_diagonal)
-from .laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
-                       laguerre_function, laguerre_function_sup,
-                       rodrigues_identity_residual)
-from .quadrature import (CircleRule, QuadratureConvergenceError, QuadratureRule,
-                         gauss_laguerre, plane_inner)
-from .radial_ops import (BasisMatrix, DiagonalRep, RadialityError,
-                         RadialityReport, RadialOperatorRep, assemble_blocks,
-                         commutator_csv, commutator_norms, finite_rank_radial,
-                         is_radial, off_block_mass, phi_n, phi_true,
-                         radialize_matrix, radialize_numeric, rotate_vector,
-                         vanishing_berezin_witness)
-from .toeplitz import (EigenvalueSequence, LimitRecord, NonFiniteIntegrandError,
-                       RadialSymbol, beta, const_symbol, exp_decay_symbol,
-                       gaussian_symbol, indicator_symbol, inverse_linear_symbol,
-                       inverse_quadratic_symbol, lambda_indicator, lambda_seq,
-                       limit_diagnostic, separation_check, squared_radius_symbol,
-                       symbol_from_spec, toeplitz_block, toeplitz_blocks,
-                       toeplitz_matrix)
+import importlib
+
+_EXPORTS = {
+    "exact_poly": (
+        "BiPolynomial", "RationalComplex", "ScaledPolynomial",
+        "creation_adagger", "creation_adagger_bar", "factorial",
+        "gaussian_inner", "wirtinger_dz", "wirtinger_dzbar"),
+    "fock_spaces": (
+        "FockVector", "SpaceId", "berezin", "creation_apply",
+        "evaluation_bound", "evaluation_bound_log", "kernel_partial_sum",
+        "kernel_poly", "kernel_poly_log", "kernel_recursion_check",
+        "kernel_true", "kernel_true_log"),
+    "hermite_basis": (
+        "DiagonalSpec", "HermiteIndex", "b_coeffs", "b_eval", "b_eval_polar",
+        "b_exact", "monomial_b_inner", "truncated_diagonal"),
+    "laguerre": (
+        "LaguerreParams", "laguerre_eval", "laguerre_exact",
+        "laguerre_function", "laguerre_function_sup",
+        "rodrigues_identity_residual"),
+    "quadrature": (
+        "CircleRule", "QuadratureConvergenceError", "QuadratureRule",
+        "gauss_laguerre", "plane_inner"),
+    "radial_ops": (
+        "BasisMatrix", "DiagonalRep", "RadialityError", "RadialityReport",
+        "RadialOperatorRep", "assemble_blocks", "commutator_csv",
+        "commutator_norms", "finite_rank_radial", "is_radial",
+        "off_block_mass", "phi_n", "phi_true", "radialize_matrix",
+        "radialize_numeric", "rotate_vector", "vanishing_berezin_witness"),
+    "toeplitz": (
+        "EigenvalueSequence", "LimitRecord", "NonFiniteIntegrandError",
+        "RadialSymbol", "beta", "const_symbol", "exp_decay_symbol",
+        "gaussian_symbol", "indicator_symbol", "inverse_linear_symbol",
+        "inverse_quadratic_symbol", "lambda_indicator", "lambda_seq",
+        "limit_diagnostic", "separation_check", "squared_radius_symbol",
+        "symbol_from_spec", "toeplitz_block", "toeplitz_blocks",
+        "toeplitz_matrix"),
+}
+
+#: exported name -> the submodule that defines it
+_SUBMODULE = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+_MODULES = ("cli", "defaults", "verify") + tuple(_EXPORTS)
+
+__all__ = list(_SUBMODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_SUBMODULE[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -7,22 +7,20 @@ numbers on the command line are written as a+bi with no spaces; values that
 start with a minus sign need the --flag=value form.
 
 Exit codes: 0 success, 1 computation or verification failure, 2 bad arguments.
+
+Each command imports the layers it uses when it runs, so start-up loads only
+those: `basis` without `--eval` and `kernel` without `--series` are exact or
+scalar work and never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .fock_spaces import (SpaceId, kernel_partial_sum, kernel_poly, kernel_true)
-from .hermite_basis import HermiteIndex, b_eval, basis_json_dict
-from .quadrature import QuadratureConvergenceError
-from .toeplitz import (DEFAULT_D_MAX, DEFAULT_P_MAX, lambda_seq,
-                       symbol_from_spec, toeplitz_blocks)
-from .verify import SUITE_NAMES, run_suites
+from .defaults import DEFAULT_D_MAX, DEFAULT_P_MAX, SUITE_NAMES
 
 
 @dataclass(frozen=True)
@@ -61,21 +59,32 @@ def dumps_fixed(obj) -> str:
     if isinstance(obj, str):
         escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{escaped}"'
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    if isinstance(obj, float):
+        return format_float(obj)
     if obj is None:
         return "null"
+    import numpy as np  # only a numpy scalar gets this far
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    if isinstance(obj, np.floating):
+        return format_float(float(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def parse_complex(text: str) -> complex:
-    """Parse a+bi with no spaces (also plain reals and bare i terms)."""
+def parse_complex(text: str, name: str = "complex number") -> complex:
+    """Parse a+bi with no spaces (also plain reals and bare i terms).
+
+    Both parts must be finite; `name` (the option, say) heads the error.
+    """
     try:
-        return complex(text.replace("i", "j").replace("I", "j"))
+        value = complex(text.replace("i", "j").replace("I", "j"))
     except ValueError as exc:
-        raise ValueError(f"cannot parse complex number {text!r}") from exc
+        raise ValueError(f"cannot parse {name} {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"{name} must be finite, got {text!r}")
+    return value
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -87,10 +96,11 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_basis(args) -> int:
+    from .hermite_basis import HermiteIndex, b_eval, basis_json_dict
     idx = HermiteIndex(args.p, args.q)
     record: dict = {"p": args.p, "q": args.q}
     if args.eval is not None:
-        z = parse_complex(args.eval)
+        z = parse_complex(args.eval, "--eval")
         value = b_eval(idx, z)
         record["z"] = [z.real, z.imag]
         record["value_re"] = value.real
@@ -102,10 +112,11 @@ def cmd_basis(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .fock_spaces import SpaceId, kernel_partial_sum, kernel_poly, kernel_true
     series = args.series if args.series is not None else DEFAULT_P_MAX
     config = RunConfig(n=args.n, p_truncation=series, path=args.out)
     kind = "poly" if args.kind == "poly" else "true_poly"
-    z, w = parse_complex(args.z), parse_complex(args.w)
+    z, w = parse_complex(args.z, "--z"), parse_complex(args.w, "--w")
     closed = kernel_poly(config.n, z, w) if kind == "poly" \
         else kernel_true(config.n, z, w)
     record = {
@@ -134,6 +145,7 @@ def _eigenvalues_csv(seq) -> str:
 
 
 def cmd_toeplitz(args) -> int:
+    from .toeplitz import lambda_seq, symbol_from_spec, toeplitz_blocks
     config = RunConfig(n=args.n, p_truncation=args.pmax, d_max=args.dmax,
                        rel_tol=args.rel_tol, out_format=args.format,
                        path=args.out)
@@ -159,6 +171,7 @@ def cmd_toeplitz(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_suites
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = run_suites(names, quick=args.quick, corrupt=args.inject_corruption)
     lines = [r.line() for r in results]
@@ -223,10 +236,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, KeyError,
-            QuadratureConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OverflowError, KeyError) as exc:
+        return _fail(exc)
+    except RuntimeError as exc:
+        from .quadrature import QuadratureConvergenceError
+        if not isinstance(exc, QuadratureConvergenceError):
+            raise
+        return _fail(exc)
+
+
+def _fail(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -15,13 +15,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal
 
 from .exact_poly import (BiPolynomial, creation_adagger, creation_adagger_bar)
 from .hermite_basis import b_values
 from .laguerre import LaguerreParams, _recurrence_scalar, laguerre_exact
+
+# numpy is imported inside the float-array functions, so the exact and scalar
+# paths (the CLI's `basis --coeffs` and `kernel` without `--series`) never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 Kind = Literal["poly", "true_poly"]
 
@@ -91,25 +94,45 @@ def _checked_exp_arg(z: complex, w: complex) -> complex:
     return arg
 
 
-def kernel_true(n: int, z: complex, w: complex) -> complex:
-    """Reproducing kernel of the true-polyanalytic layer of order n."""
+def _laguerre_factor(n: int, alpha: int, z: complex, w: complex) -> float:
+    """L_{n-1}^(alpha)(|w-z|^2); a named OverflowError when it is not finite."""
+    try:
+        t = abs(w - z) ** 2
+    except OverflowError:
+        t = math.inf
+    if not math.isfinite(t):
+        raise OverflowError(f"kernel argument |w-z|^2 = {t} is not finite")
+    lag = _recurrence_scalar(n - 1, alpha, t)
+    if not math.isfinite(lag):
+        raise OverflowError(f"kernel factor L_{n - 1}^({alpha})(|w-z|^2) is not "
+                            f"finite at |w-z|^2 = {t:.3g}")
+    return lag
+
+
+def _kernel_plain(n: int, z: complex, w: complex, alpha: int) -> complex:
     if n < 1:
         raise ValueError("order must be >= 1")
     arg = _checked_exp_arg(z, w)
-    return cmath.exp(arg) * _recurrence_scalar(n - 1, 0, abs(w - z) ** 2)
+    value = cmath.exp(arg) * _laguerre_factor(n, alpha, z, w)
+    if not cmath.isfinite(value):
+        raise OverflowError("kernel value overflows the plain form; use the "
+                            "log-scaled variant")
+    return value
+
+
+def kernel_true(n: int, z: complex, w: complex) -> complex:
+    """Reproducing kernel of the true-polyanalytic layer of order n."""
+    return _kernel_plain(n, z, w, 0)
 
 
 def kernel_poly(n: int, z: complex, w: complex) -> complex:
     """Reproducing kernel of the order-n polyanalytic space."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    arg = _checked_exp_arg(z, w)
-    return cmath.exp(arg) * _recurrence_scalar(n - 1, 1, abs(w - z) ** 2)
+    return _kernel_plain(n, z, w, 1)
 
 
 def _kernel_log(n: int, z: complex, w: complex, alpha: int) -> tuple[float, float]:
     arg = z.conjugate() * w
-    lag = _recurrence_scalar(n - 1, alpha, abs(w - z) ** 2)
+    lag = _laguerre_factor(n, alpha, z, w)
     if lag == 0.0:
         return (-math.inf, 0.0)
     logmag = arg.real + math.log(abs(lag))
@@ -134,6 +157,7 @@ def kernel_poly_log(n: int, z: complex, w: complex) -> tuple[float, float]:
 def kernel_partial_sum(space: SpaceId, z: complex, w: complex,
                        truncation: int) -> complex:
     """Truncated basis series sum of conj(b(z)) b(w) over the space's basis."""
+    import numpy as np
     indices = space.basis_indices(truncation)
     return complex(np.sum(b_values(indices, z).conjugate() * b_values(indices, w)))
 
@@ -197,6 +221,7 @@ def berezin(space: SpaceId, operator_matrix: np.ndarray, z: complex,
     entry [out, in] = <S b_in, b_out>.  A tail estimate on the kernel series
     warns when the truncation has not converged at this z.
     """
+    import numpy as np
     indices = space.basis_indices(truncation)
     k = len(indices)
     if operator_matrix.shape != (k, k):

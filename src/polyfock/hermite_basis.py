@@ -14,13 +14,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exact_poly import (BiPolynomial, ScaledPolynomial, creation_adagger,
                          creation_adagger_bar, factorial)
 from .laguerre import _alpha_log, orthonormal_scaled
+
+# numpy is imported inside the float-array functions, so the exact and scalar
+# paths (the CLI's `basis --coeffs` and `kernel` without `--series`) never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_EXACT_INDEX = 32
 MAX_NUMERIC_INDEX = 128
@@ -122,6 +125,7 @@ def _radial_values(pairs: Sequence[tuple[int, int]], r) -> np.ndarray:
     psi_m(r^2) r^alpha / sqrt(alpha!), psi_m the orthonormal polynomial of
     `orthonormal_scaled`; the prefactor joins its log scale.
     """
+    import numpy as np
     m = [min(p, q) for p, q in pairs]
     alphas = [abs(p - q) for p, q in pairs]
     degrees = sorted(set(m))
@@ -137,6 +141,7 @@ def _radial_values(pairs: Sequence[tuple[int, int]], r) -> np.ndarray:
 
 def b_values(pairs: Sequence[tuple[int, int]], z: complex) -> np.ndarray:
     """Values b_{p,q}(z) for every pair (p, q), in one pass."""
+    import numpy as np
     phase = z / abs(z) if z != 0 else 1.0
     return _radial_values(pairs, abs(z)) * phase ** np.array([p - q for p, q in pairs])
 
@@ -161,6 +166,7 @@ def b_eval_polar(idx: HermiteIndex, r: float, tau: complex,
 
 def b_polar_values(idx: HermiteIndex, t: np.ndarray, taus: np.ndarray) -> np.ndarray:
     """Matrix of values b_idx(sqrt(t_i) tau_j), vectorized over a polar grid."""
+    import numpy as np
     radial = _radial_values([(idx.p, idx.q)], np.sqrt(np.asarray(t, dtype=float)))[0]
     return radial[:, None] * (np.asarray(taus, dtype=complex) ** idx.d)[None, :]
 

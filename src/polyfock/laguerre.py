@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .exact_poly import BiPolynomial, creation_adagger
+
+# numpy is imported inside the float-array functions, so the exact and scalar
+# paths (the CLI's `basis --coeffs` and `kernel` without `--series`) never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,7 @@ def orthonormal_scaled(ms: Sequence[int], alpha, t) -> tuple[np.ndarray, np.ndar
     s, so no degree overflows or underflows; where that never happens, s = 0
     and v is the plain value.  A caller adds its log prefactor to s.
     """
+    import numpy as np
     a = np.asarray(alpha, dtype=float)
     x = np.asarray(t, dtype=float)
     shape = np.broadcast(a, x).shape
@@ -92,6 +96,7 @@ def orthonormal_scaled(ms: Sequence[int], alpha, t) -> tuple[np.ndarray, np.ndar
 
 def _alpha_log(alpha, x) -> np.ndarray:
     """alpha log x, read as 0 where alpha = 0 (also at x = 0)."""
+    import numpy as np
     alpha = np.asarray(alpha)
     with np.errstate(divide="ignore"):
         return alpha * np.log(np.where(alpha > 0, x, 1.0))
@@ -147,6 +152,7 @@ def laguerre_function_log(m: int, alpha: int, t: float) -> tuple[int, float]:
 
 def laguerre_function_values(m: int, alpha: int, t: np.ndarray) -> np.ndarray:
     """Vectorized normalized Laguerre function over an array of t >= 0."""
+    import numpy as np
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("arguments must be nonnegative")
@@ -160,6 +166,7 @@ def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> flo
     Grid-based diagnostic only; used to witness the decay of the functions
     in the order parameter on compact intervals.
     """
+    import numpy as np
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
     t = np.linspace(0.0, x, grid)

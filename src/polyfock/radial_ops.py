@@ -167,6 +167,18 @@ def off_block_mass(s: BasisMatrix) -> tuple[float, float]:
     return off, total
 
 
+def _commutator_norms(s: BasisMatrix, taus: Iterable[complex]):
+    """(tau, spectral norm of [R_tau, S]) per rotation.  A commutator that is
+    exactly zero, as for the Toeplitz matrix of a radial symbol, skips the
+    SVD: its norm is 0.0 either way."""
+    for tau in taus:
+        _require_unit(tau)
+        phases = rotation_phases(s.space, s.truncation, tau)
+        commutator = phases[:, None] * s.entries - s.entries * phases[None, :]
+        norm = float(np.linalg.norm(commutator, 2)) if np.any(commutator) else 0.0
+        yield tau, norm
+
+
 def is_radial(s: BasisMatrix, taus: Iterable[complex] = DEFAULT_TAUS,
               tol: float = DEFAULT_RADIAL_TOL) -> RadialityReport:
     """Largest commutator norm with the sampled rotations.
@@ -175,25 +187,14 @@ def is_radial(s: BasisMatrix, taus: Iterable[complex] = DEFAULT_TAUS,
     structure: rotations are diagonal with phases tau^(q-p), so an entry
     commutes with all of them iff its endpoints share a diagonal.
     """
-    worst = 0.0
-    for tau in taus:
-        _require_unit(tau)
-        phases = rotation_phases(s.space, s.truncation, tau)
-        commutator = phases[:, None] * s.entries - s.entries * phases[None, :]
-        worst = max(worst, float(np.linalg.norm(commutator, 2)))
+    worst = max([0.0] + [norm for _, norm in _commutator_norms(s, taus)])
     return RadialityReport(radial=worst <= tol, max_commutator_norm=worst)
 
 
 def commutator_norms(s: BasisMatrix,
                      taus: Iterable[complex] = DEFAULT_TAUS) -> list[tuple[complex, float]]:
     """Per-rotation commutator norms, for CSV diagnostics."""
-    out = []
-    for tau in taus:
-        _require_unit(tau)
-        phases = rotation_phases(s.space, s.truncation, tau)
-        commutator = phases[:, None] * s.entries - s.entries * phases[None, :]
-        out.append((tau, float(np.linalg.norm(commutator, 2))))
-    return out
+    return list(_commutator_norms(s, taus))
 
 
 def commutator_csv(s: BasisMatrix,

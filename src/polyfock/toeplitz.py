@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_P_MAX
 from .fock_spaces import SpaceId
 from .hermite_basis import HermiteIndex, b_polar_values
 from .laguerre import laguerre_function_values, orthonormal_scaled
@@ -36,9 +37,6 @@ _N_MAX = 512
 ROUNDING_FLOOR = 1000 * float(np.finfo(float).eps)
 #: c = |d| + 1 from which a row's log constant comes from Stirling's series
 _STIRLING_FROM = 100
-
-DEFAULT_D_MAX = 200
-DEFAULT_P_MAX = 200
 
 
 class NonFiniteIntegrandError(QuadratureConvergenceError):

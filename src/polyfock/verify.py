@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import radial_ops
+from .defaults import SUITE_NAMES
 from .exact_poly import BiPolynomial, ScaledPolynomial, gaussian_inner
 from .fock_spaces import (SpaceId, berezin, evaluation_bound, kernel_partial_sum,
                           kernel_poly, kernel_recursion_check, kernel_true)
@@ -30,8 +31,6 @@ from .toeplitz import (beta, const_symbol, exp_decay_symbol, gaussian_symbol,
                        indicator_symbol, inverse_quadratic_symbol,
                        lambda_indicator, lambda_seq, limit_diagnostic,
                        separation_check, toeplitz_block, toeplitz_matrix)
-
-SUITE_NAMES = ("laguerre", "basis", "kernels", "radial", "toeplitz")
 
 _SEED = 20240901
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from polyfock import cli
+from polyfock import toeplitz
 from polyfock.cli import dumps_fixed, format_float, main, parse_complex
 from polyfock.quadrature import QuadratureConvergenceError
 
@@ -38,6 +38,12 @@ class TestHelpers:
         assert parse_complex("-0.5") == -0.5
         with pytest.raises(ValueError):
             parse_complex("two")
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "1e400", "-1e400",
+                                      "1+nani", "0+1e400i"])
+    def test_parse_complex_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="--z must be finite"):
+            parse_complex(text, "--z")
 
     def test_format_float_17_digits(self):
         assert format_float(1 / 3) == "0.33333333333333331"
@@ -184,6 +190,24 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:") and spec in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["kernel", "--n", "2", "--kind", "poly", "--z=nan", "--w", "0"], "--z"),
+        (["kernel", "--n", "2", "--kind", "true", "--z", "0", "--w=-1e999"], "--w"),
+        (["basis", "--p", "1", "--q", "1", "--eval=nan"], "--eval"),
+        (["basis", "--p", "1", "--q", "1", "--eval=1e400"], "--eval"),
+    ])
+    def test_non_finite_point_exit_one(self, argv, flag, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be finite")
+
+    def test_overflowing_laguerre_factor_exit_one(self, capsys):
+        code = main(["kernel", "--n", "8", "--kind", "poly", "--z", "0",
+                     "--w", "1e100"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: kernel factor")
+
     def test_tiny_gauss_scale_gives_zeros(self, capsys):
         code = main(["toeplitz", "--n", "2", "--symbol", "gauss:1e-300",
                      "--pmax", "3"])
@@ -194,7 +218,7 @@ class TestExitCodes:
     def test_convergence_error_exit_one(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise QuadratureConvergenceError("beta did not converge")
-        monkeypatch.setattr(cli, "lambda_seq", fail)
+        monkeypatch.setattr(toeplitz, "lambda_seq", fail)
         code = main(["toeplitz", "--n", "1", "--symbol", "const:1",
                      "--pmax", "2"])
         assert code == 1

@@ -61,6 +61,21 @@ class TestClosedForms:
         with pytest.raises(OverflowError):
             kernel_poly(2, 30 + 0j, 30 + 0j)
 
+    @pytest.mark.parametrize("kernel, n, z, w, match", [
+        (kernel_poly, 8, 0j, 1e100 + 0j, "kernel factor"),
+        (kernel_true, 8, 0j, 1e60 + 0j, "kernel factor"),
+        (kernel_poly_log, 8, 0j, 1e100 + 0j, "kernel factor"),
+        (kernel_true_log, 8, 0j, 1e60 + 0j, "kernel factor"),
+        (kernel_poly, 1, 1e200 + 0j, 0j, r"\|w-z\|\^2 = inf is not finite"),
+        (kernel_true_log, 1, 1e308 + 0j, -1e308 + 0j, "is not finite"),
+        (kernel_poly, 8, 1e3 + 0j, 0.7 + 0j, "use the log-scaled variant"),
+    ])
+    def test_overflow_named(self, kernel, n, z, w, match):
+        # a non-finite |w-z|^2, Laguerre factor or product never comes back
+        # as nan or inf
+        with pytest.raises(OverflowError, match=match):
+            kernel(n, z, w)
+
     def test_log_scaled_variant(self):
         z, w = 1.2 + 0.4j, -0.3 + 0.9j
         for plain, logform in ((kernel_true, kernel_true_log),

@@ -6,8 +6,8 @@ import pytest
 
 from polyfock.fock_spaces import FockVector, SpaceId, berezin
 from polyfock.quadrature import CircleRule
-from polyfock.radial_ops import (BasisMatrix, RadialityError, RadialOperatorRep,
-                                 assemble_blocks, commutator_csv,
+from polyfock.radial_ops import (DEFAULT_TAUS, BasisMatrix, RadialityError,
+                                 RadialOperatorRep, assemble_blocks, commutator_csv,
                                  commutator_norms, finite_rank_radial, is_radial,
                                  off_block_mass, phi_n, phi_true,
                                  radialize_matrix, radialize_numeric,
@@ -245,6 +245,18 @@ class TestIsRadial:
         for n, seed in ((2, 1), (3, 2)):
             s = assemble_blocks(random_rep(n, 5, seed=seed), 9)
             assert is_radial(s).radial
+
+    def test_zero_commutator_skips_the_svd(self, monkeypatch):
+        norm, calls = np.linalg.norm, []
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda *a, **k: calls.append(a) or norm(*a, **k))
+        # assembled from real blocks, so the commutator is exactly zero
+        s = toeplitz_matrix(indicator_symbol(1.0), SpaceId("poly", 3), 12)
+        assert is_radial(s).max_commutator_norm == 0.0
+        assert commutator_norms(s) == [(tau, 0.0) for tau in DEFAULT_TAUS]
+        assert calls == []
+        assert is_radial(vanishing_berezin_witness(POLY2, 6)).max_commutator_norm > 0
+        assert len(calls) == len(DEFAULT_TAUS)
 
     def test_commutator_norms_export(self):
         witness = vanishing_berezin_witness(POLY2, 6)

@@ -1,0 +1,133 @@
+"""Start-up loads only what is used: `import polyfock` is lazy, and the CLI
+commands that do exact or scalar work never load numpy.
+
+Each check runs in a fresh interpreter, so `sys.modules` starts clean.
+"""
+
+import subprocess
+import sys
+
+import pytest
+
+#: every name `polyfock/__init__.py` imported eagerly before it became lazy
+OLD_EXPORTS = {
+    "exact_poly": [
+        "BiPolynomial", "RationalComplex", "ScaledPolynomial",
+        "creation_adagger", "creation_adagger_bar", "factorial",
+        "gaussian_inner", "wirtinger_dz", "wirtinger_dzbar"],
+    "fock_spaces": [
+        "FockVector", "SpaceId", "berezin", "creation_apply",
+        "evaluation_bound", "evaluation_bound_log", "kernel_partial_sum",
+        "kernel_poly", "kernel_poly_log", "kernel_recursion_check",
+        "kernel_true", "kernel_true_log"],
+    "hermite_basis": [
+        "DiagonalSpec", "HermiteIndex", "b_coeffs", "b_eval", "b_eval_polar",
+        "b_exact", "monomial_b_inner", "truncated_diagonal"],
+    "laguerre": [
+        "LaguerreParams", "laguerre_eval", "laguerre_exact",
+        "laguerre_function", "laguerre_function_sup",
+        "rodrigues_identity_residual"],
+    "quadrature": [
+        "CircleRule", "QuadratureConvergenceError", "QuadratureRule",
+        "gauss_laguerre", "plane_inner"],
+    "radial_ops": [
+        "BasisMatrix", "DiagonalRep", "RadialityError", "RadialityReport",
+        "RadialOperatorRep", "assemble_blocks", "commutator_csv",
+        "commutator_norms", "finite_rank_radial", "is_radial",
+        "off_block_mass", "phi_n", "phi_true", "radialize_matrix",
+        "radialize_numeric", "rotate_vector", "vanishing_berezin_witness"],
+    "toeplitz": [
+        "EigenvalueSequence", "LimitRecord", "NonFiniteIntegrandError",
+        "RadialSymbol", "beta", "const_symbol", "exp_decay_symbol",
+        "gaussian_symbol", "indicator_symbol", "inverse_linear_symbol",
+        "inverse_quadratic_symbol", "lambda_indicator", "lambda_seq",
+        "limit_diagnostic", "separation_check", "squared_radius_symbol",
+        "symbol_from_spec", "toeplitz_block", "toeplitz_blocks",
+        "toeplitz_matrix"],
+}
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def imported_modules(cli_args: list[str]) -> set[str]:
+    """Top-level packages that `python -m polyfock.cli ARGS` imports."""
+    proc = python("-X", "importtime", "-m", "polyfock.cli", *cli_args)
+    names = set()
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:") and "[us]" not in line:
+            names.add(line.rsplit("|", 1)[1].strip().split(".", 1)[0])
+    return names
+
+
+@pytest.mark.parametrize("module", ["polyfock", "polyfock.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    proc = python("-c", f"import sys, {module}; print('numpy' in sys.modules)")
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("cli_args", [
+    ["basis", "--p", "2", "--q", "2", "--coeffs"],
+    ["basis", "--p", "3", "--q", "1"],
+    ["kernel", "--n", "3", "--kind", "poly", "--z", "1+0i", "--w", "1+0i"],
+    ["kernel", "--n", "2", "--kind", "true", "--z", "0+0i", "--w", "1+0i"],
+])
+def test_exact_and_scalar_commands_leave_numpy_unloaded(cli_args):
+    modules = imported_modules(cli_args)
+    assert "polyfock" in modules
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("cli_args", [
+    ["toeplitz", "--n", "1", "--symbol", "indicator:1", "--pmax", "3"],
+    ["basis", "--p", "1", "--q", "1", "--eval", "2+0i"],
+    ["kernel", "--n", "2", "--kind", "poly", "--z", "0", "--w", "1",
+     "--series", "5"],
+])
+def test_float_array_commands_load_numpy(cli_args):
+    assert "numpy" in imported_modules(cli_args)
+
+
+def test_every_old_export_resolves_to_its_module():
+    script = ("import importlib, sys, polyfock\n"
+              f"table = {OLD_EXPORTS!r}\n"
+              "for module, names in table.items():\n"
+              "    mod = importlib.import_module('polyfock.' + module)\n"
+              "    for name in names:\n"
+              "        assert getattr(polyfock, name) is getattr(mod, name), name\n"
+              "        assert name in polyfock.__all__ and name in dir(polyfock)\n"
+              "print(len(polyfock.__all__))\n")
+    proc = python("-c", script)
+    assert int(proc.stdout) == sum(len(v) for v in OLD_EXPORTS.values())
+
+
+def test_star_import_and_unknown_name():
+    script = ("from polyfock import *\n"
+              "import polyfock\n"
+              "assert lambda_seq is polyfock.toeplitz.lambda_seq\n"
+              "assert b_exact is polyfock.hermite_basis.b_exact\n"
+              "try:\n"
+              "    polyfock.no_such_name\n"
+              "except AttributeError as exc:\n"
+              "    print(exc)\n")
+    proc = python("-c", script)
+    assert proc.stdout == "module 'polyfock' has no attribute 'no_such_name'\n"
+
+
+def test_first_access_of_an_exact_name_leaves_numpy_unloaded():
+    proc = python("-c", "import sys, polyfock\n"
+                        "polyfock.b_exact(polyfock.HermiteIndex(3, 2))\n"
+                        "polyfock.kernel_poly(2, 1j, 0.5)\n"
+                        "print('numpy' in sys.modules)")
+    assert proc.stdout == "False\n"
+
+
+def test_submodules_stay_reachable_as_attributes():
+    proc = python("-c", "import polyfock\n"
+                        "print(polyfock.verify.SUITE_NAMES[0], "
+                        "polyfock.defaults.DEFAULT_P_MAX)")
+    assert proc.stdout == "laguerre 200\n"
