@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 computation or verification failure, 2 bad arguments.
 
 Each command imports the layers it uses when it runs, so start-up loads only
 those: `basis` without `--eval` and `kernel` without `--series` are exact or
-scalar work and never load numpy.
+scalar work and never load numpy, and `toeplitz` loads only the radial route
+(`laguerre`, `quadrature`, `toeplitz` and numpy), none of the plane or exact
+layers.
 """
 
 from __future__ import annotations
@@ -144,6 +146,17 @@ def _eigenvalues_csv(seq) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _blocks_json(head: dict, blocks) -> str:
+    """`dumps_fixed` of head with "blocks" appended, each block written as
+    rows of [re, im] pairs straight from its `tolist()`."""
+    def pairs(row):
+        return ",".join(f"[{format_float(v.real)},{format_float(v.imag)}]"
+                        for v in row)
+    body = ",".join("[" + ",".join(f"[{pairs(row)}]" for row in block.tolist())
+                    + "]" for block in blocks)
+    return dumps_fixed(head)[:-1] + f',"blocks":[{body}]}}'
+
+
 def cmd_toeplitz(args) -> int:
     from .toeplitz import lambda_seq, symbol_from_spec, toeplitz_blocks
     config = RunConfig(n=args.n, p_truncation=args.pmax, d_max=args.dmax,
@@ -151,12 +164,11 @@ def cmd_toeplitz(args) -> int:
                        path=args.out)
     symbol = symbol_from_spec(args.symbol)
     if args.blocks:
-        blocks = [[[[v.real, v.imag] for v in row] for row in block]
-                  for block in toeplitz_blocks(symbol, config.n, config.d_max,
-                                               rel_tol=config.rel_tol)]
-        record = {"n": config.n, "symbol": symbol.name, "d_min": -config.n + 1,
-                  "d_max": config.d_max, "blocks": blocks}
-        _emit(dumps_fixed(record) + "\n", config.path)
+        blocks = toeplitz_blocks(symbol, config.n, config.d_max,
+                                 rel_tol=config.rel_tol)
+        head = {"n": config.n, "symbol": symbol.name, "d_min": -config.n + 1,
+                "d_max": config.d_max}
+        _emit(_blocks_json(head, blocks) + "\n", config.path)
         return 0
     seq = lambda_seq(symbol, config.n, config.p_truncation,
                      rel_tol=config.rel_tol)

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .exact_poly import BiPolynomial, creation_adagger
-
 # numpy is imported inside the float-array functions, so the exact and scalar
-# paths (the CLI's `basis --coeffs` and `kernel` without `--series`) never load it
+# paths (the CLI's `basis --coeffs` and `kernel` without `--series`) never load
+# it; the exact layer is imported inside the exact functions, so the float
+# paths (the CLI's `toeplitz`) never load it
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
 
@@ -114,6 +115,7 @@ def laguerre_exact(params: LaguerreParams) -> list[Fraction]:
 
     Coefficient of x^k is (-1)^k * binom(n+alpha, n-k) / k!.
     """
+    from fractions import Fraction
     n, alpha = params.n, params.alpha
     return [Fraction((-1) ** k * math.comb(n + alpha, n - k), math.factorial(k))
             for k in range(n + 1)]
@@ -181,6 +183,7 @@ def rodrigues_identity_residual(n: int, alpha: int, max_degree_check: int = 10) 
     (x plays the role of z, y of zbar); d/dx applied to e^{-xy} g keeps the
     exponential factor and maps g to dg/dx - y g.
     """
+    from .exact_poly import BiPolynomial, creation_adagger
     if n < 0 or alpha < 0:
         raise ValueError("indices must be nonnegative")
     if n > max_degree_check or alpha > max_degree_check:

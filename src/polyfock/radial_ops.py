@@ -174,7 +174,7 @@ def _commutator_norms(s: BasisMatrix, taus: Iterable[complex]):
     for tau in taus:
         _require_unit(tau)
         phases = rotation_phases(s.space, s.truncation, tau)
-        commutator = phases[:, None] * s.entries - s.entries * phases[None, :]
+        commutator = (phases[:, None] - phases[None, :]) * s.entries
         norm = float(np.linalg.norm(commutator, 2)) if np.any(commutator) else 0.0
         yield tau, norm
 

@@ -17,17 +17,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .defaults import DEFAULT_P_MAX
-from .fock_spaces import SpaceId
-from .hermite_basis import HermiteIndex, b_polar_values
 from .laguerre import laguerre_function_values, orthonormal_scaled
 from .quadrature import (CircleRule, QuadratureConvergenceError, gauss_laguerre,
                          legendre_rule)
-from .radial_ops import BasisMatrix
+
+# the plane and exact layers are imported inside `toeplitz_matrix`, so the
+# radial route (the CLI's `toeplitz` command) never loads them
+if TYPE_CHECKING:
+    from .fock_spaces import SpaceId
+    from .radial_ops import BasisMatrix
 
 BETA_REL_TOL = 1e-9
 BETA_ABS_TOL = 1e-12
@@ -420,6 +423,8 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
     and at least 64 angles, raised so that no diagonal gap of the truncation
     aliases.
     """
+    from .hermite_basis import HermiteIndex, b_polar_values
+    from .radial_ops import BasisMatrix
     indices = space.basis_indices(truncation)
     if isinstance(symbol, RadialSymbol):
         on_diagonal: dict[int, list[tuple[int, int]]] = {}

@@ -146,6 +146,53 @@ class TestToeplitzCommand:
         assert len(record["values"]) == 4
 
 
+def old_blocks_record(symbol, n, d_max):
+    """The `toeplitz --blocks` record as nested lists, the layout written by
+    `dumps_fixed` before blocks were written from their arrays."""
+    blocks = [[[[v.real, v.imag] for v in row] for row in block]
+              for block in toeplitz.toeplitz_blocks(symbol, n, d_max)]
+    return dumps_fixed({"n": n, "symbol": symbol.name, "d_min": -n + 1,
+                        "d_max": d_max, "blocks": blocks}) + "\n"
+
+
+class TestBlockWriter:
+    """`toeplitz --blocks` writes the same bytes as `dumps_fixed` of the
+    nested-list record."""
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    @pytest.mark.parametrize("d_max", [1, 20, 100])
+    @pytest.mark.parametrize("spec", ["indicator:1.4109", "rational"])
+    def test_matches_nested_list_record(self, spec, n, d_max, capsys):
+        code = main(["toeplitz", "--n", str(n), "--symbol", spec, "--blocks",
+                     "--dmax", str(d_max)])
+        assert code == 0
+        want = old_blocks_record(toeplitz.symbol_from_spec(spec), n, d_max)
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("value", [1 + 2j, complex(-0.0, 1.0)])
+    def test_complex_and_negative_zero_entries(self, value, capsys,
+                                               monkeypatch):
+        symbol = toeplitz.const_symbol(value)
+        monkeypatch.setattr(toeplitz, "symbol_from_spec", lambda text: symbol)
+        code = main(["toeplitz", "--n", "4", "--symbol", "const:1",
+                     "--blocks", "--dmax", "20"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == old_blocks_record(symbol, 4, 20)
+        blocks = json.loads(out)["blocks"]
+        assert blocks[0][0][0][1] == pytest.approx(value.imag)
+        if value.real == 0:
+            assert "[-0," in out
+
+    def test_out_path(self, tmp_path, capsys):
+        path = tmp_path / "blocks.json"
+        code = main(["toeplitz", "--n", "3", "--symbol", "rational", "--blocks",
+                     "--dmax", "20", "--out", str(path)])
+        assert code == 0 and capsys.readouterr().out == ""
+        want = old_blocks_record(toeplitz.inverse_quadratic_symbol(), 3, 20)
+        assert path.read_bytes() == want.encode("utf-8")
+
+
 class TestVerifyCommand:
     def test_quick_suite_passes_fast(self):
         start = time.monotonic()

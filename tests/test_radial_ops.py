@@ -254,6 +254,10 @@ class TestIsRadial:
         s = toeplitz_matrix(indicator_symbol(1.0), SpaceId("poly", 3), 12)
         assert is_radial(s).max_commutator_norm == 0.0
         assert commutator_norms(s) == [(tau, 0.0) for tau in DEFAULT_TAUS]
+        # complex blocks: the phase difference is exactly 0 on each block
+        s = assemble_blocks(random_rep(3, 5, seed=4), 9)
+        assert is_radial(s).max_commutator_norm == 0.0
+        assert commutator_norms(s) == [(tau, 0.0) for tau in DEFAULT_TAUS]
         assert calls == []
         assert is_radial(vanishing_berezin_witness(POLY2, 6)).max_commutator_norm > 0
         assert len(calls) == len(DEFAULT_TAUS)

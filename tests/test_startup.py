@@ -1,5 +1,6 @@
-"""Start-up loads only what is used: `import polyfock` is lazy, and the CLI
-commands that do exact or scalar work never load numpy.
+"""Start-up loads only what is used: `import polyfock` is lazy, the CLI
+commands that do exact or scalar work never load numpy, and `toeplitz`
+loads only the radial route, none of the plane or exact layers.
 
 Each check runs in a fresh interpreter, so `sys.modules` starts clean.
 """
@@ -54,13 +55,18 @@ def python(*args: str) -> subprocess.CompletedProcess:
     return proc
 
 
+#: modules of the plane and exact layers, which the radial route never uses
+NOT_RADIAL = ("polyfock.fock_spaces", "polyfock.hermite_basis",
+              "polyfock.radial_ops", "polyfock.exact_poly", "fractions")
+
+
 def imported_modules(cli_args: list[str]) -> set[str]:
-    """Top-level packages that `python -m polyfock.cli ARGS` imports."""
+    """Full names of the modules that `python -m polyfock.cli ARGS` imports."""
     proc = python("-X", "importtime", "-m", "polyfock.cli", *cli_args)
     names = set()
     for line in proc.stderr.splitlines():
         if line.startswith("import time:") and "[us]" not in line:
-            names.add(line.rsplit("|", 1)[1].strip().split(".", 1)[0])
+            names.add(line.rsplit("|", 1)[1].strip())
     return names
 
 
@@ -131,3 +137,37 @@ def test_submodules_stay_reachable_as_attributes():
                         "print(polyfock.verify.SUITE_NAMES[0], "
                         "polyfock.defaults.DEFAULT_P_MAX)")
     assert proc.stdout == "laguerre 200\n"
+
+
+@pytest.mark.parametrize("cli_args", [
+    ["toeplitz", "--n", "2", "--symbol", "gauss:2", "--pmax", "5"],
+    ["toeplitz", "--n", "2", "--symbol", "rational", "--blocks", "--dmax", "5"],
+])
+def test_toeplitz_command_loads_only_the_radial_route(cli_args):
+    names = imported_modules(cli_args)
+    assert "polyfock.toeplitz" in names
+    assert not names & set(NOT_RADIAL)
+
+
+def test_toeplitz_matrix_after_a_bare_toeplitz_import():
+    script = ("import sys, polyfock.toeplitz as t\n"
+              f"print(sorted(set({NOT_RADIAL!r}) & set(sys.modules)))\n"
+              "import numpy as np\n"
+              "from polyfock.fock_spaces import SpaceId\n"
+              "for g in (t.const_symbol(2.0), lambda z: 2.0):\n"
+              "    m = t.toeplitz_matrix(g, SpaceId('poly', 2), 6)\n"
+              "    print(type(m).__name__, m.entries.shape,\n"
+              "          np.abs(m.entries - 2 * np.eye(12)).max() < 1e-9)\n")
+    proc = python("-c", script)
+    assert proc.stdout == ("[]\n" + "BasisMatrix (12, 12) True\n" * 2)
+
+
+def test_exact_laguerre_after_a_bare_laguerre_import():
+    script = ("import sys, polyfock.laguerre as la\n"
+              "print(sorted({'polyfock.exact_poly', 'fractions'} "
+              "& set(sys.modules)))\n"
+              "print(la.laguerre_exact(la.LaguerreParams(2, 1)))\n"
+              "print(la.rodrigues_identity_residual(3, 2))\n")
+    proc = python("-c", script)
+    assert proc.stdout == ("[]\n[Fraction(3, 1), Fraction(-3, 1), "
+                           "Fraction(1, 2)]\nTrue\n")
