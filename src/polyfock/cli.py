@@ -248,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, KeyError) as exc:
+    except (ValueError, OverflowError, KeyError, OSError) as exc:
         return _fail(exc)
     except RuntimeError as exc:
         from .quadrature import QuadratureConvergenceError

@@ -164,13 +164,6 @@ def b_eval_polar(idx: HermiteIndex, r: float, tau: complex,
     return float(_radial_values([(idx.p, idx.q)], r)[0]) * complex(tau) ** idx.d
 
 
-def b_polar_values(idx: HermiteIndex, t: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """Matrix of values b_idx(sqrt(t_i) tau_j), vectorized over a polar grid."""
-    import numpy as np
-    radial = _radial_values([(idx.p, idx.q)], np.sqrt(np.asarray(t, dtype=float)))[0]
-    return radial[:, None] * (np.asarray(taus, dtype=complex) ** idx.d)[None, :]
-
-
 class SignedSquare(NamedTuple):
     """Exact representation of a real value v as (sign(v), v^2)."""
 

@@ -9,8 +9,7 @@ one batched pass over their diagonals (`_diagonal_blocks`) on one
 self-checked window rule (`_block_once`).  The pass stacks the diagonals as
 rows of (rows, nodes) arrays; rows with the same degrees run together, in
 chunks of bounded size.  Each row doubles its rule until it converges on its
-own.  The symbol is evaluated on whole arrays of radii, and a callable that
-takes only one radius at a time is called once per radius instead.
+own; the matrix of a plain callable g(z) takes `quadrature`'s polar route.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ import numpy as np
 
 from .defaults import DEFAULT_P_MAX
 from .laguerre import laguerre_function_values, orthonormal_scaled
-from .quadrature import (CircleRule, QuadratureConvergenceError, gauss_laguerre,
-                         legendre_rule)
+from .quadrature import (QuadratureConvergenceError, _polar_checked,
+                         _polar_samples, _sampler, gauss_laguerre, legendre_rule)
 
 # the plane and exact layers are imported inside `toeplitz_matrix`, so the
 # radial route (the CLI's `toeplitz` command) never loads them
@@ -154,32 +153,6 @@ class EigenvalueSequence:
 #: degrees times rows per `_block_checked` call: bounds the (degrees, rows,
 #: nodes) arrays of a pass, however many diagonals it covers
 _CHUNK = 64
-
-
-def _symbol_sampler(a: RadialSymbol) -> Callable[[np.ndarray], np.ndarray]:
-    """Values of the symbol on arrays of radii, for one pass.
-
-    `a.fn` is applied to the whole array.  The first time that raises, or
-    returns something that is not numeric or does not broadcast to the radii
-    (a scalar-only callable), the pass switches to one call per radius for
-    good; those calls raise the symbol's own errors.
-    """
-    fn, scalar = a.fn, False
-
-    def values(r: np.ndarray) -> np.ndarray:
-        nonlocal scalar
-        if not scalar:
-            try:
-                out = np.asarray(fn(r))
-                if out.dtype.kind in "biufc":
-                    return out if out.shape == r.shape \
-                        else np.broadcast_to(out, r.shape)
-            except Exception:  # any failure on an array marks it scalar-only
-                pass
-            scalar = True
-        return np.array([fn(x) for x in r.ravel().tolist()],
-                        dtype=complex).reshape(r.shape)
-    return values
 
 
 def _stirling_constant(c: np.ndarray, log_c: np.ndarray) -> np.ndarray:
@@ -312,10 +285,10 @@ def _diagonal_blocks(a: RadialSymbol,
 
     `diagonals` lists (d, ms) pairs.  Diagonals that share the degrees ms are
     computed together, _CHUNK // len(ms) at a time (at least one), and every
-    call samples the symbol through one `_symbol_sampler`.  Returns the
+    call samples the symbol through one `quadrature._sampler`.  Returns the
     blocks in the order given and the node count at which each converged.
     """
-    values = _symbol_sampler(a)
+    values = _sampler(a.fn)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, (_, ms) in enumerate(diagonals):
         groups.setdefault(tuple(ms), []).append(i)
@@ -381,8 +354,8 @@ def lambda_indicator(u: float, n: int, p: int, n_nodes: int = 256) -> float:
     """Eigenvalue for the indicator of (0, u): the mass of the squared
     normalized Laguerre function on [0, u^2].  Strictly positive and
     increasing in u."""
-    if u <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(u) and u > 0):
+        raise ValueError(f"radius must be positive and finite, got {u}")
     if n < 1 or p < 0:
         raise ValueError("invalid indices")
     m, alpha = min(p, n - 1), abs(p - n + 1)
@@ -418,12 +391,13 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
     sequence: the indices on each diagonal d = p - q form one self-checked
     block (`toeplitz_block` when the diagonal is whole, a leading part of it
     near the truncation, a single eigenvalue on the true layer), and every
-    entry between two diagonals is 0.  A plain callable g(z) is integrated
-    by tensor quadrature over the polar grid: 64 Gauss-Laguerre radial nodes
-    and at least 64 angles, raised so that no diagonal gap of the truncation
-    aliases.
+    entry between two diagonals is 0.  A plain callable g(z) takes the
+    self-checked polar route of `quadrature`: as b_{p,q}(r tau) is tau^(p-q)
+    times a radial profile, an entry sees only g's angular mode
+    d_out - d_in, which one FFT over the angles gives per radial node.  The
+    rule starts at 64 radial nodes and max(64, diagonal gap + 8) angles.
     """
-    from .hermite_basis import HermiteIndex, b_polar_values
+    from .hermite_basis import _radial_values
     from .radial_ops import BasisMatrix
     indices = space.basis_indices(truncation)
     if isinstance(symbol, RadialSymbol):
@@ -440,19 +414,20 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
             entries[np.ix_(rows, rows)] = block
         return BasisMatrix(space, truncation, entries)
 
-    dvals = [p - q for p, q in indices]
+    d = np.array([p - q for p, q in indices])
     # 8 angles of margin for low-degree angular content of g
-    m = max(64, max(dvals) - min(dvals) + 8)
-    radial_rule = gauss_laguerre(0, 64)
-    taus = CircleRule(m).taus
-    t = radial_rule.nodes
-    gvals = np.array([[complex(symbol(complex(r * tau))) for tau in taus]
-                      for r in np.sqrt(t)])
-    values = np.stack([b_polar_values(HermiteIndex(p, q), t, taus).reshape(-1)
-                       for p, q in indices])
-    wg = (radial_rule.weights[:, None] / m * gvals).reshape(-1)
-    entries = values.conj() @ (values * wg[None, :]).T
-    return BasisMatrix(space, truncation, entries)
+    m_angles = max(64, int(d.max() - d.min()) + 8)
+    values = _sampler(symbol)
+
+    def once(rr, cr) -> np.ndarray:
+        modes = np.fft.fft(_polar_samples(values, rr, cr), axis=1) / cr.m_angles
+        # root weights on the profiles, which then never overflow
+        profiles = (_radial_values(indices, np.sqrt(rr.nodes))
+                    * np.exp(0.5 * rr.log_weights))
+        mode_of = (d[:, None] - d[None, :]) % cr.m_angles
+        return sum(np.outer(profile, profile) * mode[mode_of]
+                   for profile, mode in zip(profiles.T, modes))
+    return BasisMatrix(space, truncation, _polar_checked(once, m_angles))
 
 
 @dataclass(frozen=True)

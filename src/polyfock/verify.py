@@ -454,7 +454,7 @@ def suite_toeplitz(quick: bool = False) -> list[CheckResult]:
     # the same blocks as its sequence, so the polar route on a radial
     # callable keeps both checks between two independent routes
     pairs = [(a, a) for a in symbols] + [
-        (lambda z: math.exp(-abs(z) ** 2 / 4.0), gaussian_symbol(2.0))]
+        (lambda z: np.exp(-np.abs(z) ** 2 / 4.0), gaussian_symbol(2.0))]
     trunc = 20 if quick else 40
     worst_off, worst_diag, worst_excess = 0.0, 0.0, 0.0
     for n in range(1, 5 if not quick else 3):

@@ -255,6 +255,19 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: kernel factor")
 
+    @pytest.mark.parametrize("argv", [
+        ["basis", "--p", "1", "--q", "0"],
+        ["kernel", "--n", "1", "--kind", "poly", "--z", "0", "--w", "0"],
+        ["toeplitz", "--n", "1", "--symbol", "const:1", "--pmax", "3"],
+        ["verify", "--suite", "laguerre", "--quick"]],
+        ids=["basis", "kernel", "toeplitz", "verify"])
+    def test_unwritable_out_path_exit_one(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code = main(argv + ["--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and str(path) in captured.err
+
     def test_tiny_gauss_scale_gives_zeros(self, capsys):
         code = main(["toeplitz", "--n", "2", "--symbol", "gauss:1e-300",
                      "--pmax", "3"])

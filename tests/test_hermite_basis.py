@@ -11,9 +11,8 @@ import oracles
 from polyfock import hermite_basis
 from polyfock.exact_poly import BiPolynomial, ScaledPolynomial, gaussian_inner
 from polyfock.hermite_basis import (DiagonalSpec, HermiteIndex, b_coeffs, b_eval,
-                                    b_eval_polar, b_exact, b_polar_values,
-                                    basis_json_dict, monomial_b_inner,
-                                    truncated_diagonal)
+                                    b_eval_polar, b_exact, basis_json_dict,
+                                    monomial_b_inner, truncated_diagonal)
 
 
 def scaled(terms, scale_sq):
@@ -115,16 +114,6 @@ class TestNumericEvaluation:
     def test_polar_rejects_off_circle(self):
         with pytest.raises(ValueError):
             b_eval_polar(HermiteIndex(1, 0), 1.0, 1.1)
-
-    def test_vectorized_grid(self):
-        idx = HermiteIndex(3, 1)
-        t = np.array([0.0, 0.5, 2.0])
-        taus = np.exp(1j * np.array([0.0, 1.0]))
-        vals = b_polar_values(idx, t, taus)
-        for i, ti in enumerate(t):
-            for j, tau in enumerate(taus):
-                want = b_eval_polar(idx, math.sqrt(ti), complex(tau))
-                assert vals[i, j] == pytest.approx(want, abs=1e-14)
 
     @given(st.integers(0, 6), st.integers(0, 6),
            st.floats(0.0, 2 * math.pi), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))

@@ -131,3 +131,12 @@ class TestPlaneInner:
         with pytest.raises(ValueError):
             plane_inner(lambda z: float("inf") if abs(z) > 0 else 1.0,
                         lambda z: 1.0, gauss_laguerre(0, 4), CircleRule(4))
+
+    def test_array_callables_sampled_once_per_rule_size(self):
+        shapes = []
+
+        def f(z):
+            shapes.append(np.shape(z))
+            return z * np.conj(z)
+        assert plane_inner(f, lambda z: 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert shapes == [(64, 64), (128, 128)]

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from polyfock.exact_poly import BiPolynomial, gaussian_inner
 from polyfock.fock_spaces import SpaceId
-from polyfock.hermite_basis import HermiteIndex, b_coeffs
+from polyfock.hermite_basis import HermiteIndex, b_coeffs, b_exact
 from polyfock.quadrature import QuadratureConvergenceError
-from polyfock.radial_ops import is_radial, off_block_mass, phi_n, phi_true
+from polyfock.radial_ops import (is_radial, off_block_mass, phi_n, phi_true,
+                                 radialize_matrix)
 from polyfock import toeplitz
 from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                RadialSymbol, beta, const_symbol,
@@ -219,6 +220,13 @@ class TestLambdaIndicator:
             lambda_indicator(-1.0, 1, 0)
         with pytest.raises(ValueError):
             lambda_indicator(1.0, 0, 0)
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, u):
+        with pytest.raises(ValueError, match="finite"):
+            lambda_indicator(u, 1, 0)
+        with pytest.raises(ValueError, match="finite"):
+            separation_check(1, 0, 1, (u,))
 
 
 class TestBlocks:
@@ -477,6 +485,53 @@ class TestToeplitzMatrix:
         m = toeplitz_matrix(lambda z: z.real, SpaceId("poly", 1), 6)
         entry = m.entries[m.index_of[(1, 0)], m.index_of[(0, 0)]]
         assert entry == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("g, poly", [
+        (lambda z: z, BiPolynomial.monomial(1, 0)),
+        (lambda z: np.conj(z), BiPolynomial.monomial(0, 1)),
+        (lambda z: np.abs(z) ** 2, BiPolynomial.monomial(1, 1))],
+        ids=["z", "zbar", "abs_sq"])
+    @pytest.mark.parametrize("n, truncation", [(1, 8), (2, 5), (3, 8)])
+    def test_polynomial_symbol_matches_exact_layer(self, g, poly, n,
+                                                    truncation):
+        # <g b_in, b_out> in rationals on the exact bodies; b = sqrt(scale) body
+        m = toeplitz_matrix(g, SpaceId("poly", n), truncation)
+        exact = {key: b_exact(HermiteIndex(*key)) for key in m.index_of}
+        worst = 0.0
+        for key_in, i in m.index_of.items():
+            for key_out, o in m.index_of.items():
+                b_in, b_out = exact[key_in], exact[key_out]
+                want = complex(gaussian_inner(poly * b_in.body, b_out.body)) \
+                    * math.sqrt(b_in.scale_sq * b_out.scale_sq)
+                worst = max(worst, abs(m.entries[o, i] - want))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("space", [SpaceId("poly", 1), SpaceId("poly", 3),
+                                       SpaceId("true_poly", 2)],
+                             ids=["poly1", "poly3", "true_poly2"])
+    def test_radialization_commutes_with_quantization(self, space):
+        # the angle average of g is g0: radializing T_g (polar route) gives
+        # T_g0 (block route)
+        def g(z):
+            return np.exp(-np.abs(z) ** 2 / 4) + z.real + 0.3j * z.imag ** 2
+        g0 = RadialSymbol(lambda r: np.exp(-r * r / 4) + 0.15j * r * r)
+        rad = radialize_matrix(toeplitz_matrix(g, space, 30))
+        want = toeplitz_matrix(g0, space, 30)
+        assert np.max(np.abs(rad.entries - want.entries)) < 1e-12
+
+    def test_unit_callable_is_identity_at_p_200(self):
+        m = toeplitz_matrix(lambda z: 1.0, SpaceId("poly", 2), 200)
+        assert np.max(np.abs(m.entries - np.eye(400))) < 1e-10
+
+    def test_non_finite_callable_names_z(self):
+        with pytest.raises(ValueError, match=r"non-finite sample at z="):
+            toeplitz_matrix(lambda z: np.where(np.abs(z) > 2, np.nan, 1.0),
+                            SpaceId("poly", 2), 6)
+
+    def test_undeclared_radial_jump_fails_self_check(self):
+        with pytest.raises(QuadratureConvergenceError):
+            toeplitz_matrix(lambda z: 1.0 * (np.abs(z) < 1),
+                            SpaceId("poly", 1), 6)
 
     def test_nonradial_symbol_flagged(self):
         m = toeplitz_matrix(lambda z: z.real, SpaceId("poly", 1), 6)
