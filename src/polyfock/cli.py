@@ -9,10 +9,10 @@ start with a minus sign need the --flag=value form.
 Exit codes: 0 success, 1 computation or verification failure, 2 bad arguments.
 
 Each command imports the layers it uses when it runs, so start-up loads only
-those: `basis` without `--eval` and `kernel` without `--series` are exact or
-scalar work and never load numpy, and `toeplitz` loads only the radial route
-(`laguerre`, `quadrature`, `toeplitz` and numpy), none of the plane or exact
-layers.
+those: `basis` and `kernel` are exact or point work and never load numpy,
+`basis --eval` and `kernel` load no exact layer either, and `toeplitz` loads
+only the radial route (`laguerre`, `quadrature`, `toeplitz` and numpy), none
+of the plane or exact layers.
 """
 
 from __future__ import annotations

@@ -14,15 +14,13 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Literal
 
-from .exact_poly import (BiPolynomial, creation_adagger, creation_adagger_bar)
-from .hermite_basis import b_values
-from .laguerre import LaguerreParams, _recurrence_scalar, laguerre_exact
+from .laguerre import _recurrence_scalar, _times_exp, orthonormal_point
 
-# numpy is imported inside the float-array functions, so the exact and scalar
-# paths (the CLI's `basis --coeffs` and `kernel` without `--series`) never load it
+# numpy is imported inside the array function (`berezin`) and the exact layer
+# inside `kernel_recursion_check`, so the kernels and their series (the CLI's
+# `kernel`) load neither
 if TYPE_CHECKING:
     import numpy as np
 
@@ -156,10 +154,37 @@ def kernel_poly_log(n: int, z: complex, w: complex) -> tuple[float, float]:
 
 def kernel_partial_sum(space: SpaceId, z: complex, w: complex,
                        truncation: int) -> complex:
-    """Truncated basis series sum of conj(b(z)) b(w) over the space's basis."""
-    import numpy as np
-    indices = space.basis_indices(truncation)
-    return complex(np.sum(b_values(indices, z).conjugate() * b_values(indices, w)))
+    """Truncated basis series sum of conj(b(z)) b(w) over the space's basis.
+
+    With z = r_z tau_z, w = r_w tau_w, m = min(p, q), alpha = |p - q| and
+    psi_m(r^2) = v e^s from `orthonormal_point`, each term is
+    v_z v_w (conj(tau_z) tau_w)^(p-q) times one exponential of
+    s_z + s_w + alpha log(r_z r_w) - lgamma(alpha + 1).  A non-finite point
+    raises ValueError, and a term past the float range OverflowError.
+    """
+    z, w = complex(z), complex(w)
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        raise ValueError(f"points must be finite, got z={z}, w={w}")
+    rz, rw = math.hypot(z.real, z.imag), math.hypot(w.real, w.imag)
+    tz = z / rz if 0 < rz < math.inf else 1.0
+    tw = w / rw if 0 < rw < math.inf else 1.0
+    rho = tz.conjugate() * tw
+    # a term with alpha > 0 carries (r_z r_w)^alpha, so it is 0 where that is
+    log_rr = math.log(rz) + math.log(rw) if rz and rw else None
+    total = 0j
+    for p, q in space.basis_indices(truncation):
+        m, alpha = min(p, q), abs(p - q)
+        if alpha and log_rr is None:
+            continue
+        vz, sz = orthonormal_point(m, alpha, rz * rz)
+        vw, sw = orthonormal_point(m, alpha, rw * rw)
+        log_pre = alpha * log_rr - math.lgamma(alpha + 1) if alpha else 0.0
+        term = _times_exp(vz * vw, sz + sw + log_pre)
+        if not math.isfinite(term):
+            raise OverflowError(f"kernel series term b_{p},{q} at z={z}, w={w} "
+                                "does not fit in a float")
+        total += term * rho ** (p - q)
+    return total
 
 
 def kernel_recursion_check(n: int) -> bool:
@@ -175,6 +200,10 @@ def kernel_recursion_check(n: int) -> bool:
                          "does not exist")
     if n > 8:
         raise ValueError("exact recursion check capped at order 8")
+    from fractions import Fraction
+
+    from .exact_poly import BiPolynomial, creation_adagger, creation_adagger_bar
+    from .laguerre import LaguerreParams, laguerre_exact
 
     def layer_poly(order: int) -> BiPolynomial:
         coeffs = laguerre_exact(LaguerreParams(order - 1, 0))
@@ -222,12 +251,16 @@ def berezin(space: SpaceId, operator_matrix: np.ndarray, z: complex,
     warns when the truncation has not converged at this z.
     """
     import numpy as np
+
+    from .hermite_basis import _radial_values
     indices = space.basis_indices(truncation)
     k = len(indices)
     if operator_matrix.shape != (k, k):
         raise ValueError(f"matrix shape {operator_matrix.shape} does not match "
                          f"enumeration of size {k}")
-    values = b_values(indices, z)
+    phase = z / abs(z) if z != 0 else 1.0
+    d = np.array([p - q for p, q in indices])
+    values = _radial_values(indices, abs(z)) * phase ** d
     den_terms = np.abs(values) ** 2
     den = float(np.sum(den_terms))
     tail_start = truncation - max(1, truncation // _TAIL_FRACTION)

@@ -5,25 +5,29 @@ as a self-test pair: the exact polynomial built by repeated creation
 operators, the exact closed-form coefficient expansion, and a floating-point
 evaluator routed through the scaled orthonormal Laguerre recurrence of
 degree min(p, q) (the monomial expansion cancels catastrophically for large
-min(p, q) and is never used numerically).
+min(p, q) and is never used numerically): `orthonormal_point` at one point,
+`orthonormal_scaled` on arrays of radii.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .exact_poly import (BiPolynomial, ScaledPolynomial, creation_adagger,
-                         creation_adagger_bar, factorial)
-from .laguerre import _alpha_log, orthonormal_scaled
+from .laguerre import _alpha_log, _times_exp, orthonormal_point, orthonormal_scaled
 
-# numpy is imported inside the float-array functions, so the exact and scalar
-# paths (the CLI's `basis --coeffs` and `kernel` without `--series`) never load it
+# numpy is imported inside the array function and the exact layer inside the
+# exact functions, so a point evaluation (the CLI's `basis --eval`) loads
+# neither, and the exact coefficients (`basis --coeffs`) load no numpy
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
+
+    from .exact_poly import BiPolynomial, ScaledPolynomial
 
 MAX_EXACT_INDEX = 32
 MAX_NUMERIC_INDEX = 128
@@ -86,6 +90,7 @@ def truncated_diagonal(spec: DiagonalSpec) -> list[HermiteIndex]:
 def _body(p: int, q: int) -> BiPolynomial:
     """(a^dagger)^q (a-bar^dagger)^p 1: one creation step on the cached body
     of (p, q-1), or of (p-1, 0) when q = 0."""
+    from .exact_poly import BiPolynomial, creation_adagger, creation_adagger_bar
     if q:
         return creation_adagger(_body(p, q - 1))
     if p:
@@ -95,6 +100,9 @@ def _body(p: int, q: int) -> BiPolynomial:
 
 def b_exact(idx: HermiteIndex, max_index: int = MAX_EXACT_INDEX) -> ScaledPolynomial:
     """Basis element from q creation and p conjugate-creation steps on 1."""
+    from fractions import Fraction
+
+    from .exact_poly import ScaledPolynomial, factorial
     if idx.p > max_index or idx.q > max_index:
         raise ValueError(f"exact layer capped at index {max_index}")
     return ScaledPolynomial(_body(idx.p, idx.q),
@@ -103,6 +111,9 @@ def b_exact(idx: HermiteIndex, max_index: int = MAX_EXACT_INDEX) -> ScaledPolyno
 
 @lru_cache(maxsize=None)
 def _b_coeffs(p: int, q: int) -> ScaledPolynomial:
+    from fractions import Fraction
+
+    from .exact_poly import BiPolynomial, ScaledPolynomial, factorial
     lo, hi = min(p, q), max(p, q)
     terms = {}
     for s in range(lo + 1):
@@ -118,12 +129,14 @@ def b_coeffs(idx: HermiteIndex, max_index: int = MAX_EXACT_INDEX) -> ScaledPolyn
     return _b_coeffs(idx.p, idx.q)
 
 
-def _radial_values(pairs: Sequence[tuple[int, int]], r) -> np.ndarray:
-    """b_{p,q}(r) at real radii r >= 0: shape (len(pairs),) + shape of r.
+def _radial_values(pairs: Sequence[tuple[int, int]], r,
+                   log_weight=0.0) -> np.ndarray:
+    """b_{p,q}(r) e^log_weight at real radii r >= 0: shape (len(pairs),) +
+    shape of r, with `log_weight` broadcast against r.
 
     With m = min(p, q) and alpha = |p - q|, b_{p,q}(r tau) = tau^(p-q)
     psi_m(r^2) r^alpha / sqrt(alpha!), psi_m the orthonormal polynomial of
-    `orthonormal_scaled`; the prefactor joins its log scale.
+    `orthonormal_scaled`; the prefactor and `log_weight` join its log scale.
     """
     import numpy as np
     m = [min(p, q) for p, q in pairs]
@@ -135,23 +148,41 @@ def _radial_values(pairs: Sequence[tuple[int, int]], r) -> np.ndarray:
     v, s = orthonormal_scaled(degrees, alpha, r * r)
     pick = [row[k] for k in m], range(len(m))
     log_norm = np.array([0.5 * math.lgamma(a + 1) for a in alphas])
-    log_pre = _alpha_log(alpha, r) - log_norm.reshape(alpha.shape)
+    log_pre = _alpha_log(alpha, r) - log_norm.reshape(alpha.shape) + log_weight
     return v[pick] * np.exp(s[pick] + log_pre)
 
 
-def b_values(pairs: Sequence[tuple[int, int]], z: complex) -> np.ndarray:
-    """Values b_{p,q}(z) for every pair (p, q), in one pass."""
-    import numpy as np
-    phase = z / abs(z) if z != 0 else 1.0
-    return _radial_values(pairs, abs(z)) * phase ** np.array([p - q for p, q in pairs])
+def _radial_point(p: int, q: int, r: float, z: complex) -> float:
+    """b_{p,q}(r) at one radius r = |z|, the scalar twin of `_radial_values`;
+    an OverflowError naming (p, q) and z where it leaves the float range."""
+    alpha = abs(p - q)
+    if alpha and r == 0:
+        return 0.0
+    v, s = orthonormal_point(min(p, q), alpha, r * r)
+    if alpha:
+        s += alpha * math.log(r) - 0.5 * math.lgamma(alpha + 1)
+    value = _times_exp(v, s)
+    if not math.isfinite(value):
+        raise OverflowError(f"b_{p},{q} at z={z} does not fit in a float")
+    return value
 
 
 def b_eval(idx: HermiteIndex, z: complex,
            max_index: int = MAX_NUMERIC_INDEX) -> complex:
-    """Floating-point value via the Laguerre form of degree min(p, q)."""
-    if idx.p > max_index or idx.q > max_index:
+    """Floating-point value via the Laguerre form of degree min(p, q).
+
+    A non-finite z raises ValueError, and a value past the float range
+    raises OverflowError.
+    """
+    p, q = idx.p, idx.q
+    if p > max_index or q > max_index:
         raise ValueError(f"numeric layer capped at index {max_index}")
-    return complex(b_values([(idx.p, idx.q)], complex(z))[0])
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point must be finite, got z={z}")
+    r = math.hypot(z.real, z.imag)
+    tau = z / r if 0 < r < math.inf else 1.0
+    return _radial_point(p, q, r, z) * tau ** (p - q)
 
 
 def b_eval_polar(idx: HermiteIndex, r: float, tau: complex,
@@ -159,9 +190,10 @@ def b_eval_polar(idx: HermiteIndex, r: float, tau: complex,
     """Value at z = r tau with |tau| = 1, bypassing the cartesian form."""
     if abs(abs(tau) - 1.0) > unit_tol:
         raise ValueError(f"|tau| = {abs(tau)} is off the unit circle")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return float(_radial_values([(idx.p, idx.q)], r)[0]) * complex(tau) ** idx.d
+    if not 0 <= r < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {r}")
+    tau = complex(tau)
+    return _radial_point(idx.p, idx.q, float(r), r * tau) * tau ** idx.d
 
 
 class SignedSquare(NamedTuple):
@@ -181,6 +213,9 @@ def monomial_b_inner(d: int, k: int, q: int) -> SignedSquare:
         raise ValueError("requires k <= q")
     if min(d + k, d + q, k, q) < 0:
         raise ValueError("all exponents must be nonnegative")
+    from fractions import Fraction
+
+    from .exact_poly import BiPolynomial, ScaledPolynomial
     mono = ScaledPolynomial(BiPolynomial.monomial(d + k, k), Fraction(1))
     basis = b_coeffs(HermiteIndex(d + q, q))
     sign, square = mono.inner_sign_square(basis)

@@ -3,10 +3,11 @@
 The plain polynomial L_n^(alpha) is evaluated by its three-term recurrence,
 with the exact rational coefficient list kept alongside as an oracle.  Every
 normalized radial profile (the Laguerre functions here, the Hermite basis,
-the Toeplitz blocks and the Gauss-Laguerre weights) goes through one routine,
-`orthonormal_scaled`: the orthonormal recurrence with a per-entry log scale,
-which neither overflows nor underflows at any degree.  Each caller adds its
-own log prefactor to that scale.
+the Toeplitz blocks and the Gauss-Laguerre weights) goes through one
+recurrence: the orthonormal recurrence with a per-entry log scale, which
+neither overflows nor underflows at any degree.  `orthonormal_scaled` runs it
+on arrays and `orthonormal_point` on one point without numpy.  Each caller
+adds its own log prefactor to that scale.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-# numpy is imported inside the float-array functions, so the exact and scalar
-# paths (the CLI's `basis --coeffs` and `kernel` without `--series`) never load
-# it; the exact layer is imported inside the exact functions, so the float
-# paths (the CLI's `toeplitz`) never load it
+# numpy is imported inside the array functions, so the exact and point paths
+# (the CLI's `basis` and `kernel`) never load it; the exact layer is imported
+# inside the exact functions, so the float paths (the CLI's `toeplitz`,
+# `basis --eval` and `kernel`) never load it
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -95,6 +96,36 @@ def orthonormal_scaled(ms: Sequence[int], alpha, t) -> tuple[np.ndarray, np.ndar
             np.array([kept[m][1] for m in ms]).reshape(out))
 
 
+def orthonormal_point(m: int, alpha: int, t: float) -> tuple[float, float]:
+    """psi_m(t) = v e^s at one point, as `orthonormal_scaled` gives it.
+
+    The same recurrence on plain floats, so it loads no numpy: the same
+    Jacobi coefficients and the same rescaling of an entry that leaves
+    [1e-100, 1e100].
+    """
+    prev, cur, scale = 0.0, 1.0, 0.0
+    off = 0.0
+    for k in range(m):
+        off_next = math.sqrt((k + 1) * (k + 1 + alpha))
+        prev, cur = cur, ((t - (2 * k + alpha + 1)) * cur - off * prev) / off_next
+        off = off_next
+        size = abs(cur)
+        if not 1e-100 <= size <= 1e100:
+            mag = max(size, abs(prev))
+            if mag > 1e100 or 0 < mag < 1e-100:
+                prev, cur = prev / mag, cur / mag
+                scale += math.log(mag)
+    return cur, scale
+
+
+def _times_exp(v: float, s: float) -> float:
+    """v e^s, or inf where e^s alone leaves the float range."""
+    try:
+        return v * math.exp(s)
+    except OverflowError:
+        return math.inf
+
+
 def _alpha_log(alpha, x) -> np.ndarray:
     """alpha log x, read as 0 where alpha = 0 (also at x = 0)."""
     import numpy as np
@@ -121,13 +152,6 @@ def laguerre_exact(params: LaguerreParams) -> list[Fraction]:
             for k in range(n + 1)]
 
 
-def _function_scaled(m: int, alpha: int, t) -> tuple[np.ndarray, np.ndarray]:
-    # phi = (-1)^m psi_m t^(alpha/2) e^(-t/2) / sqrt(alpha!) = v e^s
-    v, s = orthonormal_scaled([m], alpha, t)
-    log_pre = 0.5 * _alpha_log(alpha, t) - 0.5 * t - 0.5 * math.lgamma(alpha + 1)
-    return (-1) ** m * v[0], s[0] + log_pre
-
-
 def laguerre_function(m: int, alpha: int, t: float) -> float:
     """Normalized Laguerre function: L2([0,inf), dt) unit norm for each (m, alpha).
 
@@ -142,14 +166,17 @@ def laguerre_function(m: int, alpha: int, t: float) -> float:
 
 def laguerre_function_log(m: int, alpha: int, t: float) -> tuple[int, float]:
     """(sign, log magnitude) of the normalized Laguerre function."""
-    if t < 0:
-        raise ValueError(f"argument must be nonnegative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"argument must be finite and nonnegative, got {t}")
     if m < 0 or alpha < 0:
         raise ValueError("indices must be nonnegative")
-    v, s = _function_scaled(m, alpha, float(t))
-    if v == 0 or s == -math.inf:
+    # phi = (-1)^m psi_m t^(alpha/2) e^(-t/2) / sqrt(alpha!)
+    v, s = orthonormal_point(m, alpha, float(t))
+    if v == 0 or (alpha and t == 0):
         return (0, -math.inf)
-    return (1 if v > 0 else -1, math.log(abs(v)) + float(s))
+    log_pre = 0.5 * alpha * math.log(t) if alpha else 0.0
+    log_pre -= 0.5 * t + 0.5 * math.lgamma(alpha + 1)
+    return ((-1) ** m * (1 if v > 0 else -1), math.log(abs(v)) + s + log_pre)
 
 
 def laguerre_function_values(m: int, alpha: int, t: np.ndarray) -> np.ndarray:
@@ -158,8 +185,10 @@ def laguerre_function_values(m: int, alpha: int, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("arguments must be nonnegative")
-    v, s = _function_scaled(m, alpha, t)
-    return v * np.exp(s)
+    # phi = (-1)^m psi_m t^(alpha/2) e^(-t/2) / sqrt(alpha!) = v e^s
+    v, s = orthonormal_scaled([m], alpha, t)
+    log_pre = 0.5 * _alpha_log(alpha, t) - 0.5 * t - 0.5 * math.lgamma(alpha + 1)
+    return (-1) ** m * v[0] * np.exp(s[0] + log_pre)
 
 
 def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> float:

@@ -421,9 +421,13 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
 
     def once(rr, cr) -> np.ndarray:
         modes = np.fft.fft(_polar_samples(values, rr, cr), axis=1) / cr.m_angles
-        # root weights on the profiles, which then never overflow
-        profiles = (_radial_values(indices, np.sqrt(rr.nodes))
-                    * np.exp(0.5 * rr.log_weights))
+        # root weights in the profiles' log scale, which then never overflow
+        profiles = _radial_values(indices, np.sqrt(rr.nodes), 0.5 * rr.log_weights)
+        if not np.isfinite(profiles).all():
+            i, j = np.argwhere(~np.isfinite(profiles))[0]
+            raise NonFiniteIntegrandError(
+                f"basis profile b_{indices[i][0]},{indices[i][1]} is not finite "
+                f"at radial node {j} of {len(rr.nodes)}")
         mode_of = (d[:, None] - d[None, :]) % cr.m_angles
         return sum(np.outer(profile, profile) * mode[mode_of]
                    for profile, mode in zip(profiles.T, modes))

@@ -6,13 +6,18 @@ fraction pair, not through any quadrature of this package.  The exact
 references build the creation operators from the general polynomial
 product, the Gaussian inner product from `RationalComplex` sums over every
 pair of terms, and each basis body by a fresh fold of creation steps on 1.
+The kernel series is summed from whole arrays of basis values on the
+numpy route, which the point route of `kernel_partial_sum` does not use.
 """
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from polyfock.exact_poly import (BiPolynomial, RationalComplex, factorial,
                                  wirtinger_dz, wirtinger_dzbar)
+from polyfock.hermite_basis import _radial_values
 
 
 def gammp(s: float, x: float) -> float:
@@ -100,3 +105,16 @@ def b_exact_fold(p: int, q: int) -> tuple[BiPolynomial, Fraction]:
     for _ in range(q):
         body = creation_adagger(body)
     return body, Fraction(1, factorial(p) * factorial(q))
+
+
+def kernel_partial_sum_array(space, z: complex, w: complex,
+                             truncation: int) -> complex:
+    """Sum of conj(b(z)) b(w) over the space's basis, each factor a whole
+    array of basis values from `_radial_values` times its phases."""
+    indices = space.basis_indices(truncation)
+    d = np.array([p - q for p, q in indices])
+
+    def values(x: complex) -> np.ndarray:
+        phase = x / abs(x) if x != 0 else 1.0
+        return _radial_values(indices, abs(x)) * phase ** d
+    return complex(np.sum(values(z).conjugate() * values(w)))

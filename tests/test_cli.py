@@ -249,6 +249,18 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith(f"error: {flag} must be finite")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["basis", "--p", "128", "--q", "3", "--eval", "100000+0i"],
+         "error: b_128,3 at z=(100000+0j) does not fit in a float"),
+        (["kernel", "--n", "1", "--kind", "poly", "--z", "30+0i", "--w", "0+30i",
+          "--series", "500"], "error: kernel series term b_"),
+    ])
+    def test_overflowing_point_value_exit_one(self, argv, message, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(message)
+
     def test_overflowing_laguerre_factor_exit_one(self, capsys):
         code = main(["kernel", "--n", "8", "--kind", "poly", "--z", "0",
                      "--w", "1e100"])

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from polyfock.fock_spaces import (FockVector, SpaceId, berezin, creation_apply,
                                   evaluation_bound, evaluation_bound_log,
                                   kernel_partial_sum, kernel_poly, kernel_poly_log,
@@ -107,6 +110,24 @@ class TestSeries:
                 for kind, closed in (("poly", kernel_poly), ("true_poly", kernel_true)):
                     got = kernel_partial_sum(SpaceId(kind, n), z, w, 120)
                     assert got == pytest.approx(closed(n, z, w), abs=1e-8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["poly", "true_poly"]), st.integers(1, 5),
+           st.integers(1, 300), st.complex_numbers(max_magnitude=2.0),
+           st.complex_numbers(max_magnitude=2.0))
+    def test_matches_array_route(self, kind, n, truncation, z, w):
+        space = SpaceId(kind, n)
+        want = oracles.kernel_partial_sum_array(space, z, w, truncation)
+        got = kernel_partial_sum(space, z, w, truncation)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_overflowing_term_names_points(self):
+        with pytest.raises(OverflowError, match=r"z=\(40\+0j\), w=\(40\+0j\)"):
+            kernel_partial_sum(SpaceId("poly", 2), 40 + 0j, 40 + 0j, 3000)
+
+    def test_non_finite_point_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            kernel_partial_sum(SpaceId("poly", 2), complex(math.nan, 0), 1j, 10)
 
 
 class TestRecursion:

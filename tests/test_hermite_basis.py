@@ -111,6 +111,35 @@ class TestNumericEvaluation:
                     want = b_eval(idx, r * tau)
                     assert got == pytest.approx(want, abs=1e-10 * max(1.0, abs(want)))
 
+    def test_matches_array_route(self):
+        # the point route against `_radial_values` times the phase, z = 0 too
+        rng = np.random.default_rng(7)
+        radii, angles = 25 * np.sqrt(rng.uniform(0, 1, 12)), rng.uniform(0, 7, 12)
+        zs = [0j, 1e-3 + 0j, -2.5j] + list(radii * np.exp(1j * angles))
+        for p, q in ((0, 0), (5, 0), (0, 7), (3, 9), (40, 40), (128, 3), (17, 128)):
+            for z in zs:
+                z = complex(z)
+                r = abs(z)
+                want = complex(hermite_basis._radial_values([(p, q)], r)[0]
+                               * (z / r if r else 1.0) ** (p - q))
+                if not np.isfinite(want):
+                    continue
+                got = b_eval(HermiteIndex(p, q), z)
+                assert abs(got - want) <= 1e-12 * abs(want), (p, q, z)
+
+    def test_non_finite_point_rejected(self):
+        for z in (complex(math.nan, 0), complex(0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                b_eval(HermiteIndex(1, 3), z)
+        with pytest.raises(ValueError, match="finite"):
+            b_eval_polar(HermiteIndex(1, 3), math.nan, 1.0)
+
+    def test_overflow_names_index_and_point(self):
+        with pytest.raises(OverflowError, match=r"b_128,3 at z=\(100000\+0j\)"):
+            b_eval(HermiteIndex(128, 3), 100000 + 0j)
+        with pytest.raises(OverflowError, match="b_2,2"):
+            b_eval_polar(HermiteIndex(2, 2), 1e200, 1.0)
+
     def test_polar_rejects_off_circle(self):
         with pytest.raises(ValueError):
             b_eval_polar(HermiteIndex(1, 0), 1.0, 1.1)

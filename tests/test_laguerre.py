@@ -1,13 +1,18 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyfock.laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
                                laguerre_function, laguerre_function_log,
                                laguerre_function_sup, laguerre_function_values,
-                               orthonormal_scaled, rodrigues_identity_residual)
+                               orthonormal_point, orthonormal_scaled,
+                               rodrigues_identity_residual)
 from polyfock.quadrature import gauss_laguerre
 
 
@@ -76,6 +81,11 @@ class TestLaguerreFunction:
         with pytest.raises(ValueError):
             laguerre_function(0, 0, -0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_argument_rejected(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            laguerre_function_log(2, 1, t)
+
     def test_log_form_consistent(self):
         for m, alpha, t in ((0, 0, 2.0), (2, 5, 7.5), (4, 60, 40.0)):
             sign, logmag = laguerre_function_log(m, alpha, t)
@@ -133,6 +143,32 @@ class TestOrthonormalScaled:
             for j, x in enumerate(t):
                 vi, si = orthonormal_scaled([4], a, x)
                 assert (v[0, i, j], s[0, i, j]) == (vi[0], si[0])
+
+
+class TestOrthonormalPoint:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 300), st.integers(0, 300), st.floats(0.0, 2000.0))
+    @example(300, 0, 1500.0)  # rescaled, past the double range
+    def test_matches_array_recurrence(self, m, alpha, t):
+        v, s = orthonormal_point(m, alpha, t)
+        want_v, want_s = (float(x[0]) for x in orthonormal_scaled([m], alpha, t))
+        assert (v > 0, v < 0) == (want_v > 0, want_v < 0)
+        if v:
+            got_log = math.log(abs(v)) + s
+            want_log = math.log(abs(want_v)) + want_s
+            assert abs(got_log - want_log) <= 1e-13
+
+    def test_rescale_branch_runs(self):
+        assert orthonormal_point(300, 0, 1500.0)[1] > 0
+
+    def test_imports_no_numpy(self):
+        script = ("import sys\n"
+                  "from polyfock.laguerre import laguerre_function, orthonormal_point\n"
+                  "orthonormal_point(40, 3, 9.0), laguerre_function(5, 2, 3.0)\n"
+                  "print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True)
+        assert proc.stdout == "False\n", proc.stderr
 
 
 class TestOrthogonality:

@@ -1,6 +1,7 @@
 """Start-up loads only what is used: `import polyfock` is lazy, the CLI
-commands that do exact or scalar work never load numpy, and `toeplitz`
-loads only the radial route, none of the plane or exact layers.
+commands that do exact or point work (`basis`, `kernel`) never load numpy,
+the point evaluations load no exact layer either, and `toeplitz` loads only
+the radial route, none of the plane or exact layers.
 
 Each check runs in a fresh interpreter, so `sys.modules` starts clean.
 """
@@ -81,6 +82,9 @@ def test_import_leaves_numpy_unloaded(module):
     ["basis", "--p", "3", "--q", "1"],
     ["kernel", "--n", "3", "--kind", "poly", "--z", "1+0i", "--w", "1+0i"],
     ["kernel", "--n", "2", "--kind", "true", "--z", "0+0i", "--w", "1+0i"],
+    ["basis", "--p", "1", "--q", "1", "--eval", "2+0i"],
+    ["kernel", "--n", "2", "--kind", "poly", "--z", "0", "--w", "1",
+     "--series", "5"],
 ])
 def test_exact_and_scalar_commands_leave_numpy_unloaded(cli_args):
     modules = imported_modules(cli_args)
@@ -88,11 +92,28 @@ def test_exact_and_scalar_commands_leave_numpy_unloaded(cli_args):
     assert "numpy" not in modules
 
 
+#: the exact layer, which a point evaluation never uses
+EXACT = {"polyfock.exact_poly", "fractions"}
+
+
+@pytest.mark.parametrize("cli_args", [
+    ["basis", "--p", "3", "--q", "9", "--eval", "0.1+1.3i"],
+    ["kernel", "--n", "4", "--kind", "true", "--z", "0.5+0i", "--w", "0+1i",
+     "--series", "200"],
+    ["kernel", "--n", "3", "--kind", "poly", "--z", "1+0i", "--w", "1+0i"],
+])
+def test_point_commands_load_no_exact_layer(cli_args):
+    modules = imported_modules(cli_args)
+    assert "polyfock.hermite_basis" in modules or "polyfock.fock_spaces" in modules
+    assert not modules & (EXACT | {"numpy"})
+
+
+def test_exact_command_loads_the_exact_layer():
+    assert EXACT <= imported_modules(["basis", "--p", "2", "--q", "2", "--coeffs"])
+
+
 @pytest.mark.parametrize("cli_args", [
     ["toeplitz", "--n", "1", "--symbol", "indicator:1", "--pmax", "3"],
-    ["basis", "--p", "1", "--q", "1", "--eval", "2+0i"],
-    ["kernel", "--n", "2", "--kind", "poly", "--z", "0", "--w", "1",
-     "--series", "5"],
 ])
 def test_float_array_commands_load_numpy(cli_args):
     assert "numpy" in imported_modules(cli_args)

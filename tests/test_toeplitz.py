@@ -12,7 +12,7 @@ from polyfock.hermite_basis import HermiteIndex, b_coeffs, b_exact
 from polyfock.quadrature import QuadratureConvergenceError
 from polyfock.radial_ops import (is_radial, off_block_mass, phi_n, phi_true,
                                  radialize_matrix)
-from polyfock import toeplitz
+from polyfock import hermite_basis, toeplitz
 from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                RadialSymbol, beta, const_symbol,
                                exp_decay_symbol, gaussian_symbol,
@@ -522,6 +522,22 @@ class TestToeplitzMatrix:
     def test_unit_callable_is_identity_at_p_200(self):
         m = toeplitz_matrix(lambda z: 1.0, SpaceId("poly", 2), 200)
         assert np.max(np.abs(m.entries - np.eye(400))) < 1e-10
+
+    def test_unit_callable_is_identity_at_p_800(self):
+        # at the outer nodes of the 512-node rule the profiles alone pass the
+        # float range; they meet their root weights in one log scale
+        m = toeplitz_matrix(lambda z: 1.0, SpaceId("poly", 1), 800)
+        assert np.max(np.abs(m.entries - np.eye(800))) < 1e-10
+
+    def test_non_finite_profile_is_named(self, monkeypatch):
+        def overflowing(pairs, r, log_weight=0.0):
+            out = np.ones((len(pairs),) + np.shape(r))
+            out[1, 2] = np.inf
+            return out
+        monkeypatch.setattr(hermite_basis, "_radial_values", overflowing)
+        with pytest.raises(NonFiniteIntegrandError,
+                           match=r"b_1,0 is not finite at radial node 2 of 64"):
+            toeplitz_matrix(lambda z: 1.0, SpaceId("poly", 1), 4)
 
     def test_non_finite_callable_names_z(self):
         with pytest.raises(ValueError, match=r"non-finite sample at z="):
