@@ -42,10 +42,9 @@ _EXPORTS = {
         "EigenvalueSequence", "LimitRecord", "NonFiniteIntegrandError",
         "RadialSymbol", "beta", "const_symbol", "exp_decay_symbol",
         "gaussian_symbol", "indicator_symbol", "inverse_linear_symbol",
-        "inverse_quadratic_symbol", "lambda_indicator", "lambda_seq",
-        "limit_diagnostic", "separation_check", "squared_radius_symbol",
-        "symbol_from_spec", "toeplitz_block", "toeplitz_blocks",
-        "toeplitz_matrix"),
+        "inverse_quadratic_symbol", "lambda_seq", "limit_diagnostic",
+        "separation_check", "squared_radius_symbol", "symbol_from_spec",
+        "toeplitz_block", "toeplitz_blocks", "toeplitz_matrix"),
 }
 
 #: exported name -> the submodule that defines it

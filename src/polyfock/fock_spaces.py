@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
-from .laguerre import _recurrence_scalar, _times_exp, orthonormal_point
+from .laguerre import _recurrence_scalar, _times_exp, profile_point
 
 # numpy is imported inside the array function (`berezin`) and the exact layer
 # inside `kernel_recursion_check`, so the kernels and their series (the CLI's
@@ -81,6 +81,13 @@ class FockVector:
             raise ValueError("mismatched space or truncation")
         return sum(c * other.coefficients.get(k, 0.0).conjugate()
                    for k, c in self.coefficients.items())
+
+
+def _finite_point(z: complex, name: str = "z") -> complex:
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point must be finite, got {name}={z}")
+    return z
 
 
 def _checked_exp_arg(z: complex, w: complex) -> complex:
@@ -156,30 +163,25 @@ def kernel_partial_sum(space: SpaceId, z: complex, w: complex,
                        truncation: int) -> complex:
     """Truncated basis series sum of conj(b(z)) b(w) over the space's basis.
 
-    With z = r_z tau_z, w = r_w tau_w, m = min(p, q), alpha = |p - q| and
-    psi_m(r^2) = v e^s from `orthonormal_point`, each term is
-    v_z v_w (conj(tau_z) tau_w)^(p-q) times one exponential of
-    s_z + s_w + alpha log(r_z r_w) - lgamma(alpha + 1).  A non-finite point
-    raises ValueError, and a term past the float range OverflowError.
+    With z = r_z tau_z, w = r_w tau_w and the basis profiles
+    `profile_point` = v e^s at r_z and r_w, each term is
+    v_z v_w (conj(tau_z) tau_w)^(p-q) times one exponential of s_z + s_w; a
+    zero product v_z v_w is an exact 0 term.  A non-finite point raises
+    ValueError, and a term past the float range OverflowError.
     """
-    z, w = complex(z), complex(w)
-    if not (cmath.isfinite(z) and cmath.isfinite(w)):
-        raise ValueError(f"points must be finite, got z={z}, w={w}")
+    z, w = _finite_point(z), _finite_point(w, "w")
     rz, rw = math.hypot(z.real, z.imag), math.hypot(w.real, w.imag)
     tz = z / rz if 0 < rz < math.inf else 1.0
     tw = w / rw if 0 < rw < math.inf else 1.0
     rho = tz.conjugate() * tw
-    # a term with alpha > 0 carries (r_z r_w)^alpha, so it is 0 where that is
-    log_rr = math.log(rz) + math.log(rw) if rz and rw else None
     total = 0j
     for p, q in space.basis_indices(truncation):
         m, alpha = min(p, q), abs(p - q)
-        if alpha and log_rr is None:
+        vz, sz = profile_point(m, alpha, rz)
+        vw, sw = profile_point(m, alpha, rw)
+        if not vz * vw:
             continue
-        vz, sz = orthonormal_point(m, alpha, rz * rz)
-        vw, sw = orthonormal_point(m, alpha, rw * rw)
-        log_pre = alpha * log_rr - math.lgamma(alpha + 1) if alpha else 0.0
-        term = _times_exp(vz * vw, sz + sw + log_pre)
+        term = _times_exp(vz * vw, sz + sw)
         if not math.isfinite(term):
             raise OverflowError(f"kernel series term b_{p},{q} at z={z}, w={w} "
                                 "does not fit in a float")
@@ -228,7 +230,7 @@ def creation_apply(n: int, v: FockVector) -> FockVector:
 
 def evaluation_bound(n: int, z: complex) -> float:
     """Sharp bound sqrt(n) e^(|z|^2 / 2) on point evaluation at z."""
-    half = 0.5 * abs(z) ** 2
+    half = 0.5 * abs(_finite_point(z)) ** 2
     if half > EXP_OVERFLOW_LIMIT:
         raise OverflowError("bound overflows; use evaluation_bound_log")
     return math.sqrt(n) * math.exp(half)
@@ -236,7 +238,7 @@ def evaluation_bound(n: int, z: complex) -> float:
 
 def evaluation_bound_log(n: int, z: complex) -> float:
     """Natural log of the evaluation bound."""
-    return 0.5 * math.log(n) + 0.5 * abs(z) ** 2
+    return 0.5 * math.log(n) + 0.5 * abs(_finite_point(z)) ** 2
 
 
 _TAIL_FRACTION = 10  # last 1/10 of the enumerated diagonal feeds the tail estimate
@@ -253,6 +255,7 @@ def berezin(space: SpaceId, operator_matrix: np.ndarray, z: complex,
     import numpy as np
 
     from .hermite_basis import _radial_values
+    z = _finite_point(z)
     indices = space.basis_indices(truncation)
     k = len(indices)
     if operator_matrix.shape != (k, k):

@@ -3,10 +3,10 @@
 Each basis element carries three representations that are kept permanently
 as a self-test pair: the exact polynomial built by repeated creation
 operators, the exact closed-form coefficient expansion, and a floating-point
-evaluator routed through the scaled orthonormal Laguerre recurrence of
-degree min(p, q) (the monomial expansion cancels catastrophically for large
-min(p, q) and is never used numerically): `orthonormal_point` at one point,
-`orthonormal_scaled` on arrays of radii.
+evaluator routed through the scaled Laguerre profile of degree min(p, q)
+(the monomial expansion cancels catastrophically for large min(p, q) and is
+never used numerically): `laguerre.profile_point` at one point,
+`laguerre.profile_scaled` on arrays of radii.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .laguerre import _alpha_log, _times_exp, orthonormal_point, orthonormal_scaled
+from .laguerre import _times_exp, profile_point, profile_scaled
 
 # numpy is imported inside the array function and the exact layer inside the
 # exact functions, so a point evaluation (the CLI's `basis --eval`) loads
@@ -98,13 +98,13 @@ def _body(p: int, q: int) -> BiPolynomial:
     return BiPolynomial.one()
 
 
-def b_exact(idx: HermiteIndex, max_index: int = MAX_EXACT_INDEX) -> ScaledPolynomial:
+def b_exact(idx: HermiteIndex) -> ScaledPolynomial:
     """Basis element from q creation and p conjugate-creation steps on 1."""
     from fractions import Fraction
 
     from .exact_poly import ScaledPolynomial, factorial
-    if idx.p > max_index or idx.q > max_index:
-        raise ValueError(f"exact layer capped at index {max_index}")
+    if idx.p > MAX_EXACT_INDEX or idx.q > MAX_EXACT_INDEX:
+        raise ValueError(f"exact layer capped at index {MAX_EXACT_INDEX}")
     return ScaledPolynomial(_body(idx.p, idx.q),
                             Fraction(1, factorial(idx.p) * factorial(idx.q)))
 
@@ -122,10 +122,10 @@ def _b_coeffs(p: int, q: int) -> ScaledPolynomial:
     return ScaledPolynomial(BiPolynomial(terms), Fraction(factorial(lo), factorial(hi)))
 
 
-def b_coeffs(idx: HermiteIndex, max_index: int = MAX_EXACT_INDEX) -> ScaledPolynomial:
+def b_coeffs(idx: HermiteIndex) -> ScaledPolynomial:
     """Closed-form coefficient expansion over monomials m_{p-s, q-s}."""
-    if idx.p > max_index or idx.q > max_index:
-        raise ValueError(f"exact layer capped at index {max_index}")
+    if idx.p > MAX_EXACT_INDEX or idx.q > MAX_EXACT_INDEX:
+        raise ValueError(f"exact layer capped at index {MAX_EXACT_INDEX}")
     return _b_coeffs(idx.p, idx.q)
 
 
@@ -134,49 +134,37 @@ def _radial_values(pairs: Sequence[tuple[int, int]], r,
     """b_{p,q}(r) e^log_weight at real radii r >= 0: shape (len(pairs),) +
     shape of r, with `log_weight` broadcast against r.
 
-    With m = min(p, q) and alpha = |p - q|, b_{p,q}(r tau) = tau^(p-q)
-    psi_m(r^2) r^alpha / sqrt(alpha!), psi_m the orthonormal polynomial of
-    `orthonormal_scaled`; the prefactor and `log_weight` join its log scale.
+    The rows of `profile_scaled`, with `log_weight` joining its log scale.
     """
     import numpy as np
     m = [min(p, q) for p, q in pairs]
-    alphas = [abs(p - q) for p, q in pairs]
     degrees = sorted(set(m))
     row = {k: i for i, k in enumerate(degrees)}
     r = np.asarray(r, dtype=float)
-    alpha = np.array(alphas, dtype=float).reshape((-1,) + (1,) * r.ndim)
-    v, s = orthonormal_scaled(degrees, alpha, r * r)
+    alpha = np.array([abs(p - q) for p, q in pairs], dtype=float)
+    v, s = profile_scaled(degrees, alpha.reshape((-1,) + (1,) * r.ndim), r)
     pick = [row[k] for k in m], range(len(m))
-    log_norm = np.array([0.5 * math.lgamma(a + 1) for a in alphas])
-    log_pre = _alpha_log(alpha, r) - log_norm.reshape(alpha.shape) + log_weight
-    return v[pick] * np.exp(s[pick] + log_pre)
+    return v[pick] * np.exp(s[pick] + log_weight)
 
 
 def _radial_point(p: int, q: int, r: float, z: complex) -> float:
     """b_{p,q}(r) at one radius r = |z|, the scalar twin of `_radial_values`;
     an OverflowError naming (p, q) and z where it leaves the float range."""
-    alpha = abs(p - q)
-    if alpha and r == 0:
-        return 0.0
-    v, s = orthonormal_point(min(p, q), alpha, r * r)
-    if alpha:
-        s += alpha * math.log(r) - 0.5 * math.lgamma(alpha + 1)
-    value = _times_exp(v, s)
+    value = _times_exp(*profile_point(min(p, q), abs(p - q), r))
     if not math.isfinite(value):
         raise OverflowError(f"b_{p},{q} at z={z} does not fit in a float")
     return value
 
 
-def b_eval(idx: HermiteIndex, z: complex,
-           max_index: int = MAX_NUMERIC_INDEX) -> complex:
+def b_eval(idx: HermiteIndex, z: complex) -> complex:
     """Floating-point value via the Laguerre form of degree min(p, q).
 
     A non-finite z raises ValueError, and a value past the float range
     raises OverflowError.
     """
     p, q = idx.p, idx.q
-    if p > max_index or q > max_index:
-        raise ValueError(f"numeric layer capped at index {max_index}")
+    if p > MAX_NUMERIC_INDEX or q > MAX_NUMERIC_INDEX:
+        raise ValueError(f"numeric layer capped at index {MAX_NUMERIC_INDEX}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"point must be finite, got z={z}")
@@ -185,11 +173,10 @@ def b_eval(idx: HermiteIndex, z: complex,
     return _radial_point(p, q, r, z) * tau ** (p - q)
 
 
-def b_eval_polar(idx: HermiteIndex, r: float, tau: complex,
-                 unit_tol: float = 1e-12) -> complex:
-    """Value at z = r tau with |tau| = 1, bypassing the cartesian form."""
-    if abs(abs(tau) - 1.0) > unit_tol:
-        raise ValueError(f"|tau| = {abs(tau)} is off the unit circle")
+def b_eval_polar(idx: HermiteIndex, r: float, tau: complex) -> complex:
+    """Value at z = r tau, |tau| = 1 to 1e-12, bypassing the cartesian form."""
+    if not abs(abs(tau) - 1.0) <= 1e-12:
+        raise ValueError(f"tau must lie on the unit circle, got tau={tau}")
     if not 0 <= r < math.inf:
         raise ValueError(f"radius must be finite and nonnegative, got {r}")
     tau = complex(tau)

@@ -2,12 +2,12 @@
 
 The plain polynomial L_n^(alpha) is evaluated by its three-term recurrence,
 with the exact rational coefficient list kept alongside as an oracle.  Every
-normalized radial profile (the Laguerre functions here, the Hermite basis,
-the Toeplitz blocks and the Gauss-Laguerre weights) goes through one
-recurrence: the orthonormal recurrence with a per-entry log scale, which
-neither overflows nor underflows at any degree.  `orthonormal_scaled` runs it
-on arrays and `orthonormal_point` on one point without numpy.  Each caller
-adds its own log prefactor to that scale.
+normalized radial profile goes through one recurrence: the orthonormal
+recurrence with a per-entry log scale, which neither overflows nor
+underflows at any degree, on arrays (`orthonormal_scaled`) or at one point
+without numpy (`orthonormal_point`).  The basis profile
+psi_m(r^2) r^alpha / sqrt(alpha!) adds its prefactor to that scale in one
+array and one point evaluator, `profile_scaled` and `profile_point`.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ class LaguerreParams:
 
 
 def _recurrence_scalar(n: int, alpha: int, x: float) -> float:
+    """Plain L_n^(alpha)(x), as the kernels' closed forms need it."""
     # n L_n = (2n-1+alpha-x) L_{n-1} - (n-1+alpha) L_{n-2}
     if n == 0:
         return 1.0
@@ -118,6 +119,35 @@ def orthonormal_point(m: int, alpha: int, t: float) -> tuple[float, float]:
     return cur, scale
 
 
+def profile_scaled(ms: Sequence[int], alpha, r) -> tuple[np.ndarray, np.ndarray]:
+    """psi_m(r^2) r^alpha / sqrt(alpha!) = v e^s at radii r >= 0, for each
+    degree m in ms, with the shapes of `orthonormal_scaled`.
+
+    b_{p,q}(r tau) is tau^(p-q) times this profile, m = min(p, q) and
+    alpha = |p - q|.  s = -inf where r = 0 and alpha > 0, so the value is
+    exactly 0 there.  It takes r, not r^2, which underflows for tiny r.
+    """
+    import numpy as np
+    a = np.asarray(alpha, dtype=float)
+    r = np.asarray(r, dtype=float)
+    v, s = orthonormal_scaled(ms, a, r * r)
+    log_norm = np.reshape([0.5 * math.lgamma(x + 1) for x in a.ravel().tolist()],
+                          a.shape)
+    with np.errstate(divide="ignore"):
+        return v, s + (a * np.log(np.where(a > 0, r, 1.0)) - log_norm)
+
+
+def profile_point(m: int, alpha: int, r: float) -> tuple[float, float]:
+    """psi_m(r^2) r^alpha / sqrt(alpha!) = v e^s at one radius r >= 0, the
+    numpy-free twin of `profile_scaled`; (0, 0) where r = 0 and alpha > 0."""
+    if alpha and not r:
+        return 0.0, 0.0
+    v, s = orthonormal_point(m, alpha, r * r)
+    if alpha:
+        s += alpha * math.log(r) - 0.5 * math.lgamma(alpha + 1)
+    return v, s
+
+
 def _times_exp(v: float, s: float) -> float:
     """v e^s, or inf where e^s alone leaves the float range."""
     try:
@@ -126,18 +156,10 @@ def _times_exp(v: float, s: float) -> float:
         return math.inf
 
 
-def _alpha_log(alpha, x) -> np.ndarray:
-    """alpha log x, read as 0 where alpha = 0 (also at x = 0)."""
-    import numpy as np
-    alpha = np.asarray(alpha)
-    with np.errstate(divide="ignore"):
-        return alpha * np.log(np.where(alpha > 0, x, 1.0))
-
-
 def laguerre_eval(params: LaguerreParams, x: float) -> float:
-    """Value of L_n^(alpha)(x) for x >= 0."""
-    if x < 0:
-        raise ValueError(f"argument must be nonnegative, got {x}")
+    """Value of L_n^(alpha)(x) for finite x >= 0."""
+    if not 0 <= x < math.inf:
+        raise ValueError(f"argument x must be finite and nonnegative, got {x}")
     return _recurrence_scalar(params.n, params.alpha, float(x))
 
 
@@ -155,40 +177,15 @@ def laguerre_exact(params: LaguerreParams) -> list[Fraction]:
 def laguerre_function(m: int, alpha: int, t: float) -> float:
     """Normalized Laguerre function: L2([0,inf), dt) unit norm for each (m, alpha).
 
-    Equals sqrt(m!/(m+alpha)!) t^(alpha/2) e^(-t/2) L_m^(alpha)(t), assembled
-    in log space.
+    Equals sqrt(m!/(m+alpha)!) t^(alpha/2) e^(-t/2) L_m^(alpha)(t), which is
+    (-1)^m e^(-t/2) times the basis profile `profile_point` at r = sqrt(t).
     """
-    sign, logmag = laguerre_function_log(m, alpha, t)
-    if sign == 0:
-        return 0.0
-    return sign * math.exp(logmag)
-
-
-def laguerre_function_log(m: int, alpha: int, t: float) -> tuple[int, float]:
-    """(sign, log magnitude) of the normalized Laguerre function."""
     if not 0 <= t < math.inf:
-        raise ValueError(f"argument must be finite and nonnegative, got {t}")
+        raise ValueError(f"argument t must be finite and nonnegative, got {t}")
     if m < 0 or alpha < 0:
         raise ValueError("indices must be nonnegative")
-    # phi = (-1)^m psi_m t^(alpha/2) e^(-t/2) / sqrt(alpha!)
-    v, s = orthonormal_point(m, alpha, float(t))
-    if v == 0 or (alpha and t == 0):
-        return (0, -math.inf)
-    log_pre = 0.5 * alpha * math.log(t) if alpha else 0.0
-    log_pre -= 0.5 * t + 0.5 * math.lgamma(alpha + 1)
-    return ((-1) ** m * (1 if v > 0 else -1), math.log(abs(v)) + s + log_pre)
-
-
-def laguerre_function_values(m: int, alpha: int, t: np.ndarray) -> np.ndarray:
-    """Vectorized normalized Laguerre function over an array of t >= 0."""
-    import numpy as np
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("arguments must be nonnegative")
-    # phi = (-1)^m psi_m t^(alpha/2) e^(-t/2) / sqrt(alpha!) = v e^s
-    v, s = orthonormal_scaled([m], alpha, t)
-    log_pre = 0.5 * _alpha_log(alpha, t) - 0.5 * t - 0.5 * math.lgamma(alpha + 1)
-    return (-1) ** m * v[0] * np.exp(s[0] + log_pre)
+    v, s = profile_point(m, alpha, math.sqrt(t))
+    return (-1) ** m * _times_exp(v, s - 0.5 * t)
 
 
 def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> float:
@@ -200,11 +197,14 @@ def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> flo
     import numpy as np
     if grid < 2:
         raise ValueError("grid must have at least 2 points")
+    if not 0 <= x < math.inf:
+        raise ValueError(f"interval end x must be finite and nonnegative, got {x}")
     t = np.linspace(0.0, x, grid)
-    return float(np.max(np.abs(laguerre_function_values(m, alpha, t))))
+    v, s = profile_scaled([m], alpha, np.sqrt(t))
+    return float(np.max(np.abs(v[0] * np.exp(s[0] - 0.5 * t))))
 
 
-def rodrigues_identity_residual(n: int, alpha: int, max_degree_check: int = 10) -> bool:
+def rodrigues_identity_residual(n: int, alpha: int) -> bool:
     """Exact check of the Rodrigues-type identity
     e^{xy} d^n/dx^n (e^{-xy} x^{n+alpha}) = n! x^alpha L_n^(alpha)(xy).
 
@@ -215,8 +215,8 @@ def rodrigues_identity_residual(n: int, alpha: int, max_degree_check: int = 10) 
     from .exact_poly import BiPolynomial, creation_adagger
     if n < 0 or alpha < 0:
         raise ValueError("indices must be nonnegative")
-    if n > max_degree_check or alpha > max_degree_check:
-        raise ValueError(f"indices limited to {max_degree_check} for the exact check")
+    if n > 10 or alpha > 10:
+        raise ValueError("indices limited to 10 for the exact check")
     # n applications of (d/dx - y) to x^(n+alpha), i.e. (-1)^n (y - d/dx)^n
     lhs = BiPolynomial.monomial(n + alpha, 0)
     for _ in range(n):

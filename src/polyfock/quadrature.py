@@ -48,7 +48,8 @@ def _christoffel_log_weights(nodes: np.ndarray, alpha: int,
                              n_nodes: int) -> np.ndarray:
     """Log weights via the inverse Christoffel function w = mu0 / sum psi_k^2.
 
-    psi_k are the orthonormal polynomials of `orthonormal_scaled`, which
+    psi_k are the orthonormal polynomials of `orthonormal_scaled` (alone:
+    the sum takes none of the basis prefactor of `profile_scaled`), which
     carries a floating log scale per node so that rules with large node ranges
     neither overflow nor lose their far-tail weights.  Unlike the squared
     first eigenvector component, this is relatively accurate even for

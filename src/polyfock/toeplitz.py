@@ -6,10 +6,11 @@ Symbols are callables in the radius r; the substitution t = r^2 and the
 mapping of declared breakpoints are handled here, in one place.  All beta
 values, blocks, eigenvalue sequences and matrices of radial symbols come from
 one batched pass over their diagonals (`_diagonal_blocks`) on one
-self-checked window rule (`_block_once`).  The pass stacks the diagonals as
-rows of (rows, nodes) arrays; rows with the same degrees run together, in
-chunks of bounded size.  Each row doubles its rule until it converges on its
-own; the matrix of a plain callable g(z) takes `quadrature`'s polar route.
+self-checked window rule with its own weight constant (`_block_once`), the
+separation witnesses included.  The pass stacks the diagonals as rows of
+(rows, nodes) arrays; rows with the same degrees run together, in chunks of
+bounded size.  Each row doubles its rule until it converges on its own; the
+matrix of a plain callable g(z) takes `quadrature`'s polar route.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .defaults import DEFAULT_P_MAX
-from .laguerre import laguerre_function_values, orthonormal_scaled
+from .laguerre import orthonormal_scaled
 from .quadrature import (QuadratureConvergenceError, _polar_checked,
                          _polar_samples, _sampler, gauss_laguerre, legendre_rule)
 
@@ -176,7 +177,9 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     Gauss-Laguerre rule covers the rest.  No piece size depends on d, and
     every diagonal has the same number of pieces: a breakpoint below a
     diagonal's window is moved up to its lower edge, where its piece has
-    zero length and zero weight."""
+    zero length and zero weight.
+    Not `laguerre.profile_scaled`: its prefactor alpha log r - lgamma(alpha+1)/2
+    cancels to about 1e-9 at |d| ~ 10^6; see the log constant below."""
     alpha = np.abs(ds).astype(float)
     c, m = alpha + 1.0, max(ms)
     # turning points of phi_m^alpha: t_lo + t_hi = 4m + 2c, t_lo t_hi ~ alpha^2
@@ -244,9 +247,8 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
 
 
 def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
-                   ds: np.ndarray, ms: Sequence[int], rel_tol: float,
-                   n_start: int = _N_START,
-                   n_max: int = _N_MAX) -> tuple[np.ndarray, np.ndarray]:
+                   ds: np.ndarray, ms: Sequence[int],
+                   rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """`_block_once` on a stack of diagonals sharing the degrees ms, doubling
     the node count of each row until every entry of its block agrees with
     the previous size to atol + rel_tol |entry|; only the rows that have not
@@ -255,12 +257,12 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     happens only for symbols with sup |a| > 2.  Returns the blocks and, per
     row, the node count at which it converged.
     """
-    n = n_start
+    n = _N_START
     prev, _ = _block_once(a, values, ds, ms, n)
     blocks = np.empty(prev.shape, dtype=complex)
     nodes = np.zeros(len(ds), dtype=int)
     todo = np.arange(len(ds))
-    while n < n_max:
+    while n < _N_MAX:
         n *= 2
         cur, scale = _block_once(a, values, ds[todo], ms, n)
         atol = np.maximum(BETA_ABS_TOL, ROUNDING_FLOOR * scale)
@@ -273,13 +275,12 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
             return blocks, nodes
     raise QuadratureConvergenceError(
         f"block on diagonal d={ds[todo[0]]} for degrees {list(ms)} did not "
-        f"converge up to {n_max} nodes for symbol {a.name}")
+        f"converge up to {_N_MAX} nodes for symbol {a.name}")
 
 
 def _diagonal_blocks(a: RadialSymbol,
                      diagonals: Sequence[tuple[int, Sequence[int]]],
-                     rel_tol: float = BETA_REL_TOL, n_start: int = _N_START,
-                     n_max: int = _N_MAX
+                     rel_tol: float = BETA_REL_TOL
                      ) -> tuple[list[np.ndarray], np.ndarray]:
     """The self-checked blocks of many diagonals in one pass.
 
@@ -300,7 +301,7 @@ def _diagonal_blocks(a: RadialSymbol,
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
             got, nodes[chunk] = _block_checked(a, values, ds[lo:lo + step],
-                                               ms, rel_tol, n_start, n_max)
+                                               ms, rel_tol)
             for i, block in zip(chunk, got):
                 blocks[i] = block
     return blocks, nodes
@@ -315,8 +316,7 @@ def _beta_degrees(d: int, j: int, k: int) -> list[int]:
 
 
 def beta(a: RadialSymbol, d: int, j: int, k: int,
-         rel_tol: float = BETA_REL_TOL, n_start: int = _N_START,
-         n_max: int = _N_MAX) -> complex:
+         rel_tol: float = BETA_REL_TOL) -> complex:
     """Matrix element of multiplication by the symbol between two basis
     elements on diagonal d: the integral of a(sqrt t) against two normalized
     Laguerre functions of order |d|, times the polar-form sign
@@ -327,8 +327,7 @@ def beta(a: RadialSymbol, d: int, j: int, k: int,
     Self-checked by doubling the node count until two consecutive values
     agree; raises QuadratureConvergenceError otherwise.
     """
-    blocks, _ = _diagonal_blocks(a, [(d, _beta_degrees(d, j, k))], rel_tol,
-                                 n_start, n_max)
+    blocks, _ = _diagonal_blocks(a, [(d, _beta_degrees(d, j, k))], rel_tol)
     return complex(blocks[0][0, -1])
 
 
@@ -348,20 +347,6 @@ def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
     meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": rel_tol,
             "nodes": nodes.tolist()}
     return EigenvalueSequence(n=n, values=values, quadrature_meta=meta)
-
-
-def lambda_indicator(u: float, n: int, p: int, n_nodes: int = 256) -> float:
-    """Eigenvalue for the indicator of (0, u): the mass of the squared
-    normalized Laguerre function on [0, u^2].  Strictly positive and
-    increasing in u."""
-    if not (math.isfinite(u) and u > 0):
-        raise ValueError(f"radius must be positive and finite, got {u}")
-    if n < 1 or p < 0:
-        raise ValueError("invalid indices")
-    m, alpha = min(p, n - 1), abs(p - n + 1)
-    x, w = legendre_rule(0.0, u, n_nodes)
-    vals = laguerre_function_values(m, alpha, x * x)
-    return float(np.sum(w * 2.0 * x * vals * vals))
 
 
 def toeplitz_block(a: RadialSymbol, n: int, d: int,
@@ -479,18 +464,23 @@ SEPARATION_GAP = 1e-6
 def separation_check(n: int, p: int, q: float,
                      u_grid: Sequence[float] = (0.5, 1.0, 2.0, 4.0)) -> SeparationResult:
     """Search the grid for an indicator radius whose eigenvalue separates the
-    sequence positions p and q; q = inf compares against the limit value 0
-    at u = 1."""
+    nonnegative integer positions p and q, from one `lambda_seq` per radius;
+    q = inf compares against the limit value 0 at u = 1."""
+    if not (float(p).is_integer() and p >= 0):
+        raise ValueError(f"position p must be a nonnegative integer, got {p}")
+    p = int(p)
+    if q != math.inf and not (float(q).is_integer() and q >= 0):
+        raise ValueError(f"position q must be a nonnegative integer or inf, got {q}")
     if p == q:
         raise ValueError("positions must differ")
     if math.isinf(q):
-        gap = lambda_indicator(1.0, n, p)
-        return SeparationResult(p=p, q=q, found=gap > SEPARATION_GAP,
-                                witness_u=1.0 if gap > SEPARATION_GAP else None,
-                                gap=gap)
+        gap = float(lambda_seq(indicator_symbol(1.0), n, p).values[p].real)
+        found = gap > SEPARATION_GAP
+        return SeparationResult(p, q, found, 1.0 if found else None, gap)
     best_u, best_gap = None, 0.0
     for u in u_grid:
-        gap = abs(lambda_indicator(u, n, p) - lambda_indicator(u, n, int(q)))
+        lam = lambda_seq(indicator_symbol(u), n, max(p, int(q))).values.real
+        gap = float(abs(lam[p] - lam[int(q)]))
         if gap > best_gap:
             best_u, best_gap = u, gap
         if gap > SEPARATION_GAP:

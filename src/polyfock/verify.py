@@ -8,8 +8,10 @@ reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -28,9 +30,9 @@ from .radial_ops import (BasisMatrix, assemble_blocks, finite_rank_radial,
                          is_radial, phi_n, radialize_matrix, radialize_numeric,
                          vanishing_berezin_witness)
 from .toeplitz import (beta, const_symbol, exp_decay_symbol, gaussian_symbol,
-                       indicator_symbol, inverse_quadratic_symbol,
-                       lambda_indicator, lambda_seq, limit_diagnostic,
-                       separation_check, toeplitz_block, toeplitz_matrix)
+                       indicator_symbol, inverse_quadratic_symbol, lambda_seq,
+                       limit_diagnostic, separation_check, toeplitz_block,
+                       toeplitz_matrix)
 
 _SEED = 20240901
 
@@ -403,15 +405,35 @@ def suite_radial(quick: bool = False) -> list[CheckResult]:
     return out
 
 
-def _gammainc_int(s: int, x: float) -> float:
-    """Regularized lower incomplete gamma P(s, x) for integer s >= 1, x > 0.
+def _indicator_eigenvalue(u: float, n: int, p: int) -> float:
+    """Exact eigenvalue lambda(p) of indicator:u on the true layer of order n.
 
-    P(s, x) is one minus the Poisson(x) CDF at s - 1, summed in log space; the
-    oracle for the indicator eigenvalues, independent of any quadrature.
+    With U = u^2, m = min(p, n-1), alpha = |p-n+1| and (m!/(m+alpha)!)
+    (L_m^alpha)^2 = sum_k c_k t^k, lambda(p) = sum_k c_k (alpha+k)!
+    P(alpha+k+1, U) = A - B e^-U, A and B rational (P(p+1, U) at n = 1).
+    Only e^-U and A - B e^-U are rounded, at 60 digits: a float sum cancels.
     """
-    log_x = math.log(x)
-    return 1.0 - sum(math.exp(k * log_x - x - math.lgamma(k + 1))
-                     for k in range(s))
+    m, alpha = min(p, n - 1), abs(p - n + 1)
+    ell = laguerre_exact(LaguerreParams(m, alpha))
+    norm = Fraction(math.factorial(m), math.factorial(m + alpha))
+    big_u = Fraction(u) ** 2
+    # U^j / j! and its partial sums, times scale = denominator(U)^top top!
+    top, (num, den) = alpha + 2 * m, big_u.as_integer_ratio()
+    scale = den ** top * math.factorial(top)
+    terms = [scale]
+    for j in range(1, top + 1):
+        terms.append(terms[-1] * num // (den * j))
+    partial = list(itertools.accumulate(terms))
+    a = b = Fraction(0)
+    for i, j in itertools.product(range(m + 1), repeat=2):
+        weight = norm * ell[i] * ell[j] * math.factorial(alpha + i + j)
+        a += weight
+        b += weight * partial[alpha + i + j]
+    b /= scale
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b, big_u = (Decimal(x.numerator) / x.denominator for x in (a, b, big_u))
+        return float(a - b * (-big_u).exp())
 
 
 def suite_toeplitz(quick: bool = False) -> list[CheckResult]:
@@ -434,17 +456,14 @@ def suite_toeplitz(quick: bool = False) -> list[CheckResult]:
         for u in (0.5, 1.0, 2.0):
             lam = lambda_seq(indicator_symbol(u), n, pcap)
             for p in range(pcap + 1):
-                if n == 1:
-                    oracle = _gammainc_int(p + 1, u * u)
-                    worst = max(worst, abs(lam.values[p] - oracle))
                 worst = max(worst, abs(lam.values[p]
-                                       - lambda_indicator(u, n, p)))
+                                       - _indicator_eigenvalue(u, n, p)))
     out.append(_check("toeplitz", "indicator_eigenvalues_vs_gamma", worst, 1e-9))
 
-    mono_ok = all(lambda_indicator(1.0, n, p) < lambda_indicator(2.0, n, p)
-                  for n in (1, 3) for p in (0, 2, 7))
-    positive = all(lambda_indicator(u, 2, p) > 0
-                   for u in (0.5, 1.0) for p in (0, 1, 5))
+    lam = {(u, n): lambda_seq(indicator_symbol(u), n, 7).values.real
+           for u, n in ((1.0, 1), (2.0, 1), (1.0, 3), (2.0, 3), (0.5, 2), (1.0, 2))}
+    mono_ok = all(lam[1.0, n][p] < lam[2.0, n][p] for n in (1, 3) for p in (0, 2, 7))
+    positive = all(lam[u, 2][p] > 0 for u in (0.5, 1.0) for p in (0, 1, 5))
     out.append(_check("toeplitz", "indicator_monotone_positive",
                       0.0 if mono_ok and positive else 1.0, 0.5))
 

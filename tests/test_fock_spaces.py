@@ -129,6 +129,12 @@ class TestSeries:
         with pytest.raises(ValueError, match="finite"):
             kernel_partial_sum(SpaceId("poly", 2), complex(math.nan, 0), 1j, 10)
 
+    def test_zero_terms_at_origin_stay_zero(self):
+        # every term with p != q is 0 at z = 0, although e^(s_z + s_w) alone
+        # overflows for some of them; K(0, 40) = L_1^1(1600) = -1598
+        got = kernel_partial_sum(SpaceId("poly", 2), 0j, 40 + 0j, 3000)
+        assert got == pytest.approx(-1598, rel=1e-12)
+
 
 class TestRecursion:
     def test_exact_steps(self):
@@ -184,6 +190,12 @@ class TestEvaluationBound:
         assert evaluation_bound(4, 0j) == 2.0
         assert evaluation_bound_log(4, 0j) == pytest.approx(math.log(2.0))
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf)])
+    def test_non_finite_point_rejected(self, z):
+        for bound in (evaluation_bound, evaluation_bound_log):
+            with pytest.raises(ValueError, match="z="):
+                bound(2, z)
+
     def test_equality_witness(self):
         # the bound is attained by the kernel itself: sqrt(K(z,z)) = bound
         for z in (0.5 + 0.5j, 1.5j, -1.0 + 0.2j):
@@ -233,6 +245,13 @@ class TestBerezin:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             berezin(SpaceId("poly", 2), np.eye(3, dtype=complex), 0j, 4)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(math.inf, 1)])
+    def test_non_finite_point_rejected(self, z):
+        space = SpaceId("poly", 2)
+        k = len(space.basis_indices(10))
+        with pytest.raises(ValueError, match="z="):
+            berezin(space, np.eye(k, dtype=complex), z, 10)
 
     def test_truncation_warning(self):
         space = SpaceId("poly", 1)

@@ -144,6 +144,11 @@ class TestNumericEvaluation:
         with pytest.raises(ValueError):
             b_eval_polar(HermiteIndex(1, 0), 1.0, 1.1)
 
+    @pytest.mark.parametrize("tau", [math.nan, complex(math.nan, 1), math.inf])
+    def test_polar_rejects_non_finite_phase(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            b_eval_polar(HermiteIndex(1, 0), 1.0, tau)
+
     @given(st.integers(0, 6), st.integers(0, 6),
            st.floats(0.0, 2 * math.pi), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     @settings(max_examples=60, deadline=None)

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyfock.laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
-                               laguerre_function, laguerre_function_log,
-                               laguerre_function_sup, laguerre_function_values,
+                               laguerre_function, laguerre_function_sup,
                                orthonormal_point, orthonormal_scaled,
+                               profile_point, profile_scaled,
                                rodrigues_identity_residual)
 from polyfock.quadrature import gauss_laguerre
 
@@ -44,6 +44,11 @@ class TestLaguerreEval:
             LaguerreParams(-1, 0)
         with pytest.raises(ValueError):
             LaguerreParams(0, -2)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_argument_rejected(self, x):
+        with pytest.raises(ValueError, match="argument x"):
+            laguerre_eval(LaguerreParams(2, 0), x)
 
     def test_recurrence_matches_explicit_sum(self):
         for n in range(31):
@@ -84,19 +89,21 @@ class TestLaguerreFunction:
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_argument_rejected(self, t):
         with pytest.raises(ValueError, match="finite"):
-            laguerre_function_log(2, 1, t)
+            laguerre_function(2, 1, t)
 
     def test_log_form_consistent(self):
+        # (-1)^m e^(-t/2) times the array profile (v, s) at sqrt(t)
         for m, alpha, t in ((0, 0, 2.0), (2, 5, 7.5), (4, 60, 40.0)):
-            sign, logmag = laguerre_function_log(m, alpha, t)
-            assert sign * math.exp(logmag) == pytest.approx(
-                laguerre_function(m, alpha, t), rel=1e-14)
+            v, s = profile_scaled([m], alpha, math.sqrt(t))
+            assert (-1) ** m * float(v[0]) * math.exp(s[0] - 0.5 * t) == \
+                pytest.approx(laguerre_function(m, alpha, t), rel=1e-14)
 
     def test_vectorized_matches_scalar(self):
-        t = np.array([0.0, 0.3, 2.0, 11.0])
-        vals = laguerre_function_values(3, 4, t)
-        for ti, vi in zip(t, vals):
-            assert vi == pytest.approx(laguerre_function(3, 4, float(ti)), abs=1e-16)
+        for m, alpha, x in ((3, 4, 11.0), (0, 40, 4.0), (5, 0, 30.0)):
+            t = np.linspace(0.0, x, 300)
+            want = max(abs(laguerre_function(m, alpha, float(ti))) for ti in t)
+            got = laguerre_function_sup(m, alpha, x, grid=300)
+            assert abs(got - want) <= 1e-15
 
     def test_normalization(self):
         # unit L2 norm on the half-line, against the alpha-absorbed rule
@@ -157,6 +164,31 @@ class TestOrthonormalPoint:
             got_log = math.log(abs(v)) + s
             want_log = math.log(abs(want_v)) + want_s
             assert abs(got_log - want_log) <= 1e-13
+
+    @given(st.integers(0, 300), st.integers(0, 300),
+           st.floats(0.0, 45.0) | st.floats(1e-300, 1e-100))
+    @example(0, 1, 1e-170)  # r^2 underflows to 0
+    def test_profile_point_matches_array(self, m, alpha, r):
+        assume(r > 0 or alpha == 0)  # 0 there, as both write it differently
+        v, s = profile_point(m, alpha, r)
+        want_v, want_s = (float(x[0]) for x in profile_scaled([m], alpha, r))
+        assert (v > 0, v < 0) == (want_v > 0, want_v < 0)
+        if v:
+            got_log = math.log(abs(v)) + s
+            want_log = math.log(abs(want_v)) + want_s
+            assert abs(got_log - want_log) <= 1e-13 * max(1.0, abs(want_log))
+
+    def test_profile_at_tiny_radius(self):
+        # b_{1,0}(r) = r although r^2 underflows
+        assert math.exp(profile_point(0, 1, 1e-170)[1]) == pytest.approx(1e-170)
+        v, s = profile_scaled([0], 1, 1e-170)
+        assert float(v[0] * np.exp(s[0])) == pytest.approx(1e-170)
+
+    def test_profile_exactly_zero_at_origin(self):
+        assert profile_point(3, 2, 0.0) == (0.0, 0.0)
+        v, s = profile_scaled([3], 2, 0.0)
+        assert float(v[0] * np.exp(s[0])) == 0.0
+        assert profile_point(3, 0, 0.0) == orthonormal_point(3, 0, 0.0)
 
     def test_rescale_branch_runs(self):
         assert orthonormal_point(300, 0, 1500.0)[1] > 0
@@ -227,3 +259,8 @@ class TestSup:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             laguerre_function_sup(0, 0, 1.0, grid=1)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_end_rejected(self, x):
+        with pytest.raises(ValueError, match="interval end x"):
+            laguerre_function_sup(0, 0, x)

@@ -17,10 +17,11 @@ from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                RadialSymbol, beta, const_symbol,
                                exp_decay_symbol, gaussian_symbol,
                                indicator_symbol, inverse_linear_symbol,
-                               inverse_quadratic_symbol, lambda_indicator,
-                               lambda_seq, limit_diagnostic, separation_check,
+                               inverse_quadratic_symbol, lambda_seq,
+                               limit_diagnostic, separation_check,
                                squared_radius_symbol, symbol_from_spec,
                                toeplitz_block, toeplitz_blocks, toeplitz_matrix)
+from polyfock.verify import _indicator_eigenvalue
 
 from oracles import gammp
 
@@ -198,35 +199,60 @@ class TestLambdaSequences:
 
 
 class TestLambdaIndicator:
+    """The indicator eigenvalues lambda(p) of `lambda_seq`, and the exact
+    oracle `verify._indicator_eigenvalue` they are checked against."""
+
     def test_full_mass_limit(self):
-        assert lambda_indicator(7.0, 1, 0) == pytest.approx(1.0, abs=1e-10)
+        assert lambda_seq(indicator_symbol(7.0), 1, 0).values[0] == \
+            pytest.approx(1.0, abs=1e-10)
+        assert _indicator_eigenvalue(7.0, 1, 0) == pytest.approx(1.0, abs=1e-15)
 
     def test_closed_form(self):
-        assert lambda_indicator(1.0, 1, 0) == pytest.approx(1 - math.exp(-1),
-                                                            abs=1e-13)
+        # n = 1: P(p+1, u^2); n = 2, p = 1: phi = (1 - t) e^(-t/2), so
+        # lambda = P(1, U) - 2 P(2, U) + 2 P(3, U)
+        for u in (0.5, 1.0, 2.0):
+            big_u = u * u
+            for p in (0, 1, 7, 40):
+                assert _indicator_eigenvalue(u, 1, p) == pytest.approx(
+                    gammp(p + 1, big_u), abs=1e-14)
+            want = gammp(1, big_u) - 2 * gammp(2, big_u) + 2 * gammp(3, big_u)
+            assert _indicator_eigenvalue(u, 2, 1) == pytest.approx(want, abs=1e-14)
+        assert lambda_seq(indicator_symbol(1.0), 1, 0).values[0] == \
+            pytest.approx(1 - math.exp(-1), abs=1e-13)
 
     def test_monotone_in_radius(self):
         for n, p in ((1, 0), (2, 3), (4, 1)):
-            assert lambda_indicator(1.0, n, p) < lambda_indicator(2.0, n, p)
+            small = lambda_seq(indicator_symbol(1.0), n, p).values[p].real
+            large = lambda_seq(indicator_symbol(2.0), n, p).values[p].real
+            assert 0 < small < large
 
     def test_agrees_with_beta_route(self):
         for n, p in ((1, 4), (3, 0), (2, 6)):
             via_beta = beta(indicator_symbol(1.5), p - n + 1, n - 1, n - 1)
-            assert lambda_indicator(1.5, n, p) == pytest.approx(via_beta.real,
-                                                                abs=1e-11)
+            assert _indicator_eigenvalue(1.5, n, p) == pytest.approx(
+                via_beta.real, abs=1e-11)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            lambda_indicator(-1.0, 1, 0)
+            indicator_symbol(-1.0)
         with pytest.raises(ValueError):
-            lambda_indicator(1.0, 0, 0)
+            lambda_seq(indicator_symbol(1.0), 0, 3)
 
     @pytest.mark.parametrize("u", [math.nan, math.inf])
     def test_non_finite_radius_rejected(self, u):
         with pytest.raises(ValueError, match="finite"):
-            lambda_indicator(u, 1, 0)
+            indicator_symbol(u)
         with pytest.raises(ValueError, match="finite"):
             separation_check(1, 0, 1, (u,))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 1000))
+@example(8, 2.0, 1000)
+def test_indicator_eigenvalues_match_exact_oracle(n, u, p_max):
+    values = lambda_seq(indicator_symbol(u), n, p_max).values
+    for p in sorted({0, min(n, p_max), p_max // 2, p_max}):
+        assert abs(values[p] - _indicator_eigenvalue(u, n, p)) <= 1e-10, p
 
 
 class TestBlocks:
@@ -606,3 +632,11 @@ class TestSeparation:
     def test_equal_positions_rejected(self):
         with pytest.raises(ValueError):
             separation_check(1, 3, 3)
+
+    @pytest.mark.parametrize("p, q, name", [
+        (0, 2.5, "position q"), (0, -math.inf, "position q"),
+        (0, math.nan, "position q"), (0, -1, "position q"),
+        (-1, 2, "position p"), (1.5, 2, "position p")])
+    def test_invalid_positions_rejected(self, p, q, name):
+        with pytest.raises(ValueError, match=name):
+            separation_check(2, p, q)
