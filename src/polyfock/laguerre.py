@@ -4,10 +4,10 @@ The plain polynomial L_n^(alpha) is evaluated by its three-term recurrence,
 with the exact rational coefficient list kept alongside as an oracle.  Every
 normalized radial profile goes through one recurrence: the orthonormal
 recurrence with a per-entry log scale, which neither overflows nor
-underflows at any degree, on arrays (`orthonormal_scaled`) or at one point
-without numpy (`orthonormal_point`).  The basis profile
-psi_m(r^2) r^alpha / sqrt(alpha!) adds its prefactor to that scale in one
-array and one point evaluator, `profile_scaled` and `profile_point`.
+underflows at any degree (`orthonormal_scaled` on arrays).  The basis
+profile psi_m(r^2) r^alpha / sqrt(alpha!) adds its prefactor to that scale
+in one array and one point evaluator, `profile_scaled` and the numpy-free
+`profile_point`.
 """
 
 from __future__ import annotations
@@ -97,28 +97,6 @@ def orthonormal_scaled(ms: Sequence[int], alpha, t) -> tuple[np.ndarray, np.ndar
             np.array([kept[m][1] for m in ms]).reshape(out))
 
 
-def orthonormal_point(m: int, alpha: int, t: float) -> tuple[float, float]:
-    """psi_m(t) = v e^s at one point, as `orthonormal_scaled` gives it.
-
-    The same recurrence on plain floats, so it loads no numpy: the same
-    Jacobi coefficients and the same rescaling of an entry that leaves
-    [1e-100, 1e100].
-    """
-    prev, cur, scale = 0.0, 1.0, 0.0
-    off = 0.0
-    for k in range(m):
-        off_next = math.sqrt((k + 1) * (k + 1 + alpha))
-        prev, cur = cur, ((t - (2 * k + alpha + 1)) * cur - off * prev) / off_next
-        off = off_next
-        size = abs(cur)
-        if not 1e-100 <= size <= 1e100:
-            mag = max(size, abs(prev))
-            if mag > 1e100 or 0 < mag < 1e-100:
-                prev, cur = prev / mag, cur / mag
-                scale += math.log(mag)
-    return cur, scale
-
-
 def profile_scaled(ms: Sequence[int], alpha, r) -> tuple[np.ndarray, np.ndarray]:
     """psi_m(r^2) r^alpha / sqrt(alpha!) = v e^s at radii r >= 0, for each
     degree m in ms, with the shapes of `orthonormal_scaled`.
@@ -139,13 +117,26 @@ def profile_scaled(ms: Sequence[int], alpha, r) -> tuple[np.ndarray, np.ndarray]
 
 def profile_point(m: int, alpha: int, r: float) -> tuple[float, float]:
     """psi_m(r^2) r^alpha / sqrt(alpha!) = v e^s at one radius r >= 0, the
-    numpy-free twin of `profile_scaled`; (0, 0) where r = 0 and alpha > 0."""
+    numpy-free twin of `profile_scaled`; (0, 0) where r = 0 and alpha > 0.
+
+    The recurrence of `orthonormal_scaled` on plain floats, with the same
+    rescaling, started from the prefactor's log as its scale.
+    """
     if alpha and not r:
         return 0.0, 0.0
-    v, s = orthonormal_point(m, alpha, r * r)
-    if alpha:
-        s += alpha * math.log(r) - 0.5 * math.lgamma(alpha + 1)
-    return v, s
+    t, prev, cur, off = r * r, 0.0, 1.0, 0.0
+    scale = alpha * math.log(r) - 0.5 * math.lgamma(alpha + 1) if alpha else 0.0
+    for k in range(m):
+        off_next = math.sqrt((k + 1) * (k + 1 + alpha))
+        prev, cur = cur, ((t - (2 * k + alpha + 1)) * cur - off * prev) / off_next
+        off = off_next
+        size = abs(cur)
+        if not 1e-100 <= size <= 1e100:
+            mag = max(size, abs(prev))
+            if mag > 1e100 or 0 < mag < 1e-100:
+                prev, cur = prev / mag, cur / mag
+                scale += math.log(mag)
+    return cur, scale
 
 
 def _times_exp(v: float, s: float) -> float:
@@ -178,14 +169,17 @@ def laguerre_function(m: int, alpha: int, t: float) -> float:
     """Normalized Laguerre function: L2([0,inf), dt) unit norm for each (m, alpha).
 
     Equals sqrt(m!/(m+alpha)!) t^(alpha/2) e^(-t/2) L_m^(alpha)(t), which is
-    (-1)^m e^(-t/2) times the basis profile `profile_point` at r = sqrt(t).
+    (-1)^m e^(-t/2) times the basis profile `profile_point` at r = sqrt(t),
+    with log|v| in the exponent: e^(s - t/2) alone may be subnormal.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"argument t must be finite and nonnegative, got {t}")
     if m < 0 or alpha < 0:
         raise ValueError("indices must be nonnegative")
     v, s = profile_point(m, alpha, math.sqrt(t))
-    return (-1) ** m * _times_exp(v, s - 0.5 * t)
+    if not v:
+        return 0.0
+    return math.copysign(math.exp(math.log(abs(v)) + s - 0.5 * t), (-1) ** m * v)
 
 
 def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> float:

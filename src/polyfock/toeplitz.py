@@ -315,8 +315,7 @@ def _beta_degrees(d: int, j: int, k: int) -> list[int]:
     return sorted({min(j, j + d), min(k, k + d)})
 
 
-def beta(a: RadialSymbol, d: int, j: int, k: int,
-         rel_tol: float = BETA_REL_TOL) -> complex:
+def beta(a: RadialSymbol, d: int, j: int, k: int) -> complex:
     """Matrix element of multiplication by the symbol between two basis
     elements on diagonal d: the integral of a(sqrt t) against two normalized
     Laguerre functions of order |d|, times the polar-form sign
@@ -327,8 +326,19 @@ def beta(a: RadialSymbol, d: int, j: int, k: int,
     Self-checked by doubling the node count until two consecutive values
     agree; raises QuadratureConvergenceError otherwise.
     """
-    blocks, _ = _diagonal_blocks(a, [(d, _beta_degrees(d, j, k))], rel_tol)
+    blocks, _ = _diagonal_blocks(a, [(d, _beta_degrees(d, j, k))])
     return complex(blocks[0][0, -1])
+
+
+def _true_layer(a: RadialSymbol, n: int, positions: Sequence[int],
+                rel_tol: float = BETA_REL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """lambda(p) = beta(a, p-n+1, n-1, n-1) at the given positions, in one
+    pass, and the node count at which each passed its self-check."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
+    blocks, nodes = _diagonal_blocks(
+        a, [(p - n + 1, (min(p, n - 1),)) for p in positions], rel_tol)
+    return np.array([block[0, 0] for block in blocks], dtype=complex), nodes
 
 
 def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
@@ -339,23 +349,18 @@ def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
     `quadrature_meta["nodes"][p]` is the node count at which lambda(p)
     passed its self-check.
     """
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    blocks, nodes = _diagonal_blocks(
-        a, [(p - n + 1, (min(p, n - 1),)) for p in range(p_max + 1)], rel_tol)
-    values = np.array([block[0, 0] for block in blocks], dtype=complex)
+    values, nodes = _true_layer(a, n, range(p_max + 1), rel_tol)
     meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": rel_tol,
             "nodes": nodes.tolist()}
     return EigenvalueSequence(n=n, values=values, quadrature_meta=meta)
 
 
-def toeplitz_block(a: RadialSymbol, n: int, d: int,
-                   rel_tol: float = BETA_REL_TOL) -> np.ndarray:
+def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
     """Block of the radial Toeplitz operator on diagonal d: the matrix of
     beta values over the indices living inside the order-n space."""
     if d < -n + 1:
         raise ValueError(f"diagonal {d} is empty in a space of order {n}")
-    return _diagonal_blocks(a, [(d, range(min(n, n + d)))], rel_tol)[0][0]
+    return _diagonal_blocks(a, [(d, range(min(n, n + d)))])[0][0]
 
 
 def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int,
@@ -464,8 +469,8 @@ SEPARATION_GAP = 1e-6
 def separation_check(n: int, p: int, q: float,
                      u_grid: Sequence[float] = (0.5, 1.0, 2.0, 4.0)) -> SeparationResult:
     """Search the grid for an indicator radius whose eigenvalue separates the
-    nonnegative integer positions p and q, from one `lambda_seq` per radius;
-    q = inf compares against the limit value 0 at u = 1."""
+    nonnegative integer positions p and q, computing only those two per
+    radius; q = inf compares against the limit value 0 at u = 1."""
     if not (float(p).is_integer() and p >= 0):
         raise ValueError(f"position p must be a nonnegative integer, got {p}")
     p = int(p)
@@ -474,13 +479,13 @@ def separation_check(n: int, p: int, q: float,
     if p == q:
         raise ValueError("positions must differ")
     if math.isinf(q):
-        gap = float(lambda_seq(indicator_symbol(1.0), n, p).values[p].real)
+        gap = float(_true_layer(indicator_symbol(1.0), n, (p,))[0][0].real)
         found = gap > SEPARATION_GAP
         return SeparationResult(p, q, found, 1.0 if found else None, gap)
     best_u, best_gap = None, 0.0
     for u in u_grid:
-        lam = lambda_seq(indicator_symbol(u), n, max(p, int(q))).values.real
-        gap = float(abs(lam[p] - lam[int(q)]))
+        lam_p, lam_q = _true_layer(indicator_symbol(u), n, (p, int(q)))[0].real
+        gap = float(abs(lam_p - lam_q))
         if gap > best_gap:
             best_u, best_gap = u, gap
         if gap > SEPARATION_GAP:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from polyfock.laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
                                laguerre_function, laguerre_function_sup,
-                               orthonormal_point, orthonormal_scaled,
-                               profile_point, profile_scaled,
+                               orthonormal_scaled, profile_point, profile_scaled,
                                rodrigues_identity_residual)
 from polyfock.quadrature import gauss_laguerre
 
@@ -98,6 +97,21 @@ class TestLaguerreFunction:
             assert (-1) ** m * float(v[0]) * math.exp(s[0] - 0.5 * t) == \
                 pytest.approx(laguerre_function(m, alpha, t), rel=1e-14)
 
+    @pytest.mark.parametrize("m, t", [(40, 1500.0), (50, 1600.0)])
+    def test_deep_tail_keeps_relative_precision(self, m, t):
+        # e^(-t/2) is below the float range (e^-750, e^-800) and the profile's
+        # v is about 1e80-1e95, yet the value is a normal float near 1e-250
+        from decimal import Decimal, localcontext
+        big_t = Fraction(t)
+        poly = sum(c * big_t ** k
+                   for k, c in enumerate(laguerre_exact(LaguerreParams(m, 0))))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = float((Decimal(-t) / 2).exp()
+                         * (Decimal(poly.numerator) / poly.denominator))
+        assert 1e-300 < abs(want) < 1e-200
+        assert laguerre_function(m, 0, t) == pytest.approx(want, rel=1e-12)
+
     def test_vectorized_matches_scalar(self):
         for m, alpha, x in ((3, 4, 11.0), (0, 40, 4.0), (5, 0, 30.0)):
             t = np.linspace(0.0, x, 300)
@@ -153,17 +167,24 @@ class TestOrthonormalScaled:
 
 
 class TestOrthonormalPoint:
+    """The numpy-free point recurrence, which `profile_point` runs."""
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.integers(0, 300), st.integers(0, 300), st.floats(0.0, 2000.0))
     @example(300, 0, 1500.0)  # rescaled, past the double range
     def test_matches_array_recurrence(self, m, alpha, t):
-        v, s = orthonormal_point(m, alpha, t)
+        # the point profile against the array recurrence plus the prefactor
+        r = math.sqrt(t)
+        assume(r > 0 or alpha == 0)
+        v, s = profile_point(m, alpha, r)
         want_v, want_s = (float(x[0]) for x in orthonormal_scaled([m], alpha, t))
+        if alpha:
+            want_s += alpha * math.log(r) - 0.5 * math.lgamma(alpha + 1)
         assert (v > 0, v < 0) == (want_v > 0, want_v < 0)
         if v:
             got_log = math.log(abs(v)) + s
             want_log = math.log(abs(want_v)) + want_s
-            assert abs(got_log - want_log) <= 1e-13
+            assert abs(got_log - want_log) <= 1e-13 * max(1.0, abs(want_log))
 
     @given(st.integers(0, 300), st.integers(0, 300),
            st.floats(0.0, 45.0) | st.floats(1e-300, 1e-100))
@@ -188,15 +209,16 @@ class TestOrthonormalPoint:
         assert profile_point(3, 2, 0.0) == (0.0, 0.0)
         v, s = profile_scaled([3], 2, 0.0)
         assert float(v[0] * np.exp(s[0])) == 0.0
-        assert profile_point(3, 0, 0.0) == orthonormal_point(3, 0, 0.0)
+        assert profile_point(3, 0, 0.0) == tuple(
+            float(x[0]) for x in orthonormal_scaled([3], 0, 0.0))
 
     def test_rescale_branch_runs(self):
-        assert orthonormal_point(300, 0, 1500.0)[1] > 0
+        assert profile_point(300, 0, math.sqrt(1500.0))[1] > 0
 
     def test_imports_no_numpy(self):
         script = ("import sys\n"
-                  "from polyfock.laguerre import laguerre_function, orthonormal_point\n"
-                  "orthonormal_point(40, 3, 9.0), laguerre_function(5, 2, 3.0)\n"
+                  "from polyfock.laguerre import laguerre_function, profile_point\n"
+                  "profile_point(40, 3, 3.0), laguerre_function(5, 2, 3.0)\n"
                   "print('numpy' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True)

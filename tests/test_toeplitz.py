@@ -633,6 +633,29 @@ class TestSeparation:
         with pytest.raises(ValueError):
             separation_check(1, 3, 3)
 
+    def test_large_position_against_exact_oracle(self):
+        # u^2 = 3025 sits in the bulk of lambda(3000), so its value is not
+        # negligible: the gap checks both positions
+        result = separation_check(3, 0, 3000, (55.0,))
+        want = _indicator_eigenvalue(55.0, 3, 0) - _indicator_eigenvalue(55.0, 3, 3000)
+        assert 0.1 < want < 0.9
+        assert result.found and result.gap == pytest.approx(want, abs=1e-10)
+
+    def test_computes_only_the_two_positions(self, monkeypatch):
+        rows = []
+        route = toeplitz._diagonal_blocks
+
+        def spy(a, diagonals, *args):
+            rows.append(len(diagonals))
+            return route(a, diagonals, *args)
+
+        monkeypatch.setattr(toeplitz, "_diagonal_blocks", spy)
+        result = separation_check(1, 0, 100000)
+        assert result.found and result.witness_u == 0.5
+        assert result.gap == pytest.approx(1 - math.exp(-0.25), abs=1e-12)
+        assert separation_check(2, 100000, math.inf).gap == pytest.approx(0.0, abs=1e-12)
+        assert rows == [2, 1]
+
     @pytest.mark.parametrize("p, q, name", [
         (0, 2.5, "position q"), (0, -math.inf, "position q"),
         (0, math.nan, "position q"), (0, -1, "position q"),
