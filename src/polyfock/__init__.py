@@ -23,8 +23,8 @@ _EXPORTS = {
         "kernel_poly", "kernel_poly_log", "kernel_recursion_check",
         "kernel_true", "kernel_true_log"),
     "hermite_basis": (
-        "DiagonalSpec", "HermiteIndex", "b_coeffs", "b_eval", "b_eval_polar",
-        "b_exact", "monomial_b_inner", "truncated_diagonal"),
+        "HermiteIndex", "b_coeffs", "b_eval", "b_eval_polar", "b_exact",
+        "monomial_b_inner"),
     "laguerre": (
         "LaguerreParams", "laguerre_eval", "laguerre_exact",
         "laguerre_function", "laguerre_function_sup",

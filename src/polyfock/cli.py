@@ -20,27 +20,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 from .defaults import DEFAULT_D_MAX, DEFAULT_P_MAX, SUITE_NAMES
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the computational commands."""
-
-    n: int = 1
-    p_truncation: int = DEFAULT_P_MAX
-    d_max: int = DEFAULT_D_MAX
-    rel_tol: float = 1e-9
-    out_format: str = "json"
-    path: str | None = None
-
-    def __post_init__(self):
-        if min(self.p_truncation, self.d_max) < 1:
-            raise ValueError("truncations must be positive")
-        if not 0.0 < self.rel_tol <= 1e-2:
-            raise ValueError("rel_tol must lie in (0, 1e-2]")
 
 
 def format_float(x: float) -> str:
@@ -115,14 +96,12 @@ def cmd_basis(args) -> int:
 
 def cmd_kernel(args) -> int:
     from .fock_spaces import SpaceId, kernel_partial_sum, kernel_poly, kernel_true
-    series = args.series if args.series is not None else DEFAULT_P_MAX
-    config = RunConfig(n=args.n, p_truncation=series, path=args.out)
     kind = "poly" if args.kind == "poly" else "true_poly"
     z, w = parse_complex(args.z, "--z"), parse_complex(args.w, "--w")
-    closed = kernel_poly(config.n, z, w) if kind == "poly" \
-        else kernel_true(config.n, z, w)
+    closed = kernel_poly(args.n, z, w) if kind == "poly" \
+        else kernel_true(args.n, z, w)
     record = {
-        "n": config.n,
+        "n": args.n,
         "kind": args.kind,
         "z": [z.real, z.imag],
         "w": [w.real, w.imag],
@@ -130,12 +109,11 @@ def cmd_kernel(args) -> int:
         "value_im": closed.imag,
     }
     if args.series is not None:
-        partial = kernel_partial_sum(SpaceId(kind, config.n), z, w,
-                                     config.p_truncation)
+        partial = kernel_partial_sum(SpaceId(kind, args.n), z, w, args.series)
         record["series_re"] = partial.real
         record["series_im"] = partial.imag
         record["series_residual"] = abs(partial - closed)
-    _emit(dumps_fixed(record) + "\n", config.path)
+    _emit(dumps_fixed(record) + "\n", args.out)
     return 0
 
 
@@ -159,26 +137,20 @@ def _blocks_json(head: dict, blocks) -> str:
 
 def cmd_toeplitz(args) -> int:
     from .toeplitz import lambda_seq, symbol_from_spec, toeplitz_blocks
-    config = RunConfig(n=args.n, p_truncation=args.pmax, d_max=args.dmax,
-                       rel_tol=args.rel_tol, out_format=args.format,
-                       path=args.out)
     symbol = symbol_from_spec(args.symbol)
     if args.blocks:
-        blocks = toeplitz_blocks(symbol, config.n, config.d_max,
-                                 rel_tol=config.rel_tol)
-        head = {"n": config.n, "symbol": symbol.name, "d_min": -config.n + 1,
-                "d_max": config.d_max}
-        _emit(_blocks_json(head, blocks) + "\n", config.path)
+        blocks = toeplitz_blocks(symbol, args.n, args.dmax, rel_tol=args.rel_tol)
+        head = {"n": args.n, "symbol": symbol.name, "d_min": -args.n + 1,
+                "d_max": args.dmax}
+        _emit(_blocks_json(head, blocks) + "\n", args.out)
         return 0
-    seq = lambda_seq(symbol, config.n, config.p_truncation,
-                     rel_tol=config.rel_tol)
-    if config.out_format == "json":
-        record = {"n": config.n, "symbol": symbol.name,
-                  "p_max": config.p_truncation,
+    seq = lambda_seq(symbol, args.n, args.pmax, rel_tol=args.rel_tol)
+    if args.format == "json":
+        record = {"n": args.n, "symbol": symbol.name, "p_max": args.pmax,
                   "values": [[v.real, v.imag] for v in seq.values]}
-        _emit(dumps_fixed(record) + "\n", config.path)
+        _emit(dumps_fixed(record) + "\n", args.out)
     else:
-        _emit(_eigenvalues_csv(seq), config.path)
+        _emit(_eigenvalues_csv(seq), args.out)
     return 0
 
 

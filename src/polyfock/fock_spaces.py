@@ -54,6 +54,18 @@ class SpaceId:
             return [(p, q) for q in range(self.n) for p in range(truncation)]
         return [(p, self.n - 1) for p in range(truncation)]
 
+    def diagonal_rows(self, truncation: int) -> dict[int, list[int]]:
+        """The basis-to-block layout: for each diagonal d = p - q, the
+        positions in `basis_indices(truncation)` of its elements b_{d+k,k},
+        ascending in k = q and so in the Laguerre degree min(p, q).
+
+        Diagonals come in order of first appearance in the enumeration.
+        """
+        rows: dict[int, list[int]] = {}
+        for i, (p, q) in enumerate(self.basis_indices(truncation)):
+            rows.setdefault(p - q, []).append(i)
+        return rows
+
 
 @dataclass
 class FockVector:

@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     from .exact_poly import BiPolynomial, ScaledPolynomial
 
 MAX_EXACT_INDEX = 32
-MAX_NUMERIC_INDEX = 128
 
 
 @dataclass(frozen=True)
@@ -53,37 +52,6 @@ class HermiteIndex:
     def m(self) -> int:
         """min(p, q), the Laguerre degree of the radial profile."""
         return min(self.p, self.q)
-
-
-@dataclass(frozen=True)
-class DiagonalSpec:
-    """A run of `count` leading basis elements on diagonal d.
-
-    When the optional space order n is given, the run must be the truncated
-    diagonal that actually sits inside that space: d >= -n+1 and
-    count = min(n, n+d).
-    """
-
-    d: int
-    count: int
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be positive")
-        if self.n is not None:
-            if self.d < -self.n + 1:
-                raise ValueError(f"diagonal {self.d} empty in a space of order {self.n}")
-            expected = min(self.n, self.n + self.d)
-            if self.count != expected:
-                raise ValueError(
-                    f"count must be min(n, n+d) = {expected}, got {self.count}")
-
-
-def truncated_diagonal(spec: DiagonalSpec) -> list[HermiteIndex]:
-    """Ordered indices (d+k, k) of the first `count` elements on diagonal d."""
-    start = max(0, -spec.d)
-    return [HermiteIndex(spec.d + k, k) for k in range(start, start + spec.count)]
 
 
 @lru_cache(maxsize=(MAX_EXACT_INDEX + 1) ** 2)
@@ -163,8 +131,6 @@ def b_eval(idx: HermiteIndex, z: complex) -> complex:
     raises OverflowError.
     """
     p, q = idx.p, idx.q
-    if p > MAX_NUMERIC_INDEX or q > MAX_NUMERIC_INDEX:
-        raise ValueError(f"numeric layer capped at index {MAX_NUMERIC_INDEX}")
     z = complex(z)
     if not cmath.isfinite(z):
         raise ValueError(f"point must be finite, got z={z}")

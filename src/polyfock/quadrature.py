@@ -182,15 +182,13 @@ def _polar_checked(once: Callable, m_angles: int = DEFAULT_ANGLES):
 
 
 def plane_inner(f: Callable[[complex], complex],
-                g: Callable[[complex], complex],
-                radial_rule: QuadratureRule | None = None,
-                circle_rule: CircleRule | None = None) -> complex:
+                g: Callable[[complex], complex]) -> complex:
     """Inner product on L2 of the plane with Gaussian weight.
 
     Polar factorization: with t = r^2 the Gaussian measure splits into
     e^(-t) dt on the half-line times the normalized angle average: the
     integral is sum_i w_i mean_j f(z_ij) conj(g(z_ij)), one grid evaluation
-    per rule size.  Without rules, `_polar_checked` refines the 64x64 rule.
+    per rule size, which `_polar_checked` refines from the 64x64 rule.
     """
     fv, gv = _sampler(f), _sampler(g)
 
@@ -200,7 +198,4 @@ def plane_inner(f: Callable[[complex], complex],
         return complex(np.sum(root_w * _polar_samples(fv, rr, cr) * (
             root_w * _polar_samples(gv, rr, cr)).conj()) / cr.m_angles)
 
-    if radial_rule is None and circle_rule is None:
-        return _polar_checked(once)
-    return once(radial_rule or gauss_laguerre(0, DEFAULT_RADIAL_NODES),
-                circle_rule or CircleRule(DEFAULT_ANGLES))
+    return _polar_checked(once)

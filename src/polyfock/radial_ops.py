@@ -2,7 +2,9 @@
 operators at finite truncation.
 
 A radial operator on the order-n space decomposes into one block per
-diagonal d >= -n+1, the block on diagonal d having size min(n, n+d).  All
+diagonal d >= -n+1, the block on diagonal d having size min(n, n+d).  The
+rows of the basis enumeration that form each block come from one layout,
+`SpaceId.diagonal_rows`, which the extraction and the assembly share.  All
 statements here are finite-truncation versions of the infinite-rank facts:
 every result carries its truncation explicitly and nothing is asserted about
 the part of the operator that the truncation does not cover.
@@ -49,6 +51,11 @@ class BasisMatrix:
         k = len(self.space.basis_indices(self.truncation))
         if self.entries.shape != (k, k):
             raise ValueError(f"entries shape {self.entries.shape}, expected ({k}, {k})")
+
+    @classmethod
+    def zeros(cls, space: SpaceId, truncation: int) -> BasisMatrix:
+        k = len(space.basis_indices(truncation))
+        return cls(space, truncation, np.zeros((k, k), dtype=complex))
 
     @cached_property
     def indices(self) -> list[tuple[int, int]]:
@@ -229,14 +236,10 @@ def phi_n(s: BasisMatrix, d_max: int,
     if total > 0 and off > tol * total:
         raise RadialityError(f"off-block mass {off:.3e} exceeds {tol:.1e} "
                              f"of total {total:.3e}")
-    blocks = []
-    for d in range(-n + 1, d_max + 1):
-        lo = max(0, -d)
-        ks = range(lo, n)
-        block = np.array([[s.entries[s.index_of[(d + j, j)], s.index_of[(d + k, k)]]
-                           for k in ks] for j in ks])
-        blocks.append(block)
-    return RadialOperatorRep(n=n, d_min=-n + 1, blocks=tuple(blocks))
+    rows_of = s.space.diagonal_rows(s.truncation)
+    blocks = tuple(s.entries[np.ix_(rows_of[d], rows_of[d])]
+                   for d in range(-n + 1, d_max + 1))
+    return RadialOperatorRep(n=n, d_min=-n + 1, blocks=blocks)
 
 
 def assemble_blocks(rep: RadialOperatorRep, truncation: int) -> BasisMatrix:
@@ -248,17 +251,11 @@ def assemble_blocks(rep: RadialOperatorRep, truncation: int) -> BasisMatrix:
     """
     space = SpaceId("poly", rep.n)
     _require_block_coverage(rep.n, truncation, rep.d_max)
-    indices = space.basis_indices(truncation)
-    index_of = {idx: i for i, idx in enumerate(indices)}
-    entries = np.zeros((len(indices), len(indices)), dtype=complex)
+    rows_of = space.diagonal_rows(truncation)
+    s = BasisMatrix.zeros(space, truncation)
     for d in range(rep.d_min, rep.d_max + 1):
-        block = rep.block(d)
-        lo = max(0, -d)
-        ks = list(range(lo, rep.n))
-        for bj, j in enumerate(ks):
-            for bk, k in enumerate(ks):
-                entries[index_of[(d + j, j)], index_of[(d + k, k)]] = block[bj, bk]
-    return BasisMatrix(space, truncation, entries)
+        s.entries[np.ix_(rows_of[d], rows_of[d])] = rep.block(d)
+    return s
 
 
 def phi_true(s: BasisMatrix, p_max: int,
@@ -288,9 +285,8 @@ def finite_rank_radial(space: SpaceId, truncation: int,
     on diagonal d inside the space, which makes the result radial by
     construction.
     """
-    indices = space.basis_indices(truncation)
-    index_of = {idx: i for i, idx in enumerate(indices)}
-    entries = np.zeros((len(indices), len(indices)), dtype=complex)
+    s = BasisMatrix.zeros(space, truncation)
+    index_of, k = s.index_of, len(s.indices)
     for d, xi, u_coeffs, v_coeffs in terms:
         if xi == 0:
             raise ValueError("rank-one weights must be nonzero")
@@ -302,14 +298,14 @@ def finite_rank_radial(space: SpaceId, truncation: int,
                 if (p, q) not in index_of:
                     raise ValueError(f"{label} index ({p}, {q}) outside the "
                                      "truncated space")
-        u = np.zeros(len(indices), dtype=complex)
-        v = np.zeros(len(indices), dtype=complex)
+        u = np.zeros(k, dtype=complex)
+        v = np.zeros(k, dtype=complex)
         for key, c in u_coeffs.items():
             u[index_of[key]] = c
         for key, c in v_coeffs.items():
             v[index_of[key]] = c
-        entries += xi * np.outer(v, u.conjugate())
-    return BasisMatrix(space, truncation, entries)
+        s.entries[...] += xi * np.outer(v, u.conjugate())
+    return s
 
 
 def vanishing_berezin_witness(space: SpaceId, truncation: int) -> BasisMatrix:
@@ -322,9 +318,7 @@ def vanishing_berezin_witness(space: SpaceId, truncation: int) -> BasisMatrix:
     """
     if space.kind != "poly" or space.n < 2:
         raise ValueError("witness requires the full space with order >= 2")
-    indices = space.basis_indices(truncation)
-    index_of = {idx: i for i, idx in enumerate(indices)}
-    entries = np.zeros((len(indices), len(indices)), dtype=complex)
-    entries[index_of[(1, 0)], index_of[(0, 0)]] = 1.0
-    entries[index_of[(0, 0)], index_of[(0, 1)]] = -1.0
-    return BasisMatrix(space, truncation, entries)
+    s = BasisMatrix.zeros(space, truncation)
+    s.entries[s.index_of[(1, 0)], s.index_of[(0, 0)]] = 1.0
+    s.entries[s.index_of[(0, 0)], s.index_of[(0, 1)]] = -1.0
+    return s

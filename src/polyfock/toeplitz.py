@@ -288,7 +288,10 @@ def _diagonal_blocks(a: RadialSymbol,
     computed together, _CHUNK // len(ms) at a time (at least one), and every
     call samples the symbol through one `quadrature._sampler`.  Returns the
     blocks in the order given and the node count at which each converged.
+    `rel_tol` must lie in (0, 1e-2].
     """
+    if not 0.0 < rel_tol <= 1e-2:
+        raise ValueError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
     values = _sampler(a.fn)
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, (_, ms) in enumerate(diagonals):
@@ -349,6 +352,8 @@ def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
     `quadrature_meta["nodes"][p]` is the node count at which lambda(p)
     passed its self-check.
     """
+    if p_max < 0:
+        raise ValueError(f"p_max must be nonnegative, got {p_max}")
     values, nodes = _true_layer(a, n, range(p_max + 1), rel_tol)
     meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": rel_tol,
             "nodes": nodes.tolist()}
@@ -358,6 +363,8 @@ def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
 def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
     """Block of the radial Toeplitz operator on diagonal d: the matrix of
     beta values over the indices living inside the order-n space."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
     if d < -n + 1:
         raise ValueError(f"diagonal {d} is empty in a space of order {n}")
     return _diagonal_blocks(a, [(d, range(min(n, n + d)))])[0][0]
@@ -369,6 +376,9 @@ def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int,
     pass."""
     if n < 1:
         raise ValueError("order must be >= 1")
+    if d_max < -n + 1:
+        raise ValueError(f"d_max must be at least {-n + 1}, the first diagonal "
+                         f"of a space of order {n}, got {d_max}")
     return _diagonal_blocks(a, [(d, range(min(n, n + d)))
                                 for d in range(-n + 1, d_max + 1)], rel_tol)[0]
 
@@ -391,18 +401,13 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
     from .radial_ops import BasisMatrix
     indices = space.basis_indices(truncation)
     if isinstance(symbol, RadialSymbol):
-        on_diagonal: dict[int, list[tuple[int, int]]] = {}
-        for i, (p, q) in enumerate(indices):
-            on_diagonal.setdefault(p - q, []).append((min(p, q), i))
-        diagonals, rows_of = [], []
-        for d, degree_rows in on_diagonal.items():
-            ms, rows = zip(*sorted(degree_rows))
-            diagonals.append((d, ms))
-            rows_of.append(rows)
-        entries = np.zeros((len(indices), len(indices)), dtype=complex)
-        for rows, block in zip(rows_of, _diagonal_blocks(symbol, diagonals)[0]):
-            entries[np.ix_(rows, rows)] = block
-        return BasisMatrix(space, truncation, entries)
+        rows_of = space.diagonal_rows(truncation)
+        blocks, _ = _diagonal_blocks(symbol, [
+            (d, [min(indices[i]) for i in rows]) for d, rows in rows_of.items()])
+        matrix = BasisMatrix.zeros(space, truncation)
+        for rows, block in zip(rows_of.values(), blocks):
+            matrix.entries[np.ix_(rows, rows)] = block
+        return matrix
 
     d = np.array([p - q for p, q in indices])
     # 8 angles of margin for low-degree angular content of g

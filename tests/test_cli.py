@@ -63,6 +63,12 @@ class TestBasisCommand:
         assert record["value_re"] == pytest.approx(3.0)
         assert record["value_im"] == 0.0
 
+    def test_eval_high_index(self, capsys):
+        assert main(["basis", "--p", "200", "--q", "0", "--eval", "1+0i"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        want = math.exp(-0.5 * math.lgamma(201))  # 1/sqrt(200!)
+        assert record["value_re"] == pytest.approx(want, rel=1e-12)
+
     def test_constant_coefficients(self):
         proc = run_cli("basis", "--p", "0", "--q", "0", "--coeffs")
         record = json.loads(proc.stdout)
@@ -138,6 +144,18 @@ class TestToeplitzCommand:
                  for block in record["blocks"]]
         assert norms[-1] < norms[5] < norms[1]
         assert norms[-1] < 1e-4
+
+    def test_smallest_truncations(self, capsys):
+        assert main(["toeplitz", "--n", "1", "--symbol", "const:1",
+                     "--pmax", "0"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "p,re,im" and len(lines) == 2
+        assert float(lines[1].split(",")[1]) == pytest.approx(1.0, abs=1e-10)
+        assert main(["toeplitz", "--n", "2", "--symbol", "const:1", "--blocks",
+                     "--dmax", "0"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["d_min"], record["d_max"]) == (-1, 0)
+        assert [len(block) for block in record["blocks"]] == [1, 2]
 
     def test_json_format(self):
         proc = run_cli("toeplitz", "--n", "1", "--symbol", "gauss:1",
@@ -220,6 +238,18 @@ class TestExitCodes:
                        "--pmax", "2")
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize("argv, value", [
+        (["--pmax", "-1"], "-1"),
+        (["--rel-tol", "0.5"], "0.5"),
+        (["--blocks", "--dmax", "-1"], "-1"),
+    ])
+    def test_out_of_range_option_exit_one(self, argv, value, capsys):
+        code = main(["toeplitz", "--n", "1", "--symbol", "const:1"] + argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.rstrip().endswith(f"got {value}")
 
     def test_overflowing_kernel_exit_one(self):
         proc = run_cli("kernel", "--n", "1", "--kind", "poly", "--z", "30+0i",

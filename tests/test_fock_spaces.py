@@ -305,3 +305,19 @@ def test_enumeration_order():
     assert SpaceId("poly", 2).basis_indices(3) == [
         (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
     assert SpaceId("true_poly", 3).basis_indices(2) == [(0, 2), (1, 2)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["poly", "true_poly"]), st.integers(1, 5),
+       st.integers(1, 15))
+def test_diagonal_rows_group_the_enumeration(kind, n, truncation):
+    space = SpaceId(kind, n)
+    indices = space.basis_indices(truncation)
+    want: dict[int, list[int]] = {}
+    for i, (p, q) in sorted(enumerate(indices), key=lambda e: e[1][1]):
+        want.setdefault(p - q, []).append(i)
+    rows = space.diagonal_rows(truncation)
+    assert rows == want
+    if kind == "poly":
+        for d in range(-n + 1, truncation - n + 1):
+            assert len(rows[d]) == min(n, n + d)

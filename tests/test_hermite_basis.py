@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from polyfock import hermite_basis
 from polyfock.exact_poly import BiPolynomial, ScaledPolynomial, gaussian_inner
-from polyfock.hermite_basis import (DiagonalSpec, HermiteIndex, b_coeffs, b_eval,
-                                    b_eval_polar, b_exact, basis_json_dict,
-                                    monomial_b_inner, truncated_diagonal)
+from polyfock.fock_spaces import SpaceId
+from polyfock.hermite_basis import (HermiteIndex, b_coeffs, b_eval, b_eval_polar,
+                                    b_exact, basis_json_dict, monomial_b_inner)
 
 
 def scaled(terms, scale_sq):
@@ -127,6 +127,18 @@ class TestNumericEvaluation:
                 got = b_eval(HermiteIndex(p, q), z)
                 assert abs(got - want) <= 1e-12 * abs(want), (p, q, z)
 
+    def test_high_indices_have_no_cap(self):
+        # b_{200,0}(1) = 1/sqrt(200!)
+        got = b_eval(HermiteIndex(200, 0), 1.0)
+        assert got == pytest.approx(math.exp(-0.5 * math.lgamma(201)), rel=1e-12)
+        for z in (1.0 + 0j, 3 - 4j, 20j, 30 * cmath.exp(0.7j)):
+            r = abs(z)
+            want = complex(hermite_basis._radial_values([(300, 250)], r)[0]
+                           * (z / r) ** 50)
+            assert np.isfinite(want) and want != 0
+            got = b_eval(HermiteIndex(300, 250), z)
+            assert abs(got - want) <= 1e-12 * abs(want), z
+
     def test_non_finite_point_rejected(self):
         for z in (complex(math.nan, 0), complex(0, math.inf)):
             with pytest.raises(ValueError, match="finite"):
@@ -188,20 +200,13 @@ class TestMonomialPairing:
 
 class TestDiagonals:
     def test_examples(self):
-        assert truncated_diagonal(DiagonalSpec(-1, 3)) == [
-            HermiteIndex(0, 1), HermiteIndex(1, 2), HermiteIndex(2, 3)]
-        assert truncated_diagonal(DiagonalSpec(2, 2)) == [
-            HermiteIndex(2, 0), HermiteIndex(3, 1)]
-        assert truncated_diagonal(DiagonalSpec(0, 1)) == [HermiteIndex(0, 0)]
-
-    def test_space_consistency_validation(self):
-        DiagonalSpec(-1, 2, n=3)  # min(3, 2) = 2: consistent
-        with pytest.raises(ValueError):
-            DiagonalSpec(-3, 1, n=3)
-        with pytest.raises(ValueError):
-            DiagonalSpec(-1, 3, n=3)
-        with pytest.raises(ValueError):
-            DiagonalSpec(0, 0)
+        def run(n, d):
+            space = SpaceId("poly", n)
+            indices = space.basis_indices(8)
+            return [indices[i] for i in space.diagonal_rows(8)[d]]
+        assert run(4, -1) == [(0, 1), (1, 2), (2, 3)]
+        assert run(2, 2) == [(2, 0), (3, 1)]
+        assert run(1, 0) == [(0, 0)]
 
     def test_polar_profile_is_polynomial_in_r_squared(self):
         rng = np.random.default_rng(7)

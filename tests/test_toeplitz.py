@@ -197,6 +197,14 @@ class TestLambdaSequences:
         assert np.all(np.abs(seq.values) <= 1.0 + 1e-12)
         assert np.all(seq.values.real > 0)
 
+    def test_range_validation(self):
+        assert len(lambda_seq(const_symbol(1.0), 1, 0).values) == 1
+        with pytest.raises(ValueError, match="p_max must be nonnegative, got -3"):
+            lambda_seq(const_symbol(1.0), 2, -3)
+        for rel_tol in (0.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1e-2\]"):
+                lambda_seq(const_symbol(1.0), 1, 3, rel_tol=rel_tol)
+
 
 class TestLambdaIndicator:
     """The indicator eigenvalues lambda(p) of `lambda_seq`, and the exact
@@ -273,6 +281,11 @@ class TestBlocks:
     def test_empty_diagonal_rejected(self):
         with pytest.raises(ValueError):
             toeplitz_block(const_symbol(1.0), 2, -2)
+        with pytest.raises(ValueError, match="order"):
+            toeplitz_block(const_symbol(1.0), 0, 1)
+        with pytest.raises(ValueError, match="got -5"):
+            toeplitz_blocks(const_symbol(1.0), 2, -5)
+        assert [b.shape for b in toeplitz_blocks(const_symbol(1.0), 2, -1)] == [(1, 1)]
 
     def test_block_limit_toward_scalar(self):
         a = indicator_symbol(1.0)
