@@ -24,7 +24,7 @@ from polyfock.toeplitz import (RadialSymbol, exp_decay_symbol, gaussian_symbol,
 
 def oscillating_symbol(freq: float) -> RadialSymbol:
     """Bounded radial symbol without a limit at infinity: sin(freq * r)."""
-    return RadialSymbol(lambda r: math.sin(freq * r), bound=1.0,
+    return RadialSymbol(lambda r: np.sin(freq * r), bound=1.0,
                         name=f"sin:{freq}")
 
 

@@ -139,12 +139,12 @@ def cmd_toeplitz(args) -> int:
     from .toeplitz import lambda_seq, symbol_from_spec, toeplitz_blocks
     symbol = symbol_from_spec(args.symbol)
     if args.blocks:
-        blocks = toeplitz_blocks(symbol, args.n, args.dmax, rel_tol=args.rel_tol)
+        blocks = toeplitz_blocks(symbol, args.n, args.dmax)
         head = {"n": args.n, "symbol": symbol.name, "d_min": -args.n + 1,
                 "d_max": args.dmax}
         _emit(_blocks_json(head, blocks) + "\n", args.out)
         return 0
-    seq = lambda_seq(symbol, args.n, args.pmax, rel_tol=args.rel_tol)
+    seq = lambda_seq(symbol, args.n, args.pmax)
     if args.format == "json":
         record = {"n": args.n, "symbol": symbol.name, "p_max": args.pmax,
                   "values": [[v.real, v.imag] for v in seq.values]}
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit block JSON instead of eigenvalue CSV")
     p_toe.add_argument("--dmax", type=int, default=DEFAULT_D_MAX)
     p_toe.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_toe.add_argument("--rel-tol", type=float, default=1e-9)
     p_toe.add_argument("--out", type=str, default=None)
     p_toe.set_defaults(func=cmd_toeplitz)
 

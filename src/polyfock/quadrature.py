@@ -36,12 +36,7 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     alpha: int
-    log_weights: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.log_weights is None:
-            with np.errstate(divide="ignore"):
-                object.__setattr__(self, "log_weights", np.log(self.weights))
+    log_weights: np.ndarray = field(repr=False)
 
 
 def _christoffel_log_weights(nodes: np.ndarray, alpha: int,

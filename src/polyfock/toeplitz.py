@@ -7,10 +7,10 @@ mapping of declared breakpoints are handled here, in one place.  All beta
 values, blocks, eigenvalue sequences and matrices of radial symbols come from
 one batched pass over their diagonals (`_diagonal_blocks`) on one
 self-checked window rule with its own weight constant (`_block_once`), the
-separation witnesses included.  The pass stacks the diagonals as rows of
-(rows, nodes) arrays; rows with the same degrees run together, in chunks of
-bounded size.  Each row doubles its rule until it converges on its own; the
-matrix of a plain callable g(z) takes `quadrature`'s polar route.
+separation witnesses included.  The pass stacks adjacent diagonals with the
+same degrees as rows of (rows, nodes) arrays, in bounded chunks, and returns
+one (rows, K, K) array.  Each row doubles its rule until it converges on its
+own; the matrix of a plain callable g(z) takes `quadrature`'s polar route.
 """
 
 from __future__ import annotations
@@ -130,15 +130,19 @@ def squared_radius_symbol() -> RadialSymbol:
 
 def symbol_from_spec(text: str) -> RadialSymbol:
     """Parse the CLI mini-language: const:c, indicator:u, gauss:s, rational."""
-    head, _, arg = text.partition(":")
-    if head == "rational":
+    if text == "rational":
         return inverse_quadratic_symbol()
+    head, _, arg = text.partition(":")
     factory = {"const": const_symbol, "indicator": indicator_symbol,
                "gauss": gaussian_symbol}.get(head)
     if factory is None:
         raise ValueError(f"unknown symbol spec {text!r}")
-    if not math.isfinite(value := float(arg)):
-        raise ValueError(f"symbol spec {text!r} has a non-finite parameter")
+    try:
+        value = float(arg)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"symbol spec {text!r} needs a finite real parameter")
     return factory(value)
 
 
@@ -177,7 +181,8 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     Gauss-Laguerre rule covers the rest.  No piece size depends on d, and
     every diagonal has the same number of pieces: a breakpoint below a
     diagonal's window is moved up to its lower edge, where its piece has
-    zero length and zero weight.
+    zero length and zero weight; one far above it moves down to where the
+    weight is below e^-40, so no piece is too long for its rule.
     Not `laguerre.profile_scaled`: its prefactor alpha log r - lgamma(alpha+1)/2
     cancels to about 1e-9 at |d| ~ 10^6; see the log constant below."""
     alpha = np.abs(ds).astype(float)
@@ -195,10 +200,12 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     spaced = (steps * ((ends[:, 1:] - ends[:, :-1]) / pieces)[:, :, None]
               + ends[:, :-1, None])
     spaced[:, :, -1] = ends[:, 1:]
+    # 40 decay lengths: sqrt(c) at the peak, t_hi^(1/3) past a turning point
+    reach = np.sqrt(t_hi + margin + 40 * np.maximum(np.sqrt(c), np.cbrt(t_hi)))
     edges = np.sort(np.concatenate(
         [spaced[:, 0], spaced[:, 1, 1:],
-         np.maximum(np.array(a.breakpoints)[None, :], lo[:, None])], axis=1),
-        axis=1)
+         np.clip(np.array(a.breakpoints)[None, :], lo[:, None], reach[:, None])],
+        axis=1), axis=1)
     u, v = legendre_rule(edges[:, :-1, None], edges[:, 1:, None], n_nodes)
     # tail past the last edge b: t = b + s against e^{-s}
     tail = gauss_laguerre(0, n_nodes)
@@ -222,7 +229,9 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     alpha, c = alpha[:, None], c[:, None]
     big = c >= _STIRLING_FROM
     head = np.where(big, _stirling_constant(c, log_c), alpha * log_c)
-    log_root_w = 0.5 * (log_w + alpha * np.log1p((t - c) / c) - (t - c)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t^0 = 1 at t ~ 0
+        power = np.where(alpha > 0, alpha * np.log1p((t - c) / c), 0.0)
+    log_root_w = 0.5 * (log_w + power - (t - c)
                         + head - np.where(big, 0.0, c) - np.where(big, 0.0, lgam))
     v, s = orthonormal_scaled(ms, alpha, t)
     avals = values(r)
@@ -247,15 +256,14 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
 
 
 def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
-                   ds: np.ndarray, ms: Sequence[int],
-                   rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+                   ds: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """`_block_once` on a stack of diagonals sharing the degrees ms, doubling
     the node count of each row until every entry of its block agrees with
-    the previous size to atol + rel_tol |entry|; only the rows that have not
-    converged are computed again.  atol is BETA_ABS_TOL or the rounding floor
-    ROUNDING_FLOOR * sum |w a phi_j phi_k| if larger, which by Cauchy-Schwarz
-    happens only for symbols with sup |a| > 2.  Returns the blocks and, per
-    row, the node count at which it converged.
+    the previous size to atol + BETA_REL_TOL |entry|; only the rows that have
+    not converged are computed again.  atol is BETA_ABS_TOL or the rounding
+    floor ROUNDING_FLOOR * sum |w a phi_j phi_k| if larger, which by
+    Cauchy-Schwarz happens only for symbols with sup |a| > 2.  Returns the
+    blocks and, per row, the node count at which it converged.
     """
     n = _N_START
     prev, _ = _block_once(a, values, ds, ms, n)
@@ -266,7 +274,7 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         n *= 2
         cur, scale = _block_once(a, values, ds[todo], ms, n)
         atol = np.maximum(BETA_ABS_TOL, ROUNDING_FLOOR * scale)
-        ok = np.all(np.abs(cur - prev) <= atol + rel_tol * np.abs(cur),
+        ok = np.all(np.abs(cur - prev) <= atol + BETA_REL_TOL * np.abs(cur),
                     axis=(1, 2))
         blocks[todo[ok]] = cur[ok]
         nodes[todo[ok]] = n
@@ -278,44 +286,40 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         f"converge up to {_N_MAX} nodes for symbol {a.name}")
 
 
-def _diagonal_blocks(a: RadialSymbol,
-                     diagonals: Sequence[tuple[int, Sequence[int]]],
-                     rel_tol: float = BETA_REL_TOL
-                     ) -> tuple[list[np.ndarray], np.ndarray]:
+def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
+                     degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The self-checked blocks of many diagonals in one pass.
 
-    `diagonals` lists (d, ms) pairs.  Diagonals that share the degrees ms are
-    computed together, _CHUNK // len(ms) at a time (at least one), and every
-    call samples the symbol through one `quadrature._sampler`.  Returns the
-    blocks in the order given and the node count at which each converged.
-    `rel_tol` must lie in (0, 1e-2].
+    Row i is diagonal ds[i] with the ascending Laguerre degrees degrees[i],
+    padded on the right with -1 to the common width K.  Adjacent rows with
+    the same degrees run together, _CHUNK // (their number) at a time (at
+    least one); every call samples the symbol through one `quadrature._sampler`.
+    Returns the (rows, K, K) stack of the blocks, each in the leading corner
+    of its row with zeros around it, and the node count each converged at.
     """
-    if not 0.0 < rel_tol <= 1e-2:
-        raise ValueError(f"rel_tol must lie in (0, 1e-2], got {rel_tol}")
     values = _sampler(a.fn)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (_, ms) in enumerate(diagonals):
-        groups.setdefault(tuple(ms), []).append(i)
-    blocks: list[np.ndarray] = [np.empty(0)] * len(diagonals)
-    nodes = np.zeros(len(diagonals), dtype=int)
-    for ms, rows in groups.items():
-        ds = np.array([diagonals[i][0] for i in rows])
+    stack = np.zeros(degrees.shape + degrees.shape[-1:], dtype=complex)
+    nodes = np.zeros(len(ds), dtype=int)
+    changed = np.r_[True, np.any(degrees[1:] != degrees[:-1], axis=1)]
+    starts = np.flatnonzero(changed[:len(ds)]).tolist()
+    for first, end in zip(starts, starts[1:] + [len(ds)]):
+        ms = degrees[first][degrees[first] >= 0].tolist()
         step = max(1, _CHUNK // len(ms))
-        for lo in range(0, len(rows), step):
-            chunk = rows[lo:lo + step]
-            got, nodes[chunk] = _block_checked(a, values, ds[lo:lo + step],
-                                               ms, rel_tol)
-            for i, block in zip(chunk, got):
-                blocks[i] = block
-    return blocks, nodes
+        for lo in range(first, end, step):
+            rows = slice(lo, min(lo + step, end))
+            stack[rows, :len(ms), :len(ms)], nodes[rows] = _block_checked(
+                a, values, ds[rows], ms)
+    return stack, nodes
 
 
-def _beta_degrees(d: int, j: int, k: int) -> list[int]:
-    """The degrees of the block holding beta(a, d, j, k), which sits at its
-    [0, -1] entry (blocks are symmetric)."""
-    if min(j, k, j + d, k + d) < 0:
-        raise ValueError(f"indices (d={d}, j={j}, k={k}) leave the valid range")
-    return sorted({min(j, j + d), min(k, k + d)})
+def _betas(a: RadialSymbol, ds: np.ndarray, j: int, k: int) -> np.ndarray:
+    """beta(a, d, j, k) for each d in ds: entry [0, -1] of the block of the
+    degrees min(j, j+d), min(k, k+d) (blocks are symmetric)."""
+    low = np.minimum(ds, 0)
+    if len(ds) and min(j, k) + low.min() < 0:
+        raise ValueError(f"indices (d={ds.min()}, j={j}, k={k}) leave the "
+                         f"valid range")
+    return _diagonal_blocks(a, ds, low[:, None] + sorted({j, k}))[0][:, 0, -1]
 
 
 def beta(a: RadialSymbol, d: int, j: int, k: int) -> complex:
@@ -329,23 +333,22 @@ def beta(a: RadialSymbol, d: int, j: int, k: int) -> complex:
     Self-checked by doubling the node count until two consecutive values
     agree; raises QuadratureConvergenceError otherwise.
     """
-    blocks, _ = _diagonal_blocks(a, [(d, _beta_degrees(d, j, k))])
-    return complex(blocks[0][0, -1])
+    return complex(_betas(a, np.array([d]), j, k)[0])
 
 
-def _true_layer(a: RadialSymbol, n: int, positions: Sequence[int],
-                rel_tol: float = BETA_REL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _true_layer(a: RadialSymbol, n: int,
+                positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """lambda(p) = beta(a, p-n+1, n-1, n-1) at the given positions, in one
     pass, and the node count at which each passed its self-check."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    blocks, nodes = _diagonal_blocks(
-        a, [(p - n + 1, (min(p, n - 1),)) for p in positions], rel_tol)
-    return np.array([block[0, 0] for block in blocks], dtype=complex), nodes
+    p = np.asarray(positions)
+    stack, nodes = _diagonal_blocks(a, p - n + 1, np.minimum(p, n - 1)[:, None])
+    return stack[:, 0, 0], nodes
 
 
-def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
-               rel_tol: float = BETA_REL_TOL) -> EigenvalueSequence:
+def lambda_seq(a: RadialSymbol, n: int,
+               p_max: int = DEFAULT_P_MAX) -> EigenvalueSequence:
     """Eigenvalue sequence of the radial Toeplitz operator on the true layer:
     lambda(p) = beta(a, p-n+1, n-1, n-1), all p in one pass.
 
@@ -354,8 +357,8 @@ def lambda_seq(a: RadialSymbol, n: int, p_max: int = DEFAULT_P_MAX,
     """
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
-    values, nodes = _true_layer(a, n, range(p_max + 1), rel_tol)
-    meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": rel_tol,
+    values, nodes = _true_layer(a, n, np.arange(p_max + 1))
+    meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": BETA_REL_TOL,
             "nodes": nodes.tolist()}
     return EigenvalueSequence(n=n, values=values, quadrature_meta=meta)
 
@@ -367,11 +370,11 @@ def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
         raise ValueError("order must be >= 1")
     if d < -n + 1:
         raise ValueError(f"diagonal {d} is empty in a space of order {n}")
-    return _diagonal_blocks(a, [(d, range(min(n, n + d)))])[0][0]
+    return _diagonal_blocks(a, np.array([d]),
+                            np.arange(min(n, n + d))[None, :])[0][0]
 
 
-def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int,
-                    rel_tol: float = BETA_REL_TOL) -> list[np.ndarray]:
+def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int) -> list[np.ndarray]:
     """The blocks `toeplitz_block(a, n, d)` for d = -n+1, ..., d_max, in one
     pass."""
     if n < 1:
@@ -379,8 +382,11 @@ def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int,
     if d_max < -n + 1:
         raise ValueError(f"d_max must be at least {-n + 1}, the first diagonal "
                          f"of a space of order {n}, got {d_max}")
-    return _diagonal_blocks(a, [(d, range(min(n, n + d)))
-                                for d in range(-n + 1, d_max + 1)], rel_tol)[0]
+    ds = np.arange(-n + 1, d_max + 1)
+    sizes = np.minimum(n, n + ds)
+    ks = np.arange(n)
+    stack, _ = _diagonal_blocks(a, ds, np.where(ks < sizes[:, None], ks, -1))
+    return [stack[i, :s, :s] for i, s in enumerate(sizes.tolist())]
 
 
 def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
@@ -402,11 +408,14 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
     indices = space.basis_indices(truncation)
     if isinstance(symbol, RadialSymbol):
         rows_of = space.diagonal_rows(truncation)
-        blocks, _ = _diagonal_blocks(symbol, [
-            (d, [min(indices[i]) for i in rows]) for d, rows in rows_of.items()])
+        low = np.min(indices, axis=1)
+        degrees = np.full((len(rows_of), max(map(len, rows_of.values()))), -1)
+        for i, rows in enumerate(rows_of.values()):
+            degrees[i, :len(rows)] = low[rows]
+        stack, _ = _diagonal_blocks(symbol, np.array(list(rows_of)), degrees)
         matrix = BasisMatrix.zeros(space, truncation)
-        for rows, block in zip(rows_of.values(), blocks):
-            matrix.entries[np.ix_(rows, rows)] = block
+        for block, rows in zip(stack, rows_of.values()):
+            matrix.entries[np.ix_(rows, rows)] = block[:len(rows), :len(rows)]
         return matrix
 
     d = np.array([p - q for p, q in indices])
@@ -450,13 +459,9 @@ def limit_diagnostic(a: RadialSymbol, j: int, k: int,
     if a.limit_at_infinity is None:
         raise ValueError("symbol must declare its limit at infinity")
     target = a.limit_at_infinity if j == k else 0.0
-    ds = sorted(d_list)
-    blocks, _ = _diagonal_blocks(a, [(d, _beta_degrees(d, j, k)) for d in ds])
-    records = []
-    for d, block in zip(ds, blocks):
-        val = complex(block[0, -1])
-        records.append(LimitRecord(d=d, beta=val, residual=abs(val - target)))
-    return records
+    ds = np.sort(d_list)
+    return [LimitRecord(d=d, beta=val, residual=abs(val - target))
+            for d, val in zip(ds.tolist(), _betas(a, ds, j, k).tolist())]
 
 
 @dataclass(frozen=True)

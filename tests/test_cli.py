@@ -241,7 +241,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, value", [
         (["--pmax", "-1"], "-1"),
-        (["--rel-tol", "0.5"], "0.5"),
         (["--blocks", "--dmax", "-1"], "-1"),
     ])
     def test_out_of_range_option_exit_one(self, argv, value, capsys):
@@ -266,6 +265,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and spec in err
+
+    @pytest.mark.parametrize("spec", ["rational:5", "rational:abc",
+                                      "rational:nan", "const", "gauss:",
+                                      "const:1+2j"])
+    def test_ignored_or_unparsable_symbol_parameter_exit_one(self, spec, capsys):
+        code = main(["toeplitz", "--n", "1", "--symbol", spec, "--pmax", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error:") and repr(spec) in captured.err
 
     @pytest.mark.parametrize("argv, flag", [
         (["kernel", "--n", "2", "--kind", "poly", "--z=nan", "--w", "0"], "--z"),

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestSymbols:
         assert symbol_from_spec("rational").limit_at_infinity == 0.0
         with pytest.raises(ValueError):
             symbol_from_spec("nope:1")
+
+    @pytest.mark.parametrize("spec", ["rational:5", "rational:abc",
+                                      "rational:nan", "const", "gauss:",
+                                      "const:1+2j", "indicator:x"])
+    def test_spec_rejects_ignored_or_unparsable_parameters(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            symbol_from_spec(spec)
 
     def test_breakpoints_must_be_sorted(self):
         with pytest.raises(ValueError):
@@ -201,9 +209,6 @@ class TestLambdaSequences:
         assert len(lambda_seq(const_symbol(1.0), 1, 0).values) == 1
         with pytest.raises(ValueError, match="p_max must be nonnegative, got -3"):
             lambda_seq(const_symbol(1.0), 2, -3)
-        for rel_tol in (0.0, 0.5, math.nan):
-            with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1e-2\]"):
-                lambda_seq(const_symbol(1.0), 1, 3, rel_tol=rel_tol)
 
 
 class TestLambdaIndicator:
@@ -419,6 +424,43 @@ class TestBatchedPass:
         want = [gammp(p + 1, u * u) for p in range(p_max + 1)]
         assert np.max(np.abs(values - want)) <= 1e-9
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_breakpoint_far_beyond_the_window(self, n):
+        # past a row's reach the breakpoint is moved down to it: the mass
+        # just past the window is not lost, and u^2 never overflows
+        for u in (4.0, 6.0, 8.0, 30.0, 1e3, 1e4, 1e6, 1e50, 1e200):
+            got = lambda_seq(indicator_symbol(u), n, 30).values
+            want = [_indicator_eigenvalue(u, n, p) for p in range(31)]
+            assert np.max(np.abs(got - want)) <= 1e-10
+        for u in (1e3, 1e6, 1e200):
+            for d in (-1, 0, 3, 1000):
+                block = toeplitz_block(indicator_symbol(u), 2, d)
+                assert np.max(np.abs(block - np.eye(len(block)))) <= 1e-10
+
+    @pytest.mark.parametrize("u", [1e-7, 1e-9, 1e-150, 1e-300])
+    def test_breakpoint_far_below_the_window(self, u):
+        # on the piece (0, u), t < eps rounds log1p((t - c) / c) to -inf,
+        # and at alpha = 0 the power t^0 = 1 must not turn that into NaN
+        for n in (1, 2, 3):
+            got = lambda_seq(indicator_symbol(u), n, 5).values
+            want = [_indicator_eigenvalue(u, n, p) for p in range(6)]
+            assert np.max(np.abs(got - want)) <= 1e-28
+
+    def test_memory_is_flat_in_p(self):
+        # the pass holds arrays only, no Python object per row: its peak
+        # grows by the few arrays of 8 or 16 bytes per p it returns or uses
+        a = gaussian_symbol(2.0)
+        lambda_seq(a, 2, 10)
+        peaks = []
+        for p_max in (1000, 5000):
+            tracemalloc.start()
+            try:
+                lambda_seq(a, 2, p_max)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 4000 <= 120
+
     def test_scalar_only_callable_falls_back_once(self):
         calls = []
 
@@ -616,6 +658,10 @@ class TestLimitDiagnostic:
         recs = limit_diagnostic(inverse_linear_symbol(), 0, 1, [10, 50, 200])
         residuals = [r.residual for r in recs]
         assert residuals[0] > residuals[1] > residuals[2]
+
+    def test_empty_request(self):
+        assert limit_diagnostic(const_symbol(1.0), 0, 0, []) == []
+        assert limit_diagnostic(const_symbol(1.0), 0, 1, []) == []
 
     def test_requires_declared_limit(self):
         with pytest.raises(ValueError):
