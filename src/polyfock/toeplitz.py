@@ -6,17 +6,21 @@ Symbols are callables in the radius r; the substitution t = r^2 and the
 mapping of declared breakpoints are handled here, in one place.  All beta
 values, blocks, eigenvalue sequences and matrices of radial symbols come from
 one batched pass over their diagonals (`_diagonal_blocks`) on one
-self-checked window rule with its own weight constant (`_block_once`), the
+self-checked window rule with its own weight constant (`_window`), the
 separation witnesses included.  The pass stacks adjacent diagonals with the
 same degrees as rows of (rows, nodes) arrays, in bounded chunks, and returns
-one (rows, K, K) array.  Each row doubles its rule until it converges on its
-own; the matrix of a plain callable g(z) takes `quadrature`'s polar route.
+one (rows, K, K) array.  Each row's window is built once; the self-check's
+first step evaluates the rules of 64 and 128 nodes on it in one pass
+(`_block_once`), and from there each row doubles its rule until it converges
+on its own.  The matrix of a plain callable g(z) takes `quadrature`'s polar
+route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -143,7 +147,10 @@ def symbol_from_spec(text: str) -> RadialSymbol:
         value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"symbol spec {text!r} needs a finite real parameter")
-    return factory(value)
+    try:
+        return factory(value)
+    except ValueError as exc:
+        raise ValueError(f"symbol spec {text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -169,20 +176,31 @@ def _stirling_constant(c: np.ndarray, log_c: np.ndarray) -> np.ndarray:
             - (1.0 / 12 - x * (1.0 / 360 - x * (1.0 / 1260 - x / 1680))) / c)
 
 
-def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
-                ds: np.ndarray, ms: Sequence[int],
-                n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phi diag(a) Phi^T and its rounding scale |Phi| diag|a| |Phi|^T for each
-    diagonal d in ds, stacked along the first axis, where row k of Phi is
-    (-1)^k phi_k^(|d|), k in ms, times the root node weights.
+@lru_cache(maxsize=None)
+def _rule_base(n_nodes: int) -> tuple[np.ndarray, ...]:
+    """The parts of the size-n window rule that no diagonal changes: the
+    Legendre nodes and weights on [0, 2] (x + 1 and w), and the tail's
+    Gauss-Laguerre nodes s and the logs of its weights times e^s."""
+    x1, w = legendre_rule(0.0, 2.0, n_nodes)
+    tail = gauss_laguerre(0, n_nodes)
+    return x1, w, tail.nodes, tail.log_weights + tail.nodes
+
+
+def _window(a: RadialSymbol, ds: np.ndarray,
+            ms: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The part of the window rule of each diagonal d in ds that does not
+    depend on the rule size: the piece edges in u = sqrt(t), one row per d,
+    then as columns (rows, 1) alpha = |d|, c and the terms head, c and
+    lgamma(c) of the weight's log constant (the last two 0 where Stirling's
+    series gives head).
     t^|d| e^{-t} is centred at c = |d| + 1, width sqrt(c): Legendre pieces in
-    u = sqrt(t) span the turning points of phi_max(ms) widened by 12 sqrt(c),
-    split at c, at breakpoints and once per 8 degrees; a shifted
-    Gauss-Laguerre rule covers the rest.  No piece size depends on d, and
-    every diagonal has the same number of pieces: a breakpoint below a
-    diagonal's window is moved up to its lower edge, where its piece has
-    zero length and zero weight; one far above it moves down to where the
-    weight is below e^-40, so no piece is too long for its rule.
+    u span the turning points of phi_max(ms) widened by 12 sqrt(c), split at
+    c, at breakpoints and once per 8 degrees; a shifted Gauss-Laguerre rule
+    covers the rest.  No piece size depends on d, and every diagonal has the
+    same number of pieces: a breakpoint below a diagonal's window is moved up
+    to its lower edge, where its piece has zero length and zero weight; one
+    far above it moves down to where the weight is below e^-40, so no piece
+    is too long for its rule.
     Not `laguerre.profile_scaled`: its prefactor alpha log r - lgamma(alpha+1)/2
     cancels to about 1e-9 at |d| ~ 10^6; see the log constant below."""
     alpha = np.abs(ds).astype(float)
@@ -206,84 +224,144 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         [spaced[:, 0], spaced[:, 1, 1:],
          np.clip(np.array(a.breakpoints)[None, :], lo[:, None], reach[:, None])],
         axis=1), axis=1)
-    u, v = legendre_rule(edges[:, :-1, None], edges[:, 1:, None], n_nodes)
-    # tail past the last edge b: t = b + s against e^{-s}
-    tail = gauss_laguerre(0, n_nodes)
-    rows = len(ds)
-    r = np.concatenate([u.reshape(rows, -1),
-                        np.sqrt(edges[:, -1:] ** 2 + tail.nodes)], axis=1)
-    with np.errstate(divide="ignore"):  # zero-length pieces
-        log_w = np.concatenate(
-            [np.log(2.0 * u * v).reshape(rows, -1),
-             np.broadcast_to(tail.log_weights + tail.nodes, (rows, n_nodes))],
-            axis=1)
-    t = r * r
-    # row k is psi_k(t) sqrt(w t^alpha e^{-t} / alpha!), with t^alpha e^{-t} =
-    # exp(alpha log c - c) exp(alpha log1p(s/c) - s), s = t - c, all in logs.
-    # alpha log c - c - lgamma(c) cancels terms of size alpha log alpha; from
-    # c = _STIRLING_FROM on, Stirling's series gives it with no cancellation.
-    # It stands in the head of the sum, with c and lgamma replaced by 0, so
-    # rows below it give the plain expression's sum, rounding included
+    # t^alpha e^{-t} / alpha! = exp(alpha log c - c - lgamma(c)) times
+    # exp(alpha log1p(s/c) - s), s = t - c.  alpha log c - c - lgamma(c)
+    # cancels terms of size alpha log alpha; from c = _STIRLING_FROM on,
+    # Stirling's series gives it with no cancellation.  It stands in the head
+    # of the sum, with c and lgamma replaced by 0, so rows below it give the
+    # plain expression's sum, rounding included
     log_c = np.array([[math.log(x)] for x in c.tolist()])
     lgam = np.array([[math.lgamma(x + 1)] for x in alpha.tolist()])
     alpha, c = alpha[:, None], c[:, None]
+    head, c_off, lgam_off = alpha * log_c, c, lgam
     big = c >= _STIRLING_FROM
-    head = np.where(big, _stirling_constant(c, log_c), alpha * log_c)
-    with np.errstate(divide="ignore", invalid="ignore"):  # t^0 = 1 at t ~ 0
-        power = np.where(alpha > 0, alpha * np.log1p((t - c) / c), 0.0)
-    log_root_w = 0.5 * (log_w + power - (t - c)
-                        + head - np.where(big, 0.0, c) - np.where(big, 0.0, lgam))
-    v, s = orthonormal_scaled(ms, alpha, t)
+    if big.any():
+        head = np.where(big, _stirling_constant(c, log_c), head)
+        c_off, lgam_off = np.where(big, 0.0, c), np.where(big, 0.0, lgam)
+    return edges, alpha, c, head, c_off, lgam_off
+
+
+def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
+                ds: np.ndarray, ms: Sequence[int], window: tuple[np.ndarray, ...],
+                sizes: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Phi diag(a) Phi^T for each diagonal d in ds, stacked along the first
+    axis, at each rule size in sizes, and the rounding scale
+    |Phi| diag|a| |Phi|^T at the last size; row k of Phi is
+    (-1)^k phi_k^(|d|), k in ms, times the root node weights of the `_window`
+    rule of d with that many nodes per piece and in its tail.
+    The nodes of all sizes lie side by side in one row, a segment per size in
+    the order of one rule (its pieces, then its tail), so one recurrence, one
+    symbol sample and one exponential serve them all; each size sums its own
+    segment."""
+    edges, alpha, c, head, c_off, lgam_off = window
+    rows, pieces = len(ds), edges.shape[1] - 1
+    segments, start = [], 0
+    for n in sizes:
+        segments.append(slice(start, start + (pieces + 1) * n))
+        start += (pieces + 1) * n
+    r = np.empty((rows, start))
+    log_w = np.empty((rows, start))
+    lo = edges[:, :-1, None]
+    half = 0.5 * (edges[:, 1:, None] - lo)
+    # tail past the last edge b: t = b + s against e^{-s}
+    b2 = edges[:, -1:] ** 2
+    pieces_of = []
+    for n, seg in zip(sizes, segments):
+        x1, w, tail_s, tail_log_w = _rule_base(n)
+        end = seg.start + pieces * n
+        pieces_of.append(slice(seg.start, end))
+        # Legendre pieces: u = lo + half (x + 1), weight 2 u half w in t
+        u = r[:, seg.start:end].reshape(rows, pieces, n)
+        np.multiply(half, x1, out=u)
+        u += lo
+        weight = log_w[:, seg.start:end].reshape(rows, pieces, n)
+        np.multiply(u, 2.0, out=weight)
+        weight *= half * w
+        np.sqrt(b2 + tail_s, out=r[:, end:seg.stop])
+        log_w[:, end:seg.stop] = tail_log_w
     avals = values(r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = v * np.exp(s + log_root_w)
+    t = r * r
+    s = t - c
+    # log 0 on zero-length pieces, t^0 = 1 at t ~ 0, and a non-finite
+    # integrand or block sum, named below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for part in pieces_of:
+            np.log(log_w[:, part], out=log_w[:, part])
+        # row k is psi_k(t) sqrt(w t^alpha e^{-t} / alpha!); log_w becomes
+        # the log root weight 0.5 (log w + alpha log1p(s/c) - s + head - c
+        # - lgamma), summed in place in that order, with the weight's log
+        # constant from `_window`
+        log_w += np.where(alpha > 0, alpha * np.log1p(s / c), 0.0)
+        log_w -= s
+        del s
+        log_w += head
+        log_w -= c_off
+        log_w -= lgam_off
+        log_w *= 0.5
+        v, log_v = orthonormal_scaled(ms, alpha, t)
+        log_v += log_w
+        phi = v * np.exp(log_v, out=log_v)
+        del v, log_v, log_w
         weighted = phi * avals
-    if not np.isfinite(weighted).all():
-        k, i, j = np.argwhere(~np.isfinite(weighted))[0]
-        raise NonFiniteIntegrandError(
-            f"integrand not finite at t={t[i, j]} (d={ds[i]}, m={ms[k]}): "
-            f"symbol {a.name} is {complex(avals[i, j])}, Laguerre function "
-            f"value {phi[k, i, j]}")
-    # (rows, degrees, nodes) @ (rows, nodes, degrees)
-    block = weighted.transpose(1, 0, 2) @ phi.transpose(1, 2, 0)
-    if not np.isfinite(block).all():
-        i = np.argwhere(~np.isfinite(block))[0][0]
-        raise NonFiniteIntegrandError(
-            f"block sums overflow (d={ds[i]}, {a.name})")
-    size = np.abs(phi)
-    scale = (size * np.abs(avals)).transpose(1, 0, 2) @ size.transpose(1, 2, 0)
-    return block, scale
+        # (rows, degrees, nodes) @ (rows, nodes, degrees), one size at a time
+        blocks = [weighted[..., seg].transpose(1, 0, 2)
+                  @ phi[..., seg].transpose(1, 2, 0) for seg in segments]
+    if not (np.isfinite(weighted).all()
+            and all(np.isfinite(block).all() for block in blocks)):
+        for seg, block in zip(segments, blocks):
+            bad = np.argwhere(~np.isfinite(weighted[..., seg]))
+            if len(bad):
+                k, i, j = bad[0]
+                j += seg.start
+                raise NonFiniteIntegrandError(
+                    f"integrand not finite at t={t[i, j]} (d={ds[i]}, "
+                    f"m={ms[k]}): symbol {a.name} is {complex(avals[i, j])}, "
+                    f"Laguerre function value {phi[k, i, j]}")
+            if not np.isfinite(block).all():
+                i = np.argwhere(~np.isfinite(block))[0][0]
+                raise NonFiniteIntegrandError(
+                    f"block sums overflow (d={ds[i]}, {a.name})")
+    size = np.abs(phi[..., segments[-1]])
+    scale = ((size * np.abs(avals[:, segments[-1]])).transpose(1, 0, 2)
+             @ size.transpose(1, 2, 0))
+    return blocks, scale
 
 
 def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
                    ds: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """`_block_once` on a stack of diagonals sharing the degrees ms, doubling
-    the node count of each row until every entry of its block agrees with
-    the previous size to atol + BETA_REL_TOL |entry|; only the rows that have
-    not converged are computed again.  atol is BETA_ABS_TOL or the rounding
-    floor ROUNDING_FLOOR * sum |w a phi_j phi_k| if larger, which by
-    Cauchy-Schwarz happens only for symbols with sup |a| > 2.  Returns the
-    blocks and, per row, the node count at which it converged.
+    """The blocks of a stack of diagonals sharing the degrees ms, each
+    self-checked by doubling its node count from _N_START until every entry
+    agrees with the previous size to atol + BETA_REL_TOL |entry|.  atol is
+    BETA_ABS_TOL or the rounding floor ROUNDING_FLOOR * sum |w a phi_j phi_k|
+    if larger, which by Cauchy-Schwarz happens only for symbols with
+    sup |a| > 2.  The `_window` of every row is built once; the first step
+    evaluates the first two sizes, 64 and 128 nodes, on it in one
+    `_block_once` pass, and each later doubling evaluates only the rows that
+    have not converged.  Returns the blocks and, per row, the node count at
+    which it converged.
     """
-    n = _N_START
-    prev, _ = _block_once(a, values, ds, ms, n)
-    blocks = np.empty(prev.shape, dtype=complex)
+    window = _window(a, ds, ms)
+    n = 2 * _N_START
+    (prev, cur), scale = _block_once(a, values, ds, ms, window, (_N_START, n))
+    blocks = np.empty(cur.shape, dtype=complex)
     nodes = np.zeros(len(ds), dtype=int)
     todo = np.arange(len(ds))
-    while n < _N_MAX:
-        n *= 2
-        cur, scale = _block_once(a, values, ds[todo], ms, n)
+    while True:
         atol = np.maximum(BETA_ABS_TOL, ROUNDING_FLOOR * scale)
-        ok = np.all(np.abs(cur - prev) <= atol + BETA_REL_TOL * np.abs(cur),
-                    axis=(1, 2))
+        ok = (np.abs(cur - prev) <= atol + BETA_REL_TOL * np.abs(cur)).all(
+            axis=(1, 2))
         blocks[todo[ok]] = cur[ok]
         nodes[todo[ok]] = n
         todo, prev = todo[~ok], cur[~ok]
         if not len(todo):
             return blocks, nodes
-    raise QuadratureConvergenceError(
-        f"block on diagonal d={ds[todo[0]]} for degrees {list(ms)} did not "
-        f"converge up to {_N_MAX} nodes for symbol {a.name}")
+        if n == _N_MAX:
+            raise QuadratureConvergenceError(
+                f"block on diagonal d={ds[todo[0]]} for degrees {list(ms)} did "
+                f"not converge up to {_N_MAX} nodes for symbol {a.name}")
+        n *= 2
+        (cur,), scale = _block_once(a, values, ds[todo], ms,
+                                    tuple(part[todo] for part in window), (n,))
 
 
 def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
@@ -300,8 +378,8 @@ def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
     values = _sampler(a.fn)
     stack = np.zeros(degrees.shape + degrees.shape[-1:], dtype=complex)
     nodes = np.zeros(len(ds), dtype=int)
-    changed = np.r_[True, np.any(degrees[1:] != degrees[:-1], axis=1)]
-    starts = np.flatnonzero(changed[:len(ds)]).tolist()
+    starts = [0] + (np.flatnonzero((degrees[1:] != degrees[:-1]).any(axis=1))
+                    + 1).tolist() if len(ds) else []
     for first, end in zip(starts, starts[1:] + [len(ds)]):
         ms = degrees[first][degrees[first] >= 0].tolist()
         step = max(1, _CHUNK // len(ms))

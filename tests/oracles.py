@@ -8,6 +8,9 @@ product, the Gaussian inner product from `RationalComplex` sums over every
 pair of terms, and each basis body by a fresh fold of creation steps on 1.
 The kernel series is summed from whole arrays of basis values on the
 numpy route, which the point route of `kernel_partial_sum` does not use.
+The radial pass's self-check is kept in its one-size-per-evaluation form,
+each rule size on a window built afresh, as the reference for the fused
+evaluation of its first two sizes.
 """
 
 import math
@@ -18,6 +21,12 @@ import numpy as np
 from polyfock.exact_poly import (BiPolynomial, RationalComplex, factorial,
                                  wirtinger_dz, wirtinger_dzbar)
 from polyfock.hermite_basis import _radial_values
+from polyfock.laguerre import orthonormal_scaled
+from polyfock.quadrature import (QuadratureConvergenceError, gauss_laguerre,
+                                 legendre_rule)
+from polyfock.toeplitz import (_N_MAX, _N_START, _STIRLING_FROM, BETA_ABS_TOL,
+                               BETA_REL_TOL, ROUNDING_FLOOR,
+                               NonFiniteIntegrandError, _stirling_constant)
 
 
 def gammp(s: float, x: float) -> float:
@@ -118,3 +127,93 @@ def kernel_partial_sum_array(space, z: complex, w: complex,
         phase = x / abs(x) if x != 0 else 1.0
         return _radial_values(indices, abs(x)) * phase ** d
     return complex(np.sum(values(z).conjugate() * values(w)))
+
+
+def block_once_one_size(a, values, ds, ms, n_nodes):
+    """The radial pass's block evaluation before its sizes were fused: the
+    whole window rule of every diagonal in ds built afresh for one rule size
+    n_nodes, and its blocks Phi diag(a) Phi^T with their rounding scales
+    |Phi| diag|a| |Phi|^T.  Kept as the reference that the fused evaluation
+    of `toeplitz._block_once` reproduces bit for bit."""
+    alpha = np.abs(ds).astype(float)
+    c, m = alpha + 1.0, max(ms)
+    nu = 4 * m + 2 * c
+    t_hi = 0.5 * (nu + np.sqrt(nu * nu - 4.0 * alpha * alpha))
+    margin = 12 * np.sqrt(c)
+    lo = np.sqrt(np.maximum(0.0, alpha * alpha / t_hi - margin))
+    mid = np.sqrt(c)
+    pieces = 1 + m // 8
+    steps = np.arange(pieces + 1.0)
+    ends = np.stack([lo, mid, np.sqrt(t_hi + margin)], axis=1)
+    spaced = (steps * ((ends[:, 1:] - ends[:, :-1]) / pieces)[:, :, None]
+              + ends[:, :-1, None])
+    spaced[:, :, -1] = ends[:, 1:]
+    reach = np.sqrt(t_hi + margin + 40 * np.maximum(np.sqrt(c), np.cbrt(t_hi)))
+    edges = np.sort(np.concatenate(
+        [spaced[:, 0], spaced[:, 1, 1:],
+         np.clip(np.array(a.breakpoints)[None, :], lo[:, None], reach[:, None])],
+        axis=1), axis=1)
+    u, v = legendre_rule(edges[:, :-1, None], edges[:, 1:, None], n_nodes)
+    tail = gauss_laguerre(0, n_nodes)
+    rows = len(ds)
+    r = np.concatenate([u.reshape(rows, -1),
+                        np.sqrt(edges[:, -1:] ** 2 + tail.nodes)], axis=1)
+    with np.errstate(divide="ignore"):
+        log_w = np.concatenate(
+            [np.log(2.0 * u * v).reshape(rows, -1),
+             np.broadcast_to(tail.log_weights + tail.nodes, (rows, n_nodes))],
+            axis=1)
+    t = r * r
+    log_c = np.array([[math.log(x)] for x in c.tolist()])
+    lgam = np.array([[math.lgamma(x + 1)] for x in alpha.tolist()])
+    alpha, c = alpha[:, None], c[:, None]
+    big = c >= _STIRLING_FROM
+    head = np.where(big, _stirling_constant(c, log_c), alpha * log_c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(alpha > 0, alpha * np.log1p((t - c) / c), 0.0)
+    log_root_w = 0.5 * (log_w + power - (t - c)
+                        + head - np.where(big, 0.0, c) - np.where(big, 0.0, lgam))
+    v, s = orthonormal_scaled(ms, alpha, t)
+    avals = values(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = v * np.exp(s + log_root_w)
+        weighted = phi * avals
+    if not np.isfinite(weighted).all():
+        k, i, j = np.argwhere(~np.isfinite(weighted))[0]
+        raise NonFiniteIntegrandError(
+            f"integrand not finite at t={t[i, j]} (d={ds[i]}, m={ms[k]}): "
+            f"symbol {a.name} is {complex(avals[i, j])}, Laguerre function "
+            f"value {phi[k, i, j]}")
+    block = weighted.transpose(1, 0, 2) @ phi.transpose(1, 2, 0)
+    if not np.isfinite(block).all():
+        i = np.argwhere(~np.isfinite(block))[0][0]
+        raise NonFiniteIntegrandError(
+            f"block sums overflow (d={ds[i]}, {a.name})")
+    size = np.abs(phi)
+    scale = (size * np.abs(avals)).transpose(1, 0, 2) @ size.transpose(1, 2, 0)
+    return block, scale
+
+
+def block_checked_by_doubling(a, values, ds, ms):
+    """`block_once_one_size` at 64 nodes, then at each doubled size for the
+    rows that have not yet agreed with the previous size, up to 512 nodes:
+    the self-check of `toeplitz._block_checked` one size per evaluation."""
+    n = _N_START
+    prev, _ = block_once_one_size(a, values, ds, ms, n)
+    blocks = np.empty(prev.shape, dtype=complex)
+    nodes = np.zeros(len(ds), dtype=int)
+    todo = np.arange(len(ds))
+    while n < _N_MAX:
+        n *= 2
+        cur, scale = block_once_one_size(a, values, ds[todo], ms, n)
+        atol = np.maximum(BETA_ABS_TOL, ROUNDING_FLOOR * scale)
+        ok = np.all(np.abs(cur - prev) <= atol + BETA_REL_TOL * np.abs(cur),
+                    axis=(1, 2))
+        blocks[todo[ok]] = cur[ok]
+        nodes[todo[ok]] = n
+        todo, prev = todo[~ok], cur[~ok]
+        if not len(todo):
+            return blocks, nodes
+    raise QuadratureConvergenceError(
+        f"block on diagonal d={ds[todo[0]]} for degrees {list(ms)} did not "
+        f"converge up to {_N_MAX} nodes for symbol {a.name}")

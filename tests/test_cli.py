@@ -275,6 +275,22 @@ class TestExitCodes:
         assert code == 1 and captured.out == ""
         assert captured.err.startswith("error:") and repr(spec) in captured.err
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("indicator:-1", "indicator radius must be positive"),
+        ("gauss:0", "scale must be positive")])
+    def test_non_positive_symbol_parameter_exit_one(self, spec, reason, capsys):
+        code = main(["toeplitz", "--n", "1", "--symbol", spec, "--pmax", "1"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: symbol spec {spec!r}: {reason}\n"
+
+    def test_non_positive_symbol_parameter_has_no_traceback(self):
+        proc = run_cli("toeplitz", "--n", "1", "--symbol", "indicator:-1",
+                       "--pmax", "1")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("error: symbol spec 'indicator:-1': indicator "
+                               "radius must be positive\n")
+
     @pytest.mark.parametrize("argv, flag", [
         (["kernel", "--n", "2", "--kind", "poly", "--z=nan", "--w", "0"], "--z"),
         (["kernel", "--n", "2", "--kind", "true", "--z", "0", "--w=-1e999"], "--w"),

@@ -24,7 +24,7 @@ from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                toeplitz_block, toeplitz_blocks, toeplitz_matrix)
 from polyfock.verify import _indicator_eigenvalue
 
-from oracles import gammp
+from oracles import block_checked_by_doubling, gammp
 
 
 def test_gammp_oracle_self_check():
@@ -66,6 +66,17 @@ class TestSymbols:
     def test_spec_rejects_ignored_or_unparsable_parameters(self, spec):
         with pytest.raises(ValueError, match=re.escape(repr(spec))):
             symbol_from_spec(spec)
+
+    @pytest.mark.parametrize("spec, reason", [
+        ("indicator:-1", "indicator radius must be positive"),
+        ("indicator:0", "indicator radius must be positive"),
+        ("gauss:0", "scale must be positive"),
+        ("gauss:-2", "scale must be positive")])
+    def test_spec_names_itself_in_parameter_errors(self, spec, reason):
+        with pytest.raises(ValueError) as info:
+            symbol_from_spec(spec)
+        assert str(info.value) == f"symbol spec {spec!r}: {reason}"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
 
     def test_breakpoints_must_be_sorted(self):
         with pytest.raises(ValueError):
@@ -517,6 +528,145 @@ class TestBatchedPass:
     def test_complex_symbol(self):
         a = const_symbol(0.5 - 2j)
         assert np.max(np.abs(lambda_seq(a, 3, 40).values - (0.5 - 2j))) < 1e-12
+
+
+_CROSS_SYMBOLS = {"const": const_symbol(1.0), "gauss": gaussian_symbol(2.0),
+                  "rational": inverse_quadratic_symbol(),
+                  "indicator": indicator_symbol(1.3),
+                  "complex": const_symbol(0.5 - 2j)}
+
+
+def _fused_and_doubling(monkeypatch, call):
+    """call() on the pass as it is and on the one-size-per-evaluation
+    self-check of the oracles; an error comes back as (type, message)."""
+    def outcome():
+        try:
+            return call()
+        except QuadratureConvergenceError as exc:
+            return type(exc), str(exc)
+    fused = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(toeplitz, "_block_checked", block_checked_by_doubling)
+        return fused, outcome()
+
+
+class TestFusedSelfCheck:
+    """The self-check's first step evaluates 64 and 128 nodes on one window
+    in one pass; blocks, node counts and errors are those of one evaluation
+    per size, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_CROSS_SYMBOLS))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_row_calls(self, monkeypatch, name, n):
+        # d = 99 and 100 lie either side of the Stirling switch; the
+        # indicator's breakpoint gives zero-length pieces at large d
+        a = _CROSS_SYMBOLS[name]
+        for d in (-n + 1, 0, 99, 100, 10**4, 10**6):
+            fused, old = _fused_and_doubling(
+                monkeypatch, lambda: toeplitz_block(a, n, d))
+            assert np.array_equal(fused, old)
+            fused, old = _fused_and_doubling(
+                monkeypatch, lambda: beta(a, d, n - 1, max(0, -d)))
+            assert fused == old
+
+    @pytest.mark.parametrize("n, p, q", [(1, 0, 1), (2, 5, 40), (3, 99, 100),
+                                         (2, 3, math.inf)])
+    def test_two_row_calls(self, monkeypatch, n, p, q):
+        fused, old = _fused_and_doubling(monkeypatch,
+                                         lambda: separation_check(n, p, q))
+        assert fused == old
+        if q != math.inf:
+            for u in (0.5, 2.0):
+                fused, old = _fused_and_doubling(
+                    monkeypatch, lambda: toeplitz._true_layer(
+                        indicator_symbol(u), n, (p, q)))
+                assert all(np.array_equal(x, y) for x, y in zip(fused, old))
+
+    @pytest.mark.parametrize("name", sorted(_CROSS_SYMBOLS))
+    def test_batched_calls(self, monkeypatch, name):
+        a = _CROSS_SYMBOLS[name]
+        for n in (1, 3):
+            fused, old = _fused_and_doubling(monkeypatch,
+                                             lambda: lambda_seq(a, n, 120))
+            assert np.array_equal(fused.values, old.values)
+            assert fused.quadrature_meta == old.quadrature_meta
+            fused, old = _fused_and_doubling(
+                monkeypatch, lambda: toeplitz_blocks(a, n, 110))
+            assert len(fused) == len(old) == 110 + n
+            assert all(np.array_equal(x, y) for x, y in zip(fused, old))
+        fused, old = _fused_and_doubling(
+            monkeypatch, lambda: toeplitz_matrix(a, SpaceId("poly", 2), 40))
+        assert np.array_equal(fused.entries, old.entries)
+
+    @pytest.mark.parametrize("fn, sizes", [
+        (lambda r: np.sin(3 * r * r), {128, 256, 512}),
+        (lambda r: np.cos(20 * r), {128, 256})], ids=["sin 3r^2", "cos 20r"])
+    def test_rows_converging_after_the_first_step(self, monkeypatch, fn, sizes):
+        a = RadialSymbol(fn, name="oscillating")
+        fused, old = _fused_and_doubling(monkeypatch, lambda: lambda_seq(a, 1, 300))
+        nodes = fused.quadrature_meta["nodes"]
+        assert set(nodes) == sizes
+        assert np.array_equal(fused.values, old.values)
+        assert fused.quadrature_meta == old.quadrature_meta
+        for size in sizes:
+            p = nodes.index(size)
+            one, old_one = _fused_and_doubling(monkeypatch, lambda: beta(a, p, 0, 0))
+            assert one == old_one
+            one, old_one = _fused_and_doubling(
+                monkeypatch, lambda: toeplitz_block(a, 2, p))
+            assert np.array_equal(one, old_one)
+
+    def test_non_finite_band_is_named(self, monkeypatch):
+        band = RadialSymbol(
+            lambda r: np.where((r > 1.5) & (r < 2.5), np.inf, 1.0), name="band")
+        for call in (lambda: beta(band, 0, 0, 0),
+                     lambda: toeplitz_block(band, 3, 2),
+                     lambda: lambda_seq(band, 2, 30)):
+            fused, old = _fused_and_doubling(monkeypatch, call)
+            assert fused == old
+            assert fused[0] is NonFiniteIntegrandError
+        message = _fused_and_doubling(monkeypatch,
+                                      lambda: beta(band, 0, 0, 0))[0][1]
+        t = float(re.fullmatch(r"integrand not finite at t=(\S+) \(d=0, m=0\): "
+                               r"symbol band is \(inf\+0j\), Laguerre function "
+                               r"value \S+", message).group(1))
+        assert 1.5**2 < t < 2.5**2
+
+    def test_non_finite_only_at_the_second_size_is_named(self, monkeypatch):
+        # the window of d = 0, degree 0 has the pieces [0, 1] and
+        # [1, sqrt 14] in r before its tail; r0 is a 128-node of the second
+        # that no 64-node comes near
+        x64, _ = np.polynomial.legendre.leggauss(64)
+        x128, _ = np.polynomial.legendre.leggauss(128)
+        half = 0.5 * (math.sqrt(14.0) - 1.0)
+        r0 = 1.0 + half * (x128[64] + 1.0)
+        assert np.min(np.abs(1.0 + half * (x64 + 1.0) - r0)) > 1e-3
+        spike = RadialSymbol(lambda r: np.where(np.abs(r - r0) < 1e-9, np.inf, 1.0),
+                             name="spike")
+        fused, old = _fused_and_doubling(monkeypatch, lambda: beta(spike, 0, 0, 0))
+        assert fused == old
+        assert fused[0] is NonFiniteIntegrandError and "(d=0, m=0)" in fused[1]
+        t = float(re.search(r"t=(\S+) ", fused[1]).group(1))
+        assert t == pytest.approx(r0 * r0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+    def test_block_sum_overflow_is_named(self, monkeypatch):
+        # every integrand value is finite, but sums of the largest float
+        # times weights adding up to 1 leave the float range in rounding
+        huge = const_symbol(np.finfo(float).max)
+        fused, old = _fused_and_doubling(monkeypatch,
+                                         lambda: toeplitz_block(huge, 8, 0))
+        assert fused == old == (NonFiniteIntegrandError,
+                                f"block sums overflow (d=0, {huge.name})")
+
+    def test_unconverged_after_512_nodes_is_named(self, monkeypatch):
+        # an undeclared kink at r = 2 defeats every rule size
+        kink = RadialSymbol(lambda r: np.abs(r - 2.0), name="kink")
+        fused, old = _fused_and_doubling(monkeypatch, lambda: beta(kink, 0, 0, 0))
+        assert fused == old == (
+            QuadratureConvergenceError,
+            "block on diagonal d=0 for degrees [0] did not converge up to "
+            "512 nodes for symbol kink")
 
 
 class TestToeplitzMatrix:
