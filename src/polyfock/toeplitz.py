@@ -9,7 +9,9 @@ one batched pass over their diagonals (`_diagonal_blocks`) on one
 self-checked window rule with its own weight constant (`_window`), the
 separation witnesses included.  The pass stacks adjacent diagonals with the
 same degrees as rows of (rows, nodes) arrays, in bounded chunks, and returns
-one (rows, K, K) array.  Each row's window is built once; the self-check's
+one (rows, K, K) array.  The chunks of a pass share one scratch buffer for
+those arrays, so a long pass does not map fresh pages for every chunk; each
+call has its own.  Each row's window is built once; the self-check's
 first step evaluates the rules of 64 and 128 nodes on it in one pass
 (`_block_once`), and from there each row doubles its rule until it converges
 on its own.  The matrix of a plain callable g(z) takes `quadrature`'s polar
@@ -83,7 +85,12 @@ class RadialSymbol:
 
 
 def const_symbol(c: complex) -> RadialSymbol:
-    return RadialSymbol(lambda r: c, limit_at_infinity=c, bound=abs(c),
+    try:
+        bound = abs(c)
+    except OverflowError:
+        raise ValueError(f"constant {c} has a modulus past the float "
+                         f"range") from None
+    return RadialSymbol(lambda r: c, limit_at_infinity=c, bound=bound,
                         name=f"const:{c}")
 
 
@@ -243,7 +250,8 @@ def _window(a: RadialSymbol, ds: np.ndarray,
 
 def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
                 ds: np.ndarray, ms: Sequence[int], window: tuple[np.ndarray, ...],
-                sizes: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
+                sizes: Sequence[int],
+                scratch: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
     """Phi diag(a) Phi^T for each diagonal d in ds, stacked along the first
     axis, at each rule size in sizes, and the rounding scale
     |Phi| diag|a| |Phi|^T at the last size; row k of Phi is
@@ -252,15 +260,21 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     The nodes of all sizes lie side by side in one row, a segment per size in
     the order of one rule (its pieces, then its tail), so one recurrence, one
     symbol sample and one exponential serve them all; each size sums its own
-    segment."""
+    segment.
+    The (rows, nodes) arrays r, log w, t = r^2, s = t - c and the term
+    alpha log1p(s/c) are the five planes of the pass's scratch buffer
+    scratch[0], which is replaced by a larger one when it is too small, and
+    phi is formed in place; the r plane, which the symbol's values may be or
+    view, is not written after sampling."""
     edges, alpha, c, head, c_off, lgam_off = window
     rows, pieces = len(ds), edges.shape[1] - 1
     segments, start = [], 0
     for n in sizes:
         segments.append(slice(start, start + (pieces + 1) * n))
         start += (pieces + 1) * n
-    r = np.empty((rows, start))
-    log_w = np.empty((rows, start))
+    if scratch[0].size < 5 * rows * start:
+        scratch[0] = np.empty(5 * rows * start)
+    r, log_w, t, s, term = scratch[0][:5 * rows * start].reshape(5, rows, start)
     lo = edges[:, :-1, None]
     half = 0.5 * (edges[:, 1:, None] - lo)
     # tail past the last edge b: t = b + s against e^{-s}
@@ -276,12 +290,16 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         u += lo
         weight = log_w[:, seg.start:end].reshape(rows, pieces, n)
         np.multiply(u, 2.0, out=weight)
-        weight *= half * w
-        np.sqrt(b2 + tail_s, out=r[:, end:seg.stop])
+        # half w goes to the t plane, which holds nothing yet
+        weight *= np.multiply(half, w,
+                              out=t[:, seg.start:end].reshape(rows, pieces, n))
+        tail = r[:, end:seg.stop]
+        np.add(b2, tail_s, out=tail)
+        np.sqrt(tail, out=tail)
         log_w[:, end:seg.stop] = tail_log_w
     avals = values(r)
-    t = r * r
-    s = t - c
+    np.multiply(r, r, out=t)
+    np.subtract(t, c, out=s)
     # log 0 on zero-length pieces, t^0 = 1 at t ~ 0, and a non-finite
     # integrand or block sum, named below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -291,17 +309,20 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         # the log root weight 0.5 (log w + alpha log1p(s/c) - s + head - c
         # - lgamma), summed in place in that order, with the weight's log
         # constant from `_window`
-        log_w += np.where(alpha > 0, alpha * np.log1p(s / c), 0.0)
+        np.divide(s, c, out=term)
+        np.log1p(term, out=term)
+        np.multiply(alpha, term, out=term)
+        term[alpha[:, 0] == 0] = 0.0
+        log_w += term
         log_w -= s
-        del s
         log_w += head
         log_w -= c_off
         log_w -= lgam_off
         log_w *= 0.5
         v, log_v = orthonormal_scaled(ms, alpha, t)
         log_v += log_w
-        phi = v * np.exp(log_v, out=log_v)
-        del v, log_v, log_w
+        phi = np.multiply(v, np.exp(log_v, out=log_v), out=v)
+        del log_v
         weighted = phi * avals
         # (rows, degrees, nodes) @ (rows, nodes, degrees), one size at a time
         blocks = [weighted[..., seg].transpose(1, 0, 2)
@@ -328,7 +349,8 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
 
 
 def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
-                   ds: np.ndarray, ms: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+                   ds: np.ndarray, ms: Sequence[int],
+                   scratch: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The blocks of a stack of diagonals sharing the degrees ms, each
     self-checked by doubling its node count from _N_START until every entry
     agrees with the previous size to atol + BETA_REL_TOL |entry|.  atol is
@@ -337,12 +359,14 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     sup |a| > 2.  The `_window` of every row is built once; the first step
     evaluates the first two sizes, 64 and 128 nodes, on it in one
     `_block_once` pass, and each later doubling evaluates only the rows that
-    have not converged.  Returns the blocks and, per row, the node count at
-    which it converged.
+    have not converged.  Every `_block_once` call works in the pass's
+    scratch buffer scratch[0].  Returns the blocks and, per row, the node
+    count at which it converged.
     """
     window = _window(a, ds, ms)
     n = 2 * _N_START
-    (prev, cur), scale = _block_once(a, values, ds, ms, window, (_N_START, n))
+    (prev, cur), scale = _block_once(a, values, ds, ms, window, (_N_START, n),
+                                     scratch)
     blocks = np.empty(cur.shape, dtype=complex)
     nodes = np.zeros(len(ds), dtype=int)
     todo = np.arange(len(ds))
@@ -361,7 +385,8 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
                 f"not converge up to {_N_MAX} nodes for symbol {a.name}")
         n *= 2
         (cur,), scale = _block_once(a, values, ds[todo], ms,
-                                    tuple(part[todo] for part in window), (n,))
+                                    tuple(part[todo] for part in window), (n,),
+                                    scratch)
 
 
 def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
@@ -372,6 +397,9 @@ def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
     padded on the right with -1 to the common width K.  Adjacent rows with
     the same degrees run together, _CHUNK // (their number) at a time (at
     least one); every call samples the symbol through one `quadrature._sampler`.
+    The chunks share one scratch buffer, allocated here for the largest
+    chunk's first step, grown when a doubling step needs more and kept so
+    for the rest of the pass; no buffer outlives the call.
     Returns the (rows, K, K) stack of the blocks, each in the leading corner
     of its row with zeros around it, and the node count each converged at.
     """
@@ -380,13 +408,21 @@ def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
     nodes = np.zeros(len(ds), dtype=int)
     starts = [0] + (np.flatnonzero((degrees[1:] != degrees[:-1]).any(axis=1))
                     + 1).tolist() if len(ds) else []
+    chunks = []
     for first, end in zip(starts, starts[1:] + [len(ds)]):
         ms = degrees[first][degrees[first] >= 0].tolist()
         step = max(1, _CHUNK // len(ms))
-        for lo in range(first, end, step):
-            rows = slice(lo, min(lo + step, end))
-            stack[rows, :len(ms), :len(ms)], nodes[rows] = _block_checked(
-                a, values, ds[rows], ms)
+        chunks += [(slice(lo, min(lo + step, end)), ms)
+                   for lo in range(first, end, step)]
+    # the five planes of `_block_once` at 64 + 128 nodes in each of a row's
+    # pieces (2 (1 + m // 8) and one per breakpoint, see `_window`) and tail
+    width = max(((rows.stop - rows.start)
+                 * (2 * (1 + ms[-1] // 8) + len(a.breakpoints) + 1)
+                 for rows, ms in chunks), default=0)
+    scratch = [np.empty(5 * 3 * _N_START * width)]
+    for rows, ms in chunks:
+        stack[rows, :len(ms), :len(ms)], nodes[rows] = _block_checked(
+            a, values, ds[rows], ms, scratch)
     return stack, nodes
 
 

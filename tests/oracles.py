@@ -194,10 +194,12 @@ def block_once_one_size(a, values, ds, ms, n_nodes):
     return block, scale
 
 
-def block_checked_by_doubling(a, values, ds, ms):
+def block_checked_by_doubling(a, values, ds, ms, scratch):
     """`block_once_one_size` at 64 nodes, then at each doubled size for the
     rows that have not yet agreed with the previous size, up to 512 nodes:
-    the self-check of `toeplitz._block_checked` one size per evaluation."""
+    the self-check of `toeplitz._block_checked` one size per evaluation.
+    The pass's scratch buffer is accepted and not used: every array here is
+    fresh."""
     n = _N_START
     prev, _ = block_once_one_size(a, values, ds, ms, n)
     blocks = np.empty(prev.shape, dtype=complex)
