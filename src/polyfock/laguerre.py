@@ -58,43 +58,64 @@ def orthonormal_scaled(ms: Sequence[int], alpha, t) -> tuple[np.ndarray, np.ndar
     t^alpha e^(-t) / alpha! on [0, inf), psi_0 = 1, with positive leading
     coefficient: psi_m = (-1)^m sqrt(m! alpha! / (m+alpha)!) L_m^(alpha).
     The integer order alpha >= 0 broadcasts against t; both outputs have
-    shape (len(ms),) + that broadcast shape.  The recurrence divides an entry
-    by its magnitude whenever it leaves [1e-100, 1e100] and adds the log to
-    s, so no degree overflows or underflows; where that never happens, s = 0
-    and v is the plain value.  A caller adds its log prefactor to s.
+    shape (len(ms),) + that broadcast shape, which may be empty.  The
+    recurrence divides an entry by its magnitude whenever it leaves
+    [1e-100, 1e100] and adds the log to s, so no degree overflows or
+    underflows; where that never happens, s = 0 and v is the plain value.  A
+    caller adds its log prefactor to s.
+    It starts at psi_1 = (t - alpha - 1) / sqrt(alpha + 1), runs in place in
+    two arrays and one work array that also holds |psi_m|, and writes each
+    wanted degree straight into its rows of v and s.
     """
     import numpy as np
     a = np.asarray(alpha, dtype=float)
     x = np.asarray(t, dtype=float)
     shape = np.broadcast(a, x).shape
-    m_prev = np.zeros(shape)
-    m_cur = np.ones(shape)
-    scale = np.zeros(shape)
-    wanted = set(ms)
-    kept = {0: (m_cur, scale)}
-    top = max(wanted, default=0) if m_cur.size else 0
+    v = np.empty((len(ms),) + shape)
+    s = np.zeros(v.shape)
+    rows_of: dict[int, list[int]] = {}
+    for i, m in enumerate(ms):
+        rows_of.setdefault(m, []).append(i)
+    for i in rows_of.pop(0, ()):
+        v[i] = 1.0
+    if not rows_of or not v.size:
+        return v, s
+    top = max(rows_of)
     # Jacobi coefficients: diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha))
     ks = np.arange(top + 1).reshape((-1,) + (1,) * a.ndim)
     diag = 2 * ks + a + 1
     off = np.sqrt(ks * (ks + a))
+    cur, work = np.empty(shape), np.empty(shape)
+    # psi_0 = 1, as an array only where a step takes it into its sum
+    prev = np.ones(shape) if top > 1 else 1.0
+    scale = None
+    # psi_{k+1} = ((t - diag_k) psi_k - off_k psi_{k-1}) / off_{k+1}; at
+    # k = 0 the term (t - diag_0) 1 - 0 0 is t - diag_0 exactly
+    np.subtract(x, diag[0], out=cur)
+    cur /= off[1]
     for k in range(top):
-        m_next = ((x - diag[k]) * m_cur - off[k] * m_prev) / off[k + 1]
-        m_prev, m_cur = m_cur, m_next
-        # |m_prev| <= 1e100 already, so only |m_cur| can put an entry out of
+        if k:
+            np.subtract(x, diag[k], out=work)
+            work *= cur
+            prev *= off[k]
+            np.subtract(work, prev, out=prev)
+            prev /= off[k + 1]
+            prev, cur = cur, prev
+        # |prev| <= 1e100 already, so only |cur| can put an entry out of
         # range (a NaN also takes the full check)
-        size = np.abs(m_cur)
+        size = np.abs(cur, out=work)
         if not (size.max() <= 1e100 and size.min() >= 1e-100):
-            mag = np.maximum(size, np.abs(m_prev))
+            mag = np.maximum(size, np.abs(prev))
             off_range = (mag > 1e100) | ((mag > 0) & (mag < 1e-100))
             c = np.where(off_range, mag, 1.0)
-            m_prev = m_prev / c
-            m_cur = m_cur / c
-            scale = scale + np.log(c)
-        if k + 1 in wanted:
-            kept[k + 1] = (m_cur, scale)
-    out = (len(ms),) + shape
-    return (np.array([kept[m][0] for m in ms]).reshape(out),
-            np.array([kept[m][1] for m in ms]).reshape(out))
+            prev /= c
+            cur /= c
+            scale = np.log(c) if scale is None else scale + np.log(c)
+        for i in rows_of.get(k + 1, ()):
+            v[i] = cur
+            if scale is not None:
+                s[i] = scale
+    return v, s
 
 
 def profile_scaled(ms: Sequence[int], alpha, r) -> tuple[np.ndarray, np.ndarray]:

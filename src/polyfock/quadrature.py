@@ -127,10 +127,11 @@ _MAX_REFINE = 3
 
 
 def _sampler(fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Values of `fn` on arrays of points, one call per array.  The first time
-    that raises or returns what is not numeric or does not broadcast to the
-    points (a scalar-only callable), the pass switches to one call per point
-    for good; those calls raise the callable's own errors."""
+    """Values of `fn` on arrays of points, one call per array, broadcast to
+    the points' shape (an array of that shape comes back as it is).  The
+    first time that raises or returns what is not numeric or does not
+    broadcast to the points (a scalar-only callable), the pass switches to one
+    call per point for good; those calls raise the callable's own errors."""
     scalar = False
 
     def values(x: np.ndarray) -> np.ndarray:
@@ -139,7 +140,8 @@ def _sampler(fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
             try:
                 out = np.asarray(fn(x))
                 if out.dtype.kind in "biufc":
-                    return np.broadcast_to(out, x.shape)
+                    return (out if out.shape == x.shape
+                            else np.broadcast_to(out, x.shape))
             except Exception:  # any failure on an array marks it scalar-only
                 pass
             scalar = True

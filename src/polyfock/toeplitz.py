@@ -14,8 +14,10 @@ those arrays, so a long pass does not map fresh pages for every chunk; each
 call has its own.  Each row's window is built once; the self-check's
 first step evaluates the rules of 64 and 128 nodes on it in one pass
 (`_block_once`), and from there each row doubles its rule until it converges
-on its own.  The matrix of a plain callable g(z) takes `quadrature`'s polar
-route.
+on its own.  A row is first tested against the absolute tolerance alone; the
+rounding scale that may loosen it is computed only for the rows that fail
+that test (`_agreed`).  The matrix of a plain callable g(z) takes
+`quadrature`'s polar route.
 """
 
 from __future__ import annotations
@@ -215,22 +217,25 @@ def _window(a: RadialSymbol, ds: np.ndarray,
     # turning points of phi_m^alpha: t_lo + t_hi = 4m + 2c, t_lo t_hi ~ alpha^2
     nu = 4 * m + 2 * c
     t_hi = 0.5 * (nu + np.sqrt(nu * nu - 4.0 * alpha * alpha))
-    margin = 12 * np.sqrt(c)
-    lo = np.sqrt(np.maximum(0.0, alpha * alpha / t_hi - margin))
     mid = np.sqrt(c)
+    margin = 12 * mid
+    lo = np.sqrt(np.maximum(0.0, alpha * alpha / t_hi - margin))
     pieces = 1 + m // 8
     # np.linspace(lo, mid) and np.linspace(mid, hi), row by row
     steps = np.arange(pieces + 1.0)
-    ends = np.stack([lo, mid, np.sqrt(t_hi + margin)], axis=1)
+    ends = np.array([lo, mid, np.sqrt(t_hi + margin)]).T
     spaced = (steps * ((ends[:, 1:] - ends[:, :-1]) / pieces)[:, :, None]
               + ends[:, :-1, None])
     spaced[:, :, -1] = ends[:, 1:]
-    # 40 decay lengths: sqrt(c) at the peak, t_hi^(1/3) past a turning point
-    reach = np.sqrt(t_hi + margin + 40 * np.maximum(np.sqrt(c), np.cbrt(t_hi)))
-    edges = np.sort(np.concatenate(
-        [spaced[:, 0], spaced[:, 1, 1:],
-         np.clip(np.array(a.breakpoints)[None, :], lo[:, None], reach[:, None])],
-        axis=1), axis=1)
+    # ascending as they stand: lo <= mid <= hi
+    edges = np.concatenate([spaced[:, 0], spaced[:, 1, 1:]], axis=1)
+    if a.breakpoints:
+        # 40 decay lengths: sqrt(c) at the peak, t_hi^(1/3) past a turning
+        # point
+        reach = np.sqrt(t_hi + margin + 40 * np.maximum(mid, np.cbrt(t_hi)))
+        edges = np.sort(np.concatenate(
+            [edges, np.clip(np.array(a.breakpoints)[None, :], lo[:, None],
+                            reach[:, None])], axis=1), axis=1)
     # t^alpha e^{-t} / alpha! = exp(alpha log c - c - lgamma(c)) times
     # exp(alpha log1p(s/c) - s), s = t - c.  alpha log c - c - lgamma(c)
     # cancels terms of size alpha log alpha; from c = _STIRLING_FROM on,
@@ -251,10 +256,12 @@ def _window(a: RadialSymbol, ds: np.ndarray,
 def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
                 ds: np.ndarray, ms: Sequence[int], window: tuple[np.ndarray, ...],
                 sizes: Sequence[int],
-                scratch: list[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+                scratch: list[np.ndarray]
+                ) -> tuple[list[np.ndarray], Callable[[np.ndarray], np.ndarray]]:
     """Phi diag(a) Phi^T for each diagonal d in ds, stacked along the first
-    axis, at each rule size in sizes, and the rounding scale
-    |Phi| diag|a| |Phi|^T at the last size; row k of Phi is
+    axis, at each rule size in sizes, and a function that gives the rounding
+    scale |Phi| diag|a| |Phi|^T at the last size for the rows it is passed,
+    until the next call on the same scratch buffer; row k of Phi is
     (-1)^k phi_k^(|d|), k in ms, times the root node weights of the `_window`
     rule of d with that many nodes per piece and in its tail.
     The nodes of all sizes lie side by side in one row, a segment per size in
@@ -265,7 +272,9 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     alpha log1p(s/c) are the five planes of the pass's scratch buffer
     scratch[0], which is replaced by a larger one when it is too small, and
     phi is formed in place; the r plane, which the symbol's values may be or
-    view, is not written after sampling."""
+    view, is not written after sampling.  Only the blocks are tested for
+    non-finite values: a non-finite integrand value reaches its block's
+    sums."""
     edges, alpha, c, head, c_off, lgam_off = window
     rows, pieces = len(ds), edges.shape[1] - 1
     segments, start = [], 0
@@ -277,6 +286,7 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     r, log_w, t, s, term = scratch[0][:5 * rows * start].reshape(5, rows, start)
     lo = edges[:, :-1, None]
     half = 0.5 * (edges[:, 1:, None] - lo)
+    length = 2.0 * half
     # tail past the last edge b: t = b + s against e^{-s}
     b2 = edges[:, -1:] ** 2
     pieces_of = []
@@ -284,15 +294,15 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         x1, w, tail_s, tail_log_w = _rule_base(n)
         end = seg.start + pieces * n
         pieces_of.append(slice(seg.start, end))
-        # Legendre pieces: u = lo + half (x + 1), weight 2 u half w in t
+        # Legendre pieces: u = lo + half (x + 1), weight 2 u half w in t,
+        # formed as u (2 half) w, the same bits while half w is a normal
+        # float: the factor 2 is exact
         u = r[:, seg.start:end].reshape(rows, pieces, n)
         np.multiply(half, x1, out=u)
         u += lo
         weight = log_w[:, seg.start:end].reshape(rows, pieces, n)
-        np.multiply(u, 2.0, out=weight)
-        # half w goes to the t plane, which holds nothing yet
-        weight *= np.multiply(half, w,
-                              out=t[:, seg.start:end].reshape(rows, pieces, n))
+        np.multiply(length, w, out=weight)
+        weight *= u
         tail = r[:, end:seg.stop]
         np.add(b2, tail_s, out=tail)
         np.sqrt(tail, out=tail)
@@ -312,7 +322,8 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         np.divide(s, c, out=term)
         np.log1p(term, out=term)
         np.multiply(alpha, term, out=term)
-        term[alpha[:, 0] == 0] = 0.0
+        if not alpha.all():
+            term[alpha[:, 0] == 0] = 0.0
         log_w += term
         log_w -= s
         log_w += head
@@ -327,8 +338,8 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         # (rows, degrees, nodes) @ (rows, nodes, degrees), one size at a time
         blocks = [weighted[..., seg].transpose(1, 0, 2)
                   @ phi[..., seg].transpose(1, 2, 0) for seg in segments]
-    if not (np.isfinite(weighted).all()
-            and all(np.isfinite(block).all() for block in blocks)):
+    # the integrand is searched only to name what made a block non-finite
+    if not all(np.isfinite(block).all() for block in blocks):
         for seg, block in zip(segments, blocks):
             bad = np.argwhere(~np.isfinite(weighted[..., seg]))
             if len(bad):
@@ -342,10 +353,29 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
                 i = np.argwhere(~np.isfinite(block))[0][0]
                 raise NonFiniteIntegrandError(
                     f"block sums overflow (d={ds[i]}, {a.name})")
-    size = np.abs(phi[..., segments[-1]])
-    scale = ((size * np.abs(avals[:, segments[-1]])).transpose(1, 0, 2)
-             @ size.transpose(1, 2, 0))
+    phi, avals = phi[..., segments[-1]], avals[:, segments[-1]]
+
+    def scale(rows: np.ndarray) -> np.ndarray:
+        size = np.abs(phi[:, rows])
+        return ((size * np.abs(avals[rows])).transpose(1, 0, 2)
+                @ size.transpose(1, 2, 0))
     return blocks, scale
+
+
+def _agreed(cur: np.ndarray, prev: np.ndarray,
+            scale: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per row, whether every entry of cur agrees with prev to
+    atol + BETA_REL_TOL |entry|, atol = max(BETA_ABS_TOL, ROUNDING_FLOOR
+    scale).  The floor can only loosen atol, so the scale of a row is
+    computed only when the row fails with atol = BETA_ABS_TOL."""
+    diff = np.abs(cur - prev)
+    rel = BETA_REL_TOL * np.abs(cur)
+    ok = (diff <= BETA_ABS_TOL + rel).all(axis=(1, 2))
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        atol = np.maximum(BETA_ABS_TOL, ROUNDING_FLOOR * scale(bad))
+        ok[bad] = (diff[bad] <= atol + rel[bad]).all(axis=(1, 2))
+    return ok
 
 
 def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
@@ -356,8 +386,9 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     agrees with the previous size to atol + BETA_REL_TOL |entry|.  atol is
     BETA_ABS_TOL or the rounding floor ROUNDING_FLOOR * sum |w a phi_j phi_k|
     if larger, which by Cauchy-Schwarz happens only for symbols with
-    sup |a| > 2.  The `_window` of every row is built once; the first step
-    evaluates the first two sizes, 64 and 128 nodes, on it in one
+    sup |a| > 2; the sum is computed only for the rows that fail with
+    BETA_ABS_TOL (`_agreed`).  The `_window` of every row is built once; the
+    first step evaluates the first two sizes, 64 and 128 nodes, on it in one
     `_block_once` pass, and each later doubling evaluates only the rows that
     have not converged.  Every `_block_once` call works in the pass's
     scratch buffer scratch[0].  Returns the blocks and, per row, the node
@@ -367,13 +398,13 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     n = 2 * _N_START
     (prev, cur), scale = _block_once(a, values, ds, ms, window, (_N_START, n),
                                      scratch)
+    ok = _agreed(cur, prev, scale)
+    if ok.all():
+        return cur, np.full(len(ds), n)
     blocks = np.empty(cur.shape, dtype=complex)
     nodes = np.zeros(len(ds), dtype=int)
     todo = np.arange(len(ds))
     while True:
-        atol = np.maximum(BETA_ABS_TOL, ROUNDING_FLOOR * scale)
-        ok = (np.abs(cur - prev) <= atol + BETA_REL_TOL * np.abs(cur)).all(
-            axis=(1, 2))
         blocks[todo[ok]] = cur[ok]
         nodes[todo[ok]] = n
         todo, prev = todo[~ok], cur[~ok]
@@ -387,6 +418,7 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         (cur,), scale = _block_once(a, values, ds[todo], ms,
                                     tuple(part[todo] for part in window), (n,),
                                     scratch)
+        ok = _agreed(cur, prev, scale)
 
 
 def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
@@ -406,8 +438,10 @@ def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
     values = _sampler(a.fn)
     stack = np.zeros(degrees.shape + degrees.shape[-1:], dtype=complex)
     nodes = np.zeros(len(ds), dtype=int)
-    starts = [0] + (np.flatnonzero((degrees[1:] != degrees[:-1]).any(axis=1))
-                    + 1).tolist() if len(ds) else []
+    starts = [0] if len(ds) else []
+    if len(ds) > 1:
+        starts += (np.flatnonzero((degrees[1:] != degrees[:-1]).any(axis=1))
+                   + 1).tolist()
     chunks = []
     for first, end in zip(starts, starts[1:] + [len(ds)]):
         ms = degrees[first][degrees[first] >= 0].tolist()
@@ -517,21 +551,23 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
     d_out - d_in, which one FFT over the angles gives per radial node.  The
     rule starts at 64 radial nodes and max(64, diagonal gap + 8) angles.
     """
-    from .hermite_basis import _radial_values
     from .radial_ops import BasisMatrix
     indices = space.basis_indices(truncation)
     if isinstance(symbol, RadialSymbol):
         rows_of = space.diagonal_rows(truncation)
-        low = np.min(indices, axis=1)
-        degrees = np.full((len(rows_of), max(map(len, rows_of.values()))), -1)
-        for i, rows in enumerate(rows_of.values()):
-            degrees[i, :len(rows)] = low[rows]
+        # the basis positions of each diagonal's block, padded with -1
+        rows = np.full((len(rows_of), max(map(len, rows_of.values()))), -1)
+        for i, block_rows in enumerate(rows_of.values()):
+            rows[i, :len(block_rows)] = block_rows
+        inside = rows >= 0
+        degrees = np.where(inside, np.min(indices, axis=1)[rows], -1)
         stack, _ = _diagonal_blocks(symbol, np.array(list(rows_of)), degrees)
         matrix = BasisMatrix.zeros(space, truncation)
-        for block, rows in zip(stack, rows_of.values()):
-            matrix.entries[np.ix_(rows, rows)] = block[:len(rows), :len(rows)]
+        k, i, j = np.nonzero(inside[:, :, None] & inside[:, None, :])
+        matrix.entries[rows[k, i], rows[k, j]] = stack[k, i, j]
         return matrix
 
+    from .hermite_basis import _radial_values
     d = np.array([p - q for p, q in indices])
     # 8 angles of margin for low-degree angular content of g
     m_angles = max(64, int(d.max() - d.min()) + 8)

@@ -10,7 +10,8 @@ The kernel series is summed from whole arrays of basis values on the
 numpy route, which the point route of `kernel_partial_sum` does not use.
 The radial pass's self-check is kept in its one-size-per-evaluation form,
 each rule size on a window built afresh, as the reference for the fused
-evaluation of its first two sizes.
+evaluation of its first two sizes; it runs the Laguerre recurrence as it was
+before it ran in place, which is kept as the reference for that recurrence.
 """
 
 import math
@@ -21,7 +22,6 @@ import numpy as np
 from polyfock.exact_poly import (BiPolynomial, RationalComplex, factorial,
                                  wirtinger_dz, wirtinger_dzbar)
 from polyfock.hermite_basis import _radial_values
-from polyfock.laguerre import orthonormal_scaled
 from polyfock.quadrature import (QuadratureConvergenceError, gauss_laguerre,
                                  legendre_rule)
 from polyfock.toeplitz import (_N_MAX, _N_START, _STIRLING_FROM, BETA_ABS_TOL,
@@ -129,6 +129,55 @@ def kernel_partial_sum_array(space, z: complex, w: complex,
     return complex(np.sum(values(z).conjugate() * values(w)))
 
 
+def orthonormal_scaled_out_of_place(ms, alpha, t):
+    """`laguerre.orthonormal_scaled` as it was before it ran in place: psi_m(t)
+    as (v, s) with psi_m(t) = v e^s, for each degree m in ms, from psi_0 = 1
+    and psi_-1 = 0, each step a fresh array, the wanted degrees copied out at
+    the end.  Kept as the reference that the in-place recurrence reproduces
+    bit for bit.
+
+    psi_m is the orthonormal polynomial for the probability weight
+    t^alpha e^(-t) / alpha! on [0, inf), psi_0 = 1, with positive leading
+    coefficient: psi_m = (-1)^m sqrt(m! alpha! / (m+alpha)!) L_m^(alpha).
+    The integer order alpha >= 0 broadcasts against t; both outputs have
+    shape (len(ms),) + that broadcast shape.  The recurrence divides an entry
+    by its magnitude whenever it leaves [1e-100, 1e100] and adds the log to
+    s, so no degree overflows or underflows; where that never happens, s = 0
+    and v is the plain value.  A caller adds its log prefactor to s.
+    """
+    a = np.asarray(alpha, dtype=float)
+    x = np.asarray(t, dtype=float)
+    shape = np.broadcast(a, x).shape
+    m_prev = np.zeros(shape)
+    m_cur = np.ones(shape)
+    scale = np.zeros(shape)
+    wanted = set(ms)
+    kept = {0: (m_cur, scale)}
+    top = max(wanted, default=0) if m_cur.size else 0
+    # Jacobi coefficients: diagonal 2k + alpha + 1, off-diagonal sqrt(k (k + alpha))
+    ks = np.arange(top + 1).reshape((-1,) + (1,) * a.ndim)
+    diag = 2 * ks + a + 1
+    off = np.sqrt(ks * (ks + a))
+    for k in range(top):
+        m_next = ((x - diag[k]) * m_cur - off[k] * m_prev) / off[k + 1]
+        m_prev, m_cur = m_cur, m_next
+        # |m_prev| <= 1e100 already, so only |m_cur| can put an entry out of
+        # range (a NaN also takes the full check)
+        size = np.abs(m_cur)
+        if not (size.max() <= 1e100 and size.min() >= 1e-100):
+            mag = np.maximum(size, np.abs(m_prev))
+            off_range = (mag > 1e100) | ((mag > 0) & (mag < 1e-100))
+            c = np.where(off_range, mag, 1.0)
+            m_prev = m_prev / c
+            m_cur = m_cur / c
+            scale = scale + np.log(c)
+        if k + 1 in wanted:
+            kept[k + 1] = (m_cur, scale)
+    out = (len(ms),) + shape
+    return (np.array([kept[m][0] for m in ms]).reshape(out),
+            np.array([kept[m][1] for m in ms]).reshape(out))
+
+
 def block_once_one_size(a, values, ds, ms, n_nodes):
     """The radial pass's block evaluation before its sizes were fused: the
     whole window rule of every diagonal in ds built afresh for one rule size
@@ -173,7 +222,7 @@ def block_once_one_size(a, values, ds, ms, n_nodes):
         power = np.where(alpha > 0, alpha * np.log1p((t - c) / c), 0.0)
     log_root_w = 0.5 * (log_w + power - (t - c)
                         + head - np.where(big, 0.0, c) - np.where(big, 0.0, lgam))
-    v, s = orthonormal_scaled(ms, alpha, t)
+    v, s = orthonormal_scaled_out_of_place(ms, alpha, t)
     avals = values(r)
     with np.errstate(over="ignore", invalid="ignore"):
         phi = v * np.exp(s + log_root_w)

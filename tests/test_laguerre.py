@@ -12,7 +12,10 @@ from polyfock.laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
                                laguerre_function, laguerre_function_sup,
                                orthonormal_scaled, profile_point, profile_scaled,
                                rodrigues_identity_residual)
+from polyfock.hermite_basis import _radial_values
 from polyfock.quadrature import gauss_laguerre
+
+from oracles import orthonormal_scaled_out_of_place
 
 
 def explicit_sum(n, alpha, x):
@@ -166,6 +169,60 @@ class TestOrthonormalScaled:
                 assert (v[0, i, j], s[0, i, j]) == (vi[0], si[0])
 
 
+    def test_empty_points(self):
+        for ms in ([1], [0, 3, 1], [0], []):
+            v, s = orthonormal_scaled(ms, 0, np.array([]))
+            assert v.shape == s.shape == (len(ms), 0)
+        v, s = orthonormal_scaled([2], np.array([[1], [4]]), np.array([]))
+        assert v.shape == s.shape == (1, 2, 0)
+        v, s = profile_scaled([2, 0], 1, np.array([]))
+        assert v.shape == s.shape == (2, 0)
+        assert _radial_values([(1, 0), (2, 2)], np.array([])).shape == (2, 0)
+
+
+_POINTS = st.one_of(st.floats(0.0, 2000.0), st.sampled_from([math.nan, math.inf]))
+
+
+@st.composite
+def _recurrence_cases(draw):
+    """Degrees (unsorted, repeated), an order alpha as a number or one per
+    row as a (rows, 1) column, and (rows, nodes) points t."""
+    ms = draw(st.lists(st.integers(0, 300), min_size=1, max_size=6))
+    rows, nodes = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    t = np.reshape(draw(st.lists(_POINTS, min_size=rows * nodes,
+                                 max_size=rows * nodes)), (rows, nodes))
+    if draw(st.booleans()):
+        return ms, draw(st.integers(0, 60)), t
+    alpha = draw(st.lists(st.integers(0, 60), min_size=rows, max_size=rows))
+    return ms, np.reshape(alpha, (rows, 1)), t
+
+
+class TestRecurrenceAgainstOracle:
+    """The in-place recurrence is the out-of-place one of the oracles, bit
+    for bit, NaN and inf included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_recurrence_cases())
+    @example(([0], 3, np.array([[2.0, math.nan]])))
+    @example(([0, 0, 0], np.array([[0], [9]]), np.array([[1.0], [math.inf]])))
+    @example(([300, 2, 300, 0], 0, np.array([[1500.0, 0.1, 2000.0, 1e-3]])))
+    @example(([1], np.array([[5]]), np.array([[math.inf, math.nan, 0.0]])))
+    def test_matches_out_of_place_recurrence(self, case):
+        ms, alpha, t = case
+        # inf / inf where an infinite point is rescaled
+        with np.errstate(invalid="ignore"):
+            got = orthonormal_scaled(ms, alpha, t)
+            want = orthonormal_scaled_out_of_place(ms, alpha, t)
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            assert np.array_equal(x, y, equal_nan=True)
+
+    def test_rescaling_is_covered(self):
+        # psi_300(1500) is about e^700, so the oracle cases above rescale
+        _, s = orthonormal_scaled_out_of_place([300], 0, np.array([1500.0]))
+        assert s[0, 0] > 600
+
+
 class TestOrthonormalPoint:
     """The numpy-free point recurrence, which `profile_point` runs."""
 
@@ -173,11 +230,14 @@ class TestOrthonormalPoint:
     @given(st.integers(0, 300), st.integers(0, 300), st.floats(0.0, 2000.0))
     @example(300, 0, 1500.0)  # rescaled, past the double range
     def test_matches_array_recurrence(self, m, alpha, t):
-        # the point profile against the array recurrence plus the prefactor
+        # the point profile against the array recurrence plus the prefactor,
+        # both at the point r^2 that the point route squares back (not t:
+        # at a zero of psi_m, such as psi_1^(1)(2), the two differ in sign)
         r = math.sqrt(t)
         assume(r > 0 or alpha == 0)
         v, s = profile_point(m, alpha, r)
-        want_v, want_s = (float(x[0]) for x in orthonormal_scaled([m], alpha, t))
+        want_v, want_s = (float(x[0])
+                          for x in orthonormal_scaled([m], alpha, r * r))
         if alpha:
             want_s += alpha * math.log(r) - 0.5 * math.lgamma(alpha + 1)
         assert (v > 0, v < 0) == (want_v > 0, want_v < 0)

@@ -191,3 +191,16 @@ def test_exact_laguerre_after_a_bare_laguerre_import():
     proc = python("-c", script)
     assert proc.stdout == ("[]\n[Fraction(3, 1), Fraction(-3, 1), "
                            "Fraction(1, 2)]\nTrue\n")
+
+
+def test_radial_toeplitz_matrix_loads_no_basis_layer():
+    # a radial symbol's matrix is its blocks: no basis profiles, no exact layer
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "from polyfock import SpaceId, const_symbol, toeplitz_matrix\n"
+              "m = toeplitz_matrix(const_symbol(1.0), SpaceId('poly', 2), 40)\n"
+              "print(m.entries.shape, np.abs(m.entries - np.eye(80)).max() < 1e-12)\n"
+              "print(sorted({'polyfock.hermite_basis', 'polyfock.exact_poly'} "
+              "& set(sys.modules)))\n")
+    proc = python("-c", script)
+    assert proc.stdout == "(80, 80) True\n[]\n"

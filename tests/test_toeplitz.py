@@ -395,6 +395,15 @@ class TestWindowRule:
         assert np.max(np.abs(values.real - want)) < 1e-11
         assert np.all(values.imag == 0.0)
 
+    def test_edges_ascend_as_built_without_breakpoints(self):
+        # a symbol with no breakpoints gets its edges unsorted: the spaced
+        # edges lo..sqrt(c)..hi of every diagonal already ascend
+        ds = np.concatenate([np.arange(-300, 400), [10**3, 10**4, 10**6]])
+        for m in (0, 1, 7, 8, 63, 300):
+            edges = toeplitz._window(gaussian_symbol(2.0), ds, [m])[0]
+            assert edges.shape == (len(ds), 2 * (1 + m // 8) + 1)
+            assert np.all(np.diff(edges, axis=1) > 0)
+
 
 _REAL_SPECS = ["gauss:2", "rational", "const:2.5", "indicator:1.3"]
 
@@ -510,6 +519,29 @@ class TestBatchedPass:
         assert faults <= 3000
         assert peak <= 4.4e6
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="counts glibc's page faults on Linux")
+    @pytest.mark.parametrize("p_max, bound", [(2000, 15_000),
+                                              (10**5, 700_000)])
+    def test_first_pass_of_a_process_maps_few_pages(self, p_max, bound):
+        # the first pass of a process has no freed block for its arrays to
+        # reuse, so each array a chunk holds at once maps fresh pages.  These
+        # calls take about 10,900 and 539,000 minor faults; with a third
+        # recurrence array where only degree 1 is wanted and the rounding
+        # scale built for every row, they took 19,100 and 915,000
+        code = ("import resource\n"
+                "from polyfock import gaussian_symbol, lambda_seq\n"
+                "a = gaussian_symbol(2.0)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                f"lambda_seq(a, 2, {p_max})\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+                " - before)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) <= bound
+
     def test_scalar_only_callable_falls_back_once(self):
         calls = []
 
@@ -577,18 +609,51 @@ _CROSS_SYMBOLS = {"const": const_symbol(1.0), "gauss": gaussian_symbol(2.0),
                   "radius view": RadialSymbol(lambda r: r[...], name="radius view")}
 
 
+def _outcome(call):
+    """call(), or (type, message) of the error it raises."""
+    try:
+        return call()
+    except QuadratureConvergenceError as exc:
+        return type(exc), str(exc)
+
+
 def _fused_and_doubling(monkeypatch, call):
     """call() on the pass as it is and on the one-size-per-evaluation
     self-check of the oracles; an error comes back as (type, message)."""
-    def outcome():
-        try:
-            return call()
-        except QuadratureConvergenceError as exc:
-            return type(exc), str(exc)
-    fused = outcome()
+    fused = _outcome(call)
     with monkeypatch.context() as patch:
         patch.setattr(toeplitz, "_block_checked", block_checked_by_doubling)
-        return fused, outcome()
+        return fused, _outcome(call)
+
+
+def _same_outcome(x, y) -> bool:
+    """Equal sequences (values and node counts), blocks or errors."""
+    if isinstance(x, EigenvalueSequence) and isinstance(y, EigenvalueSequence):
+        return (np.array_equal(x.values, y.values)
+                and x.quadrature_meta == y.quadrature_meta)
+    if isinstance(x, list) and isinstance(y, list):
+        return len(x) == len(y) and all(map(np.array_equal, x, y))
+    if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    return x == y
+
+
+def _sin_symbol(bound: float) -> RadialSymbol:
+    return RadialSymbol(lambda r: 1000 + 100 * np.sin(r), bound=bound,
+                        name=f"1000 + 100 sin r, bound {bound}")
+
+
+#: symbols with sup |a| > 2, where the rounding floor can exceed
+#: BETA_ABS_TOL; the sine once with its true bound and once with one that is
+#: too low, which must not matter: the floor comes from the values
+_FLOOR_SYMBOLS = {
+    "const 1e3": const_symbol(1e3),
+    "const 3e3+4e3i": const_symbol(3e3 + 4e3j),
+    "sine": _sin_symbol(1100.0),
+    "sine, bound too low": _sin_symbol(1.0),
+    "1e6 gauss": RadialSymbol(lambda r: 1e6 * np.exp(-r * r / 9),
+                              limit_at_infinity=0.0, bound=1e6,
+                              name="1e6 exp(-r^2/9)")}
 
 
 class TestFusedSelfCheck:
@@ -708,6 +773,25 @@ class TestFusedSelfCheck:
             QuadratureConvergenceError,
             "block on diagonal d=0 for degrees [0] did not converge up to "
             "512 nodes for symbol kink")
+
+    @pytest.mark.parametrize("name", sorted(_FLOOR_SYMBOLS))
+    def test_where_the_rounding_floor_binds(self, monkeypatch, name):
+        # the rounding scale is computed only for the rows that fail with
+        # BETA_ABS_TOL; at order 8 the floor passes rows of every symbol
+        # here that BETA_ABS_TOL alone would not
+        a = _FLOOR_SYMBOLS[name]
+        calls = [lambda: lambda_seq(a, 8, 120),
+                 lambda: toeplitz_blocks(a, 8, 60),
+                 *(lambda d=d: toeplitz_block(a, 8, d)
+                   for d in (-7, 0, 99, 100, 10**4))]
+        outcomes = []
+        for call in calls:
+            fused, old = _fused_and_doubling(monkeypatch, call)
+            assert _same_outcome(fused, old)
+            outcomes.append(fused)
+        monkeypatch.setattr(toeplitz, "ROUNDING_FLOOR", 0.0)
+        assert not all(_same_outcome(_outcome(call), want)
+                       for call, want in zip(calls, outcomes))
 
 
 class TestToeplitzMatrix:
