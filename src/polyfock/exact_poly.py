@@ -153,18 +153,9 @@ class BiPolynomial:
     def terms(self) -> Iterable[tuple[tuple[int, int], RationalComplex]]:
         return self._terms.items()
 
-    def coeff(self, j: int, k: int) -> RationalComplex:
-        return self._terms.get((j, k), RC_ZERO)
-
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def degrees(self) -> tuple[int, int]:
-        """Maximal z and zbar exponents (0, 0) for the zero polynomial."""
-        if not self._terms:
-            return (0, 0)
-        return (max(j for j, _ in self._terms), max(k for _, k in self._terms))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BiPolynomial):
@@ -256,20 +247,6 @@ class BiPolynomial:
         return "BiPolynomial(" + " + ".join(parts) + ")"
 
 
-def wirtinger_dz(f: BiPolynomial) -> BiPolynomial:
-    """Formal d/dz, treating z and zbar as independent variables."""
-    out = BiPolynomial()
-    out._terms = {(j - 1, k): c * j for (j, k), c in f.terms() if j > 0}
-    return out
-
-
-def wirtinger_dzbar(f: BiPolynomial) -> BiPolynomial:
-    """Formal d/dzbar."""
-    out = BiPolynomial()
-    out._terms = {(j, k - 1): c * k for (j, k), c in f.terms() if k > 0}
-    return out
-
-
 def _raise_minus_derivative(f: BiPolynomial, wrt_z: bool) -> BiPolynomial:
     """zbar*f - df/dz (wrt_z) or z*f - df/dzbar, in one pass over the terms.
 
@@ -356,17 +333,6 @@ class ScaledPolynomial:
             return False
         # represented equal iff body == rho * other.body with rho = sqrt ratio
         return self.body == other.body.scale(rho)
-
-    def inner(self, other: "ScaledPolynomial") -> RationalComplex:
-        """Exact inner product; requires the product of scales to be rational."""
-        raw = gaussian_inner(self.body, other.body)
-        if raw.is_zero:
-            return RC_ZERO
-        root = sqrt_fraction(self.scale_sq * other.scale_sq)
-        if root is None:
-            raise ValueError("scale product is not a perfect rational square; "
-                             "use inner_sign_square")
-        return raw * root
 
     def inner_sign_square(self, other: "ScaledPolynomial") -> tuple[int, Fraction]:
         """(sign, value^2) of a real-valued inner product, both exact."""

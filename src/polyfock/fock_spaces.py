@@ -1,11 +1,12 @@
 """Polyanalytic and true-polyanalytic Fock spaces: reproducing kernels,
-series and recursion cross-checks, the creation isometry between consecutive
-true-polyanalytic spaces, evaluation bounds, and the Berezin transform.
+series and recursion cross-checks, evaluation bounds, and the Berezin
+transform.
 
 The kernel of the order-n polyanalytic space is e^(zbar w) L_{n-1}^(1)(|w-z|^2);
 its true-polyanalytic sibling replaces L^(1) by the plain Laguerre polynomial.
-Plain evaluations overflow once Re(zbar w) exceeds about 700, so log-scaled
-variants are provided alongside.
+The closed forms are evaluated while Re(zbar w) <= 700; past that, and
+wherever a factor or their product leaves the float range, they raise a named
+OverflowError.
 """
 
 from __future__ import annotations
@@ -67,34 +68,6 @@ class SpaceId:
         return rows
 
 
-@dataclass
-class FockVector:
-    """Finite expansion over the basis of one space, at an explicit truncation.
-
-    Operations refuse to mix truncations silently; the truncation is data.
-    """
-
-    space: SpaceId
-    coefficients: dict[tuple[int, int], complex]
-    truncation: int
-
-    def __post_init__(self):
-        valid = set(self.space.basis_indices(self.truncation))
-        for key in self.coefficients:
-            if key not in valid:
-                raise ValueError(f"index {key} invalid for {self.space} "
-                                 f"at truncation {self.truncation}")
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coefficients.values()))
-
-    def inner(self, other: "FockVector") -> complex:
-        if other.space != self.space or other.truncation != self.truncation:
-            raise ValueError("mismatched space or truncation")
-        return sum(c * other.coefficients.get(k, 0.0).conjugate()
-                   for k, c in self.coefficients.items())
-
-
 def _finite_point(z: complex, name: str = "z") -> complex:
     z = complex(z)
     if not cmath.isfinite(z):
@@ -106,8 +79,8 @@ def _checked_exp_arg(z: complex, w: complex) -> complex:
     arg = z.conjugate() * w
     if arg.real > EXP_OVERFLOW_LIMIT:
         raise OverflowError(
-            f"kernel exponent Re(zbar w) = {arg.real:.1f} exceeds the plain-form "
-            f"limit {EXP_OVERFLOW_LIMIT}; use the log-scaled variant")
+            f"kernel exponent Re(zbar w) = {arg.real:.1f} exceeds the limit "
+            f"{EXP_OVERFLOW_LIMIT}")
     return arg
 
 
@@ -132,8 +105,7 @@ def _kernel_plain(n: int, z: complex, w: complex, alpha: int) -> complex:
     arg = _checked_exp_arg(z, w)
     value = cmath.exp(arg) * _laguerre_factor(n, alpha, z, w)
     if not cmath.isfinite(value):
-        raise OverflowError("kernel value overflows the plain form; use the "
-                            "log-scaled variant")
+        raise OverflowError("kernel value overflows the float range")
     return value
 
 
@@ -145,30 +117,6 @@ def kernel_true(n: int, z: complex, w: complex) -> complex:
 def kernel_poly(n: int, z: complex, w: complex) -> complex:
     """Reproducing kernel of the order-n polyanalytic space."""
     return _kernel_plain(n, z, w, 1)
-
-
-def _kernel_log(n: int, z: complex, w: complex, alpha: int) -> tuple[float, float]:
-    arg = z.conjugate() * w
-    lag = _laguerre_factor(n, alpha, z, w)
-    if lag == 0.0:
-        return (-math.inf, 0.0)
-    logmag = arg.real + math.log(abs(lag))
-    phase = arg.imag + (0.0 if lag > 0 else math.pi)
-    return (logmag, math.remainder(phase, 2.0 * math.pi))
-
-
-def kernel_true_log(n: int, z: complex, w: complex) -> tuple[float, float]:
-    """(log magnitude, phase) of the true-layer kernel; safe for large |z w|."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _kernel_log(n, z, w, 0)
-
-
-def kernel_poly_log(n: int, z: complex, w: complex) -> tuple[float, float]:
-    """(log magnitude, phase) of the full-space kernel."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    return _kernel_log(n, z, w, 1)
 
 
 def kernel_partial_sum(space: SpaceId, z: complex, w: complex,
@@ -228,29 +176,15 @@ def kernel_recursion_check(n: int) -> bool:
     return stepped == layer_poly(n + 1)
 
 
-def creation_apply(n: int, v: FockVector) -> FockVector:
-    """The normalized creation operator as an index shift between layers.
-
-    Sends the basis element (p, n-1) to (p, n) with unchanged coefficient,
-    hence preserves the norm exactly.
-    """
-    if v.space != SpaceId("true_poly", n):
-        raise ValueError(f"vector lives in {v.space}, expected true_poly({n})")
-    shifted = {(p, n): c for (p, _), c in v.coefficients.items()}
-    return FockVector(SpaceId("true_poly", n + 1), shifted, v.truncation)
-
-
 def evaluation_bound(n: int, z: complex) -> float:
     """Sharp bound sqrt(n) e^(|z|^2 / 2) on point evaluation at z."""
+    if n < 1:
+        raise ValueError("order must be >= 1")
     half = 0.5 * abs(_finite_point(z)) ** 2
     if half > EXP_OVERFLOW_LIMIT:
-        raise OverflowError("bound overflows; use evaluation_bound_log")
+        raise OverflowError(f"bound exponent |z|^2 / 2 = {half:.1f} exceeds the "
+                            f"limit {EXP_OVERFLOW_LIMIT}")
     return math.sqrt(n) * math.exp(half)
-
-
-def evaluation_bound_log(n: int, z: complex) -> float:
-    """Natural log of the evaluation bound."""
-    return 0.5 * math.log(n) + 0.5 * abs(_finite_point(z)) ** 2
 
 
 _TAIL_FRACTION = 10  # last 1/10 of the enumerated diagonal feeds the tail estimate

@@ -186,25 +186,9 @@ def laguerre_exact(params: LaguerreParams) -> list[Fraction]:
             for k in range(n + 1)]
 
 
-def laguerre_function(m: int, alpha: int, t: float) -> float:
-    """Normalized Laguerre function: L2([0,inf), dt) unit norm for each (m, alpha).
-
-    Equals sqrt(m!/(m+alpha)!) t^(alpha/2) e^(-t/2) L_m^(alpha)(t), which is
-    (-1)^m e^(-t/2) times the basis profile `profile_point` at r = sqrt(t),
-    with log|v| in the exponent: e^(s - t/2) alone may be subnormal.
-    """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"argument t must be finite and nonnegative, got {t}")
-    if m < 0 or alpha < 0:
-        raise ValueError("indices must be nonnegative")
-    v, s = profile_point(m, alpha, math.sqrt(t))
-    if not v:
-        return 0.0
-    return math.copysign(math.exp(math.log(abs(v)) + s - 0.5 * t), (-1) ** m * v)
-
-
 def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> float:
-    """Max of |laguerre_function| over a uniform grid on [0, x].
+    """Max over a uniform grid on [0, x] of |e^(-t/2) psi_m(t) t^(alpha/2)| /
+    sqrt(alpha!), the normalized Laguerre function of unit L2(dt) norm.
 
     Grid-based diagnostic only; used to witness the decay of the functions
     in the order parameter on compact intervals.

@@ -1,4 +1,4 @@
-"""Rotation action, radialization, and the block decomposition of radial
+"""Radiality tests, radialization, and the block decomposition of radial
 operators at finite truncation.
 
 A radial operator on the order-n space decomposes into one block per
@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fock_spaces import FockVector, SpaceId
+from .fock_spaces import SpaceId
 from .quadrature import CircleRule
 
 #: one rational rotation plus two irrational angles; irrational angles
@@ -74,21 +74,22 @@ class BasisMatrix:
 @dataclass(frozen=True)
 class RadialOperatorRep:
     """Block sequence (A_d) for d = d_min, d_min+1, ..., block d of size
-    min(n, n+d)."""
+    min(n, n+d), from the first diagonal d_min = -n+1 of the order-n space."""
 
     n: int
-    d_min: int
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if self.d_min != -self.n + 1:
-            raise ValueError(f"blocks must start at d = {-self.n + 1}")
         for i, block in enumerate(self.blocks):
             d = self.d_min + i
             size = min(self.n, self.n + d)
             if block.shape != (size, size):
                 raise ValueError(f"block at d={d} has shape {block.shape}, "
                                  f"expected ({size}, {size})")
+
+    @property
+    def d_min(self) -> int:
+        return -self.n + 1
 
     @property
     def d_max(self) -> int:
@@ -101,22 +102,6 @@ class RadialOperatorRep:
 
     def sup_norm(self) -> float:
         return max(float(np.linalg.norm(b, 2)) for b in self.blocks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d_min": self.d_min,
-            "blocks": [[[[v.real, v.imag] for v in row] for row in np.asarray(b)]
-                       for b in self.blocks],
-        }
-
-
-@dataclass(frozen=True)
-class DiagonalRep:
-    """Eigenvalue sequence of a diagonal operator on the true layer."""
-
-    n: int
-    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,14 +118,6 @@ def rotation_phases(space: SpaceId, truncation: int, tau: complex) -> np.ndarray
 def _require_unit(tau: complex, tol: float = 1e-12) -> None:
     if abs(abs(tau) - 1.0) > tol:
         raise ValueError(f"|tau| = {abs(tau)} is not on the unit circle")
-
-
-def rotate_vector(space: SpaceId, v: FockVector, tau: complex) -> FockVector:
-    """Rotation acts on coefficients by the phase tau^(q-p)."""
-    _require_unit(tau)
-    rotated = {key: c * tau ** (key[1] - key[0])
-               for key, c in v.coefficients.items()}
-    return FockVector(space, rotated, v.truncation)
 
 
 def radialize_matrix(s: BasisMatrix) -> BasisMatrix:
@@ -165,52 +142,25 @@ def radialize_numeric(s: BasisMatrix, circle_rule: CircleRule) -> BasisMatrix:
     return BasisMatrix(s.space, s.truncation, s.entries * phase_avg)
 
 
-def off_block_mass(s: BasisMatrix) -> tuple[float, float]:
-    """(Frobenius mass off the block structure, total Frobenius mass)."""
-    d = s.diagonal_indices
-    mask = d[:, None] == d[None, :]
-    total = float(np.linalg.norm(s.entries))
-    off = float(np.linalg.norm(np.where(mask, 0.0, s.entries)))
-    return off, total
+def is_radial(s: BasisMatrix, taus: Iterable[complex] = DEFAULT_TAUS,
+              tol: float = DEFAULT_RADIAL_TOL) -> RadialityReport:
+    """Largest spectral norm of the commutators [R_tau, S] with the sampled
+    rotations.
 
-
-def _commutator_norms(s: BasisMatrix, taus: Iterable[complex]):
-    """(tau, spectral norm of [R_tau, S]) per rotation.  A commutator that is
-    exactly zero, as for the Toeplitz matrix of a radial symbol, skips the
-    SVD: its norm is 0.0 either way."""
+    Equivalent, at this truncation, to having zero mass off the block
+    structure: rotations are diagonal with phases tau^(q-p), so an entry
+    commutes with all of them iff its endpoints share a diagonal.  A
+    commutator that is exactly zero, as for the Toeplitz matrix of a radial
+    symbol, skips the SVD: its norm is 0.0 either way.
+    """
+    worst = 0.0
     for tau in taus:
         _require_unit(tau)
         phases = rotation_phases(s.space, s.truncation, tau)
         commutator = (phases[:, None] - phases[None, :]) * s.entries
-        norm = float(np.linalg.norm(commutator, 2)) if np.any(commutator) else 0.0
-        yield tau, norm
-
-
-def is_radial(s: BasisMatrix, taus: Iterable[complex] = DEFAULT_TAUS,
-              tol: float = DEFAULT_RADIAL_TOL) -> RadialityReport:
-    """Largest commutator norm with the sampled rotations.
-
-    Equivalent, at this truncation, to having zero mass off the block
-    structure: rotations are diagonal with phases tau^(q-p), so an entry
-    commutes with all of them iff its endpoints share a diagonal.
-    """
-    worst = max([0.0] + [norm for _, norm in _commutator_norms(s, taus)])
+        if np.any(commutator):
+            worst = max(worst, float(np.linalg.norm(commutator, 2)))
     return RadialityReport(radial=worst <= tol, max_commutator_norm=worst)
-
-
-def commutator_norms(s: BasisMatrix,
-                     taus: Iterable[complex] = DEFAULT_TAUS) -> list[tuple[complex, float]]:
-    """Per-rotation commutator norms, for CSV diagnostics."""
-    return list(_commutator_norms(s, taus))
-
-
-def commutator_csv(s: BasisMatrix,
-                   taus: Iterable[complex] = DEFAULT_TAUS) -> str:
-    """Commutator-norm diagnostics as CSV text (tau_re, tau_im, norm)."""
-    lines = ["tau_re,tau_im,commutator_norm"]
-    for tau, norm in commutator_norms(s, taus):
-        lines.append(f"{tau.real:.17g},{tau.imag:.17g},{norm:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def _require_block_coverage(n: int, truncation: int, d_max: int) -> None:
@@ -226,20 +176,24 @@ def phi_n(s: BasisMatrix, d_max: int,
     """Extract the block sequence of a radial operator on the full space.
 
     Entry [j, k] of the block at diagonal d is <S b_{d+k,k}, b_{d+j,j}>.
-    Fails when the relative off-block mass exceeds the tolerance.
+    Fails when the off-block mass, the Frobenius norm of S minus its
+    radialization, exceeds the tolerance relative to the norm of S.
     """
     if s.space.kind != "poly":
         raise ValueError("block decomposition is defined over the full space")
     n = s.space.n
     _require_block_coverage(n, s.truncation, d_max)
-    off, total = off_block_mass(s)
+    total = float(np.linalg.norm(s.entries))
+    # S minus its radialization, formed in the radialization's own array
+    off_block = radialize_matrix(s).entries
+    off = float(np.linalg.norm(np.subtract(s.entries, off_block, out=off_block)))
     if total > 0 and off > tol * total:
         raise RadialityError(f"off-block mass {off:.3e} exceeds {tol:.1e} "
                              f"of total {total:.3e}")
     rows_of = s.space.diagonal_rows(s.truncation)
     blocks = tuple(s.entries[np.ix_(rows_of[d], rows_of[d])]
                    for d in range(-n + 1, d_max + 1))
-    return RadialOperatorRep(n=n, d_min=-n + 1, blocks=blocks)
+    return RadialOperatorRep(n=n, blocks=blocks)
 
 
 def assemble_blocks(rep: RadialOperatorRep, truncation: int) -> BasisMatrix:
@@ -256,22 +210,6 @@ def assemble_blocks(rep: RadialOperatorRep, truncation: int) -> BasisMatrix:
     for d in range(rep.d_min, rep.d_max + 1):
         s.entries[np.ix_(rows_of[d], rows_of[d])] = rep.block(d)
     return s
-
-
-def phi_true(s: BasisMatrix, p_max: int,
-             tol: float = DEFAULT_RADIAL_TOL) -> DiagonalRep:
-    """Extract the eigenvalue sequence of a diagonal operator on the true layer."""
-    if s.space.kind != "true_poly":
-        raise ValueError("diagonal extraction is defined over the true layer")
-    if p_max > s.truncation - 1:
-        raise ValueError(f"truncation {s.truncation} covers p <= {s.truncation - 1}")
-    diag = np.diag(s.entries)
-    off = float(np.linalg.norm(s.entries - np.diag(diag)))
-    total = float(np.linalg.norm(s.entries))
-    if total > 0 and off > tol * total:
-        raise RadialityError(f"off-diagonal mass {off:.3e} exceeds {tol:.1e} "
-                             f"of total {total:.3e}")
-    return DiagonalRep(n=s.space.n, eigenvalues=diag[:p_max + 1].copy())
 
 
 def finite_rank_radial(space: SpaceId, truncation: int,

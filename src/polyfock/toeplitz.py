@@ -23,6 +23,7 @@ that test (`_agreed`).  The matrix of a plain callable g(z) takes
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -123,22 +124,10 @@ def inverse_quadratic_symbol() -> RadialSymbol:
                         bound=1.0, name="rational")
 
 
-def inverse_linear_symbol() -> RadialSymbol:
-    """a(r) = 1 / (1 + r)."""
-    return RadialSymbol(lambda r: 1.0 / (1.0 + r), limit_at_infinity=0.0,
-                        bound=1.0, name="inverse_linear")
-
-
 def exp_decay_symbol() -> RadialSymbol:
     """a(r) = exp(-r)."""
     return RadialSymbol(lambda r: np.exp(-r), limit_at_infinity=0.0,
                         bound=1.0, name="exp_decay")
-
-
-def squared_radius_symbol() -> RadialSymbol:
-    """a(r) = r^2; unbounded, kept as an analytic test case."""
-    return RadialSymbol(lambda r: r * r, limit_at_infinity=None,
-                        bound=math.inf, name="squared_radius")
 
 
 def symbol_from_spec(text: str) -> RadialSymbol:
@@ -169,6 +158,19 @@ class EigenvalueSequence:
     n: int
     values: np.ndarray
     quadrature_meta: dict = field(default_factory=dict)
+
+
+def _integers(**args) -> list[int]:
+    """The arguments as ints, read as `operator.index` reads them: Python and
+    numpy integers pass, and the first that is not an integer (a float
+    included) raises a ValueError naming it."""
+    out = []
+    for name, value in args.items():
+        try:
+            out.append(operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    return out
 
 
 #: degrees times rows per `_block_checked` call: bounds the (degrees, rows,
@@ -481,6 +483,7 @@ def beta(a: RadialSymbol, d: int, j: int, k: int) -> complex:
     Self-checked by doubling the node count until two consecutive values
     agree; raises QuadratureConvergenceError otherwise.
     """
+    d, j, k = _integers(d=d, j=j, k=k)
     return complex(_betas(a, np.array([d]), j, k)[0])
 
 
@@ -503,6 +506,7 @@ def lambda_seq(a: RadialSymbol, n: int,
     `quadrature_meta["nodes"][p]` is the node count at which lambda(p)
     passed its self-check.
     """
+    n, p_max = _integers(n=n, p_max=p_max)
     if p_max < 0:
         raise ValueError(f"p_max must be nonnegative, got {p_max}")
     values, nodes = _true_layer(a, n, np.arange(p_max + 1))
@@ -514,6 +518,7 @@ def lambda_seq(a: RadialSymbol, n: int,
 def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
     """Block of the radial Toeplitz operator on diagonal d: the matrix of
     beta values over the indices living inside the order-n space."""
+    n, d = _integers(n=n, d=d)
     if n < 1:
         raise ValueError("order must be >= 1")
     if d < -n + 1:
@@ -525,6 +530,7 @@ def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
 def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int) -> list[np.ndarray]:
     """The blocks `toeplitz_block(a, n, d)` for d = -n+1, ..., d_max, in one
     pass."""
+    n, d_max = _integers(n=n, d_max=d_max)
     if n < 1:
         raise ValueError("order must be >= 1")
     if d_max < -n + 1:
@@ -594,10 +600,6 @@ class LimitRecord:
     beta: complex
     residual: float
 
-    def to_json_dict(self) -> dict:
-        return {"d": self.d, "beta_re": self.beta.real,
-                "beta_im": self.beta.imag, "residual": self.residual}
-
 
 def limit_diagnostic(a: RadialSymbol, j: int, k: int,
                      d_list: Sequence[int]) -> list[LimitRecord]:
@@ -606,10 +608,12 @@ def limit_diagnostic(a: RadialSymbol, j: int, k: int,
     Requires a declared limit v at infinity; the residuals witness the
     convergence of the blocks to v times the identity.
     """
+    j, k, *ds = _integers(j=j, k=k, **{f"d_list[{i}]": d
+                                       for i, d in enumerate(d_list)})
     if a.limit_at_infinity is None:
         raise ValueError("symbol must declare its limit at infinity")
     target = a.limit_at_infinity if j == k else 0.0
-    ds = np.sort(d_list)
+    ds = np.sort(ds)
     return [LimitRecord(d=d, beta=val, residual=abs(val - target))
             for d, val in zip(ds.tolist(), _betas(a, ds, j, k).tolist())]
 
@@ -631,6 +635,7 @@ def separation_check(n: int, p: int, q: float,
     """Search the grid for an indicator radius whose eigenvalue separates the
     nonnegative integer positions p and q, computing only those two per
     radius; q = inf compares against the limit value 0 at u = 1."""
+    [n] = _integers(n=n)
     if not (float(p).is_integer() and p >= 0):
         raise ValueError(f"position p must be a nonnegative integer, got {p}")
     p = int(p)

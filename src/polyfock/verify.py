@@ -300,7 +300,7 @@ def _random_radial_rep(n: int, d_max: int, rng) -> radial_ops.RadialOperatorRep:
         size = min(n, n + d)
         blocks.append(rng.standard_normal((size, size))
                       + 1j * rng.standard_normal((size, size)))
-    return radial_ops.RadialOperatorRep(n=n, d_min=-n + 1, blocks=tuple(blocks))
+    return radial_ops.RadialOperatorRep(n=n, blocks=tuple(blocks))
 
 
 def suite_radial(quick: bool = False) -> list[CheckResult]:

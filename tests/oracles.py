@@ -4,7 +4,7 @@ These deliberately avoid every code path they are used to check: the
 regularized incomplete gamma goes through the classic series / continued
 fraction pair, not through any quadrature of this package.  The exact
 references build the creation operators from the general polynomial
-product, the Gaussian inner product from `RationalComplex` sums over every
+product and the Wirtinger derivatives, the Gaussian inner product from `RationalComplex` sums over every
 pair of terms, and each basis body by a fresh fold of creation steps on 1.
 The kernel series is summed from whole arrays of basis values on the
 numpy route, which the point route of `kernel_partial_sum` does not use.
@@ -12,6 +12,8 @@ The radial pass's self-check is kept in its one-size-per-evaluation form,
 each rule size on a window built afresh, as the reference for the fused
 evaluation of its first two sizes; it runs the Laguerre recurrence as it was
 before it ran in place, which is kept as the reference for that recurrence.
+Two analytic radial symbols serve as test cases: 1/(1+r), with a slow
+limit, and the unbounded r^2, with closed-form blocks.
 """
 
 import math
@@ -19,14 +21,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from polyfock.exact_poly import (BiPolynomial, RationalComplex, factorial,
-                                 wirtinger_dz, wirtinger_dzbar)
+from polyfock.exact_poly import BiPolynomial, RationalComplex, factorial
 from polyfock.hermite_basis import _radial_values
 from polyfock.quadrature import (QuadratureConvergenceError, gauss_laguerre,
                                  legendre_rule)
 from polyfock.toeplitz import (_N_MAX, _N_START, _STIRLING_FROM, BETA_ABS_TOL,
                                BETA_REL_TOL, ROUNDING_FLOOR,
-                               NonFiniteIntegrandError, _stirling_constant)
+                               NonFiniteIntegrandError, RadialSymbol,
+                               _stirling_constant)
 
 
 def gammp(s: float, x: float) -> float:
@@ -81,6 +83,16 @@ def gammp(s: float, x: float) -> float:
     return 1.0 - q
 
 
+def wirtinger_dz(f: BiPolynomial) -> BiPolynomial:
+    """Formal d/dz, treating z and zbar as independent variables."""
+    return BiPolynomial({(j - 1, k): c * j for (j, k), c in f.terms() if j > 0})
+
+
+def wirtinger_dzbar(f: BiPolynomial) -> BiPolynomial:
+    """Formal d/dzbar."""
+    return BiPolynomial({(j, k - 1): c * k for (j, k), c in f.terms() if k > 0})
+
+
 _ZBAR = BiPolynomial.monomial(0, 1)
 _Z = BiPolynomial.monomial(1, 0)
 
@@ -103,6 +115,18 @@ def gaussian_inner(f: BiPolynomial, g: BiPolynomial) -> RationalComplex:
             if p + k == q + j:
                 total = total + cf * cg.conjugate() * factorial(p + k)
     return total
+
+
+def inverse_linear_symbol() -> RadialSymbol:
+    """a(r) = 1 / (1 + r)."""
+    return RadialSymbol(lambda r: 1.0 / (1.0 + r), limit_at_infinity=0.0,
+                        bound=1.0, name="inverse_linear")
+
+
+def squared_radius_symbol() -> RadialSymbol:
+    """a(r) = r^2; unbounded."""
+    return RadialSymbol(lambda r: r * r, limit_at_infinity=None,
+                        bound=math.inf, name="squared_radius")
 
 
 def b_exact_fold(p: int, q: int) -> tuple[BiPolynomial, Fraction]:

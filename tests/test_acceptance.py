@@ -19,9 +19,8 @@ from polyfock.hermite_basis import (HermiteIndex, b_coeffs, b_exact,
 from polyfock.laguerre import (LaguerreParams, laguerre_eval,
                                laguerre_function_sup, rodrigues_identity_residual)
 from polyfock.quadrature import CircleRule, gauss_laguerre
-from polyfock.radial_ops import (assemble_blocks, is_radial, off_block_mass,
-                                 phi_n, radialize_matrix,
-                                 vanishing_berezin_witness)
+from polyfock.radial_ops import (assemble_blocks, is_radial, phi_n,
+                                 radialize_matrix, vanishing_berezin_witness)
 from polyfock.toeplitz import (beta, const_symbol, exp_decay_symbol,
                                indicator_symbol, lambda_seq, toeplitz_matrix)
 
@@ -136,8 +135,6 @@ def test_criterion_5_radial_structure():
         space = SpaceId("poly", n)
         for a in SYMBOLS_5:
             s = toeplitz_matrix(a, space, trunc)
-            off, total = off_block_mass(s)
-            assert off < 1e-8 * total, (n, a.name)
             rep = phi_n(s, d_max=trunc - n, tol=1e-8)
             sizes = [b.shape[0] for b in rep.blocks]
             assert sizes == list(range(1, n)) + [n] * (trunc - n + 1), (n, a.name)
@@ -149,7 +146,8 @@ def test_criterion_5_radial_structure():
             assert np.array_equal(back.entries[covered], s.entries[covered])
             # radialization moves a Toeplitz matrix by at most its off-block mass
             rad = radialize_matrix(s)
-            assert np.linalg.norm(rad.entries - s.entries) < 1e-8 * total
+            assert (np.linalg.norm(rad.entries - s.entries)
+                    < 1e-8 * np.linalg.norm(s.entries))
             assert np.array_equal(radialize_matrix(rad).entries, rad.entries)
     witness = vanishing_berezin_witness(SpaceId("poly", 2), trunc)
     report = is_radial(witness)

@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from polyfock.fock_spaces import (FockVector, SpaceId, berezin, creation_apply,
-                                  evaluation_bound, evaluation_bound_log,
-                                  kernel_partial_sum, kernel_poly, kernel_poly_log,
-                                  kernel_recursion_check, kernel_true,
-                                  kernel_true_log)
+from polyfock.fock_spaces import (SpaceId, berezin, evaluation_bound,
+                                  kernel_partial_sum, kernel_poly,
+                                  kernel_recursion_check, kernel_true)
 from polyfock.hermite_basis import HermiteIndex, b_eval
 from polyfock.quadrature import plane_inner
 from polyfock.radial_ops import vanishing_berezin_witness
@@ -67,11 +65,12 @@ class TestClosedForms:
     @pytest.mark.parametrize("kernel, n, z, w, match", [
         (kernel_poly, 8, 0j, 1e100 + 0j, "kernel factor"),
         (kernel_true, 8, 0j, 1e60 + 0j, "kernel factor"),
-        (kernel_poly_log, 8, 0j, 1e100 + 0j, "kernel factor"),
-        (kernel_true_log, 8, 0j, 1e60 + 0j, "kernel factor"),
         (kernel_poly, 1, 1e200 + 0j, 0j, r"\|w-z\|\^2 = inf is not finite"),
-        (kernel_true_log, 1, 1e308 + 0j, -1e308 + 0j, "is not finite"),
-        (kernel_poly, 8, 1e3 + 0j, 0.7 + 0j, "use the log-scaled variant"),
+        (kernel_true, 1, 1e308 + 0j, -1e308 + 0j, "is not finite"),
+        (kernel_true, 1, 30 + 0j, 30 + 0j,
+         r"Re\(zbar w\) = 900\.0 exceeds the limit 700\.0$"),
+        (kernel_poly, 8, 1e3 + 0j, 0.7 + 0j,
+         "kernel value overflows the float range"),
     ])
     def test_overflow_named(self, kernel, n, z, w, match):
         # a non-finite |w-z|^2, Laguerre factor or product never comes back
@@ -79,15 +78,6 @@ class TestClosedForms:
         with pytest.raises(OverflowError, match=match):
             kernel(n, z, w)
 
-    def test_log_scaled_variant(self):
-        z, w = 1.2 + 0.4j, -0.3 + 0.9j
-        for plain, logform in ((kernel_true, kernel_true_log),
-                               (kernel_poly, kernel_poly_log)):
-            logmag, phase = logform(3, z, w)
-            reconstructed = math.exp(logmag) * cmath.exp(1j * phase)
-            assert reconstructed == pytest.approx(plain(3, z, w), rel=1e-12)
-        logmag, _ = kernel_true_log(1, 40 + 0j, 40 + 0j)
-        assert logmag == pytest.approx(1600.0)
 
 
 class TestSeries:
@@ -150,51 +140,26 @@ class TestRecursion:
             kernel_recursion_check(9)
 
 
-class TestCreationIsometry:
-    def test_basis_shift(self):
-        v = FockVector(SpaceId("true_poly", 2), {(0, 1): 1.0}, truncation=6)
-        out = creation_apply(2, v)
-        assert out.space == SpaceId("true_poly", 3)
-        assert out.coefficients == {(0, 2): 1.0}
-        assert out.norm() == v.norm() == 1.0
-
-    def test_zero_vector(self):
-        v = FockVector(SpaceId("true_poly", 1), {}, truncation=4)
-        assert creation_apply(1, v).coefficients == {}
-
-    def test_two_term_isometry(self):
-        c = 1 / math.sqrt(2)
-        v = FockVector(SpaceId("true_poly", 4), {(0, 3): c, (5, 3): c},
-                       truncation=8)
-        out = creation_apply(4, v)
-        assert out.coefficients == {(0, 4): c, (5, 4): c}
-        assert out.norm() == pytest.approx(1.0)
-
-    def test_wrong_space_rejected(self):
-        v = FockVector(SpaceId("true_poly", 2), {(0, 1): 1.0}, truncation=4)
-        with pytest.raises(ValueError):
-            creation_apply(3, v)
-
-    def test_vector_validation_and_mixing(self):
-        with pytest.raises(ValueError):
-            FockVector(SpaceId("poly", 2), {(0, 5): 1.0}, truncation=4)
-        a = FockVector(SpaceId("poly", 2), {(0, 0): 1.0}, truncation=4)
-        b = FockVector(SpaceId("poly", 2), {(0, 0): 1.0}, truncation=5)
-        with pytest.raises(ValueError):
-            a.inner(b)
-
-
 class TestEvaluationBound:
     def test_values(self):
         assert evaluation_bound(1, 0j) == 1.0
         assert evaluation_bound(4, 0j) == 2.0
-        assert evaluation_bound_log(4, 0j) == pytest.approx(math.log(2.0))
 
     @pytest.mark.parametrize("z", [complex(math.nan, 0), complex(0, math.inf)])
     def test_non_finite_point_rejected(self, z):
-        for bound in (evaluation_bound, evaluation_bound_log):
-            with pytest.raises(ValueError, match="z="):
-                bound(2, z)
+        with pytest.raises(ValueError, match="z="):
+            evaluation_bound(2, z)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_one_rejected(self, n):
+        # as for the kernels: the order-n space exists for n >= 1 only
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            evaluation_bound(n, 0.5 + 0j)
+
+    def test_overflow_names_the_limit(self):
+        with pytest.raises(OverflowError,
+                           match=r"\|z\|\^2 / 2 = 800\.0 exceeds the limit 700\.0"):
+            evaluation_bound(1, 40 + 0j)
 
     def test_equality_witness(self):
         # the bound is attained by the kernel itself: sqrt(K(z,z)) = bound

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polyfock.laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
-                               laguerre_function, laguerre_function_sup,
-                               orthonormal_scaled, profile_point, profile_scaled,
+                               laguerre_function_sup, orthonormal_scaled,
+                               profile_point, profile_scaled,
                                rodrigues_identity_residual)
 from polyfock.hermite_basis import _radial_values
 from polyfock.quadrature import gauss_laguerre
@@ -69,36 +69,52 @@ class TestLaguerreExact:
         assert laguerre_exact(LaguerreParams(0, 9)) == [1]
 
 
+def decayed_profile(m, alpha, t):
+    """|profile_point| at r = sqrt(t) times e^(-t/2), the modulus of the
+    normalized Laguerre function, with log|v| in the exponent: e^(s - t/2)
+    alone may be subnormal."""
+    v, s = profile_point(m, alpha, math.sqrt(t))
+    return math.exp(math.log(abs(v)) + s - 0.5 * t) if v else 0.0
+
+
 class TestLaguerreFunction:
+    # the normalized Laguerre function is (-1)^m e^(-t/2) times the basis
+    # profile psi_m(t) t^(alpha/2) / sqrt(alpha!) at r = sqrt(t)
     def test_base_case(self):
-        assert laguerre_function(0, 0, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-15)
+        assert profile_point(0, 0, math.sqrt(2.0)) == (1.0, 0.0)
+        assert decayed_profile(0, 0, 2.0) == pytest.approx(math.exp(-1.0),
+                                                           rel=1e-15)
 
     def test_with_order(self):
-        expected = math.exp(-0.5) / math.sqrt(2.0)
-        assert laguerre_function(0, 2, 1.0) == pytest.approx(expected, rel=1e-14)
+        v, s = profile_point(0, 2, 1.0)
+        assert v * math.exp(s) == pytest.approx(1 / math.sqrt(2.0), rel=1e-14)
 
     def test_zero_of_polynomial(self):
-        assert laguerre_function(1, 0, 1.0) == pytest.approx(0.0, abs=1e-16)
+        assert profile_point(1, 0, 1.0)[0] == pytest.approx(0.0, abs=1e-16)
 
     def test_at_origin(self):
-        assert laguerre_function(0, 0, 0.0) == 1.0
-        assert laguerre_function(3, 2, 0.0) == 0.0
+        assert profile_point(0, 0, 0.0) == (1.0, 0.0)
+        assert profile_point(3, 2, 0.0) == (0.0, 0.0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            laguerre_function(0, 0, -0.5)
+            laguerre_function_sup(0, 0, -0.5)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_argument_rejected(self, t):
         with pytest.raises(ValueError, match="finite"):
-            laguerre_function(2, 1, t)
+            laguerre_function_sup(2, 1, t)
 
     def test_log_form_consistent(self):
-        # (-1)^m e^(-t/2) times the array profile (v, s) at sqrt(t)
+        # (v, s) against the closed form (-1)^m sqrt(m!/(m+alpha)!)
+        # t^(alpha/2) L_m^(alpha)(t)
         for m, alpha, t in ((0, 0, 2.0), (2, 5, 7.5), (4, 60, 40.0)):
-            v, s = profile_scaled([m], alpha, math.sqrt(t))
-            assert (-1) ** m * float(v[0]) * math.exp(s[0] - 0.5 * t) == \
-                pytest.approx(laguerre_function(m, alpha, t), rel=1e-14)
+            v, s = profile_point(m, alpha, math.sqrt(t))
+            log_norm = 0.5 * (math.lgamma(m + 1) - math.lgamma(m + alpha + 1)
+                              + alpha * math.log(t))
+            want = ((-1) ** m * math.exp(log_norm)
+                    * laguerre_eval(LaguerreParams(m, alpha), t))
+            assert v * math.exp(s) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("m, t", [(40, 1500.0), (50, 1600.0)])
     def test_deep_tail_keeps_relative_precision(self, m, t):
@@ -113,12 +129,14 @@ class TestLaguerreFunction:
             want = float((Decimal(-t) / 2).exp()
                          * (Decimal(poly.numerator) / poly.denominator))
         assert 1e-300 < abs(want) < 1e-200
-        assert laguerre_function(m, 0, t) == pytest.approx(want, rel=1e-12)
+        # psi_m = (-1)^m L_m at alpha = 0
+        assert (-1) ** m * profile_point(m, 0, math.sqrt(t))[0] * want > 0
+        assert decayed_profile(m, 0, t) == pytest.approx(abs(want), rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
         for m, alpha, x in ((3, 4, 11.0), (0, 40, 4.0), (5, 0, 30.0)):
             t = np.linspace(0.0, x, 300)
-            want = max(abs(laguerre_function(m, alpha, float(ti))) for ti in t)
+            want = max(decayed_profile(m, alpha, float(ti)) for ti in t)
             got = laguerre_function_sup(m, alpha, x, grid=300)
             assert abs(got - want) <= 1e-15
 
@@ -277,8 +295,8 @@ class TestOrthonormalPoint:
 
     def test_imports_no_numpy(self):
         script = ("import sys\n"
-                  "from polyfock.laguerre import laguerre_function, profile_point\n"
-                  "profile_point(40, 3, 3.0), laguerre_function(5, 2, 3.0)\n"
+                  "from polyfock.laguerre import profile_point\n"
+                  "profile_point(40, 3, 3.0)\n"
                   "print('numpy' in sys.modules)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True)

@@ -1,18 +1,17 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from polyfock.fock_spaces import FockVector, SpaceId, berezin
+from polyfock.fock_spaces import SpaceId, berezin
 from polyfock.quadrature import CircleRule
 from polyfock.radial_ops import (DEFAULT_TAUS, BasisMatrix, RadialityError,
-                                 RadialOperatorRep, assemble_blocks, commutator_csv,
-                                 commutator_norms, finite_rank_radial, is_radial,
-                                 off_block_mass, phi_n, phi_true,
+                                 RadialOperatorRep, assemble_blocks,
+                                 finite_rank_radial, is_radial, phi_n,
                                  radialize_matrix, radialize_numeric,
-                                 rotate_vector, rotation_phases,
-                                 vanishing_berezin_witness)
+                                 rotation_phases, vanishing_berezin_witness)
 from polyfock.toeplitz import indicator_symbol, toeplitz_matrix
 
 POLY2 = SpaceId("poly", 2)
@@ -28,30 +27,26 @@ def random_rep(n, d_max, seed=3):
     blocks = tuple(rng.standard_normal((min(n, n + d), min(n, n + d)))
                    + 1j * rng.standard_normal((min(n, n + d), min(n, n + d)))
                    for d in range(-n + 1, d_max + 1))
-    return RadialOperatorRep(n=n, d_min=-n + 1, blocks=blocks)
+    return RadialOperatorRep(n=n, blocks=blocks)
 
 
 class TestRotation:
+    # the rotation acts on the coefficient of b_{p,q} by the phase tau^(q-p)
     def test_phase_on_basis_vector(self):
-        v = FockVector(POLY2, {(1, 0): 1.0}, truncation=4)
-        out = rotate_vector(POLY2, v, 1j)
-        assert out.coefficients[(1, 0)] == pytest.approx(-1j)
+        phases = rotation_phases(POLY2, 4, 1j)
+        assert phases[POLY2.basis_indices(4).index((1, 0))] == pytest.approx(-1j)
 
     def test_diagonal_zero_fixed(self):
-        v = FockVector(POLY2, {(1, 1): 2.0 - 1.0j}, truncation=4)
+        at = POLY2.basis_indices(4).index((1, 1))
         for tau in (1j, cmath.exp(0.71j)):
-            out = rotate_vector(POLY2, v, tau)
-            assert out.coefficients[(1, 1)] == pytest.approx(2.0 - 1.0j)
+            assert rotation_phases(POLY2, 4, tau)[at] == 1.0
 
     def test_identity_rotation(self):
-        v = FockVector(POLY2, {(0, 0): 1.0, (2, 1): 3j}, truncation=4)
-        out = rotate_vector(POLY2, v, 1.0)
-        assert out.coefficients == v.coefficients
+        assert np.array_equal(rotation_phases(POLY2, 4, 1.0), np.ones(8))
 
     def test_non_unit_rejected(self):
-        v = FockVector(POLY2, {(0, 0): 1.0}, truncation=2)
-        with pytest.raises(ValueError):
-            rotate_vector(POLY2, v, 1.5)
+        with pytest.raises(ValueError, match="not on the unit circle"):
+            is_radial(identity_matrix(POLY2, 2), taus=(1.5,))
 
 
 class TestRadialization:
@@ -150,10 +145,10 @@ class TestBlockDecomposition:
             phi_n(identity_matrix(SpaceId("true_poly", 2), 6), d_max=2)
 
     def test_assemble_zero_and_single_block(self):
-        zero = RadialOperatorRep(2, -1, (np.zeros((1, 1)), np.zeros((2, 2))))
+        zero = RadialOperatorRep(2, (np.zeros((1, 1)), np.zeros((2, 2))))
         assert np.all(assemble_blocks(zero, 4).entries == 0)
         block = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        rep = RadialOperatorRep(2, -1, (np.zeros((1, 1)), block))
+        rep = RadialOperatorRep(2, (np.zeros((1, 1)), block))
         s = assemble_blocks(rep, 4)
         assert np.linalg.norm(s.entries, 2) == pytest.approx(
             np.linalg.norm(block, 2))
@@ -172,34 +167,10 @@ class TestBlockDecomposition:
                                atol=1e-13)
 
     def test_rep_validation(self):
-        with pytest.raises(ValueError):
-            RadialOperatorRep(2, 0, (np.eye(2),))
-        with pytest.raises(ValueError):
-            RadialOperatorRep(2, -1, (np.eye(2),))
-
-
-class TestDiagonalExtraction:
-    def test_identity(self):
-        space = SpaceId("true_poly", 3)
-        rep = phi_true(identity_matrix(space, 8), p_max=7)
-        assert np.array_equal(rep.eigenvalues, np.ones(8))
-
-    def test_rank_one_indicator_sequence(self):
-        space = SpaceId("true_poly", 2)
-        s = finite_rank_radial(space, 8, [(3 - 1, 1.0, {(3, 1): 1.0},
-                                           {(3, 1): 1.0})])
-        rep = phi_true(s, p_max=7)
-        expected = np.zeros(8)
-        expected[3] = 1.0
-        assert np.allclose(rep.eigenvalues, expected)
-
-    def test_off_diagonal_rejected(self):
-        space = SpaceId("true_poly", 2)
-        k = len(space.basis_indices(5))
-        entries = np.zeros((k, k), dtype=complex)
-        entries[0, 3] = 1.0
-        with pytest.raises(RadialityError):
-            phi_true(BasisMatrix(space, 5, entries), p_max=4)
+        # blocks start at d_min = -n+1, where the order-2 block is 1 x 1
+        assert RadialOperatorRep(2, (np.eye(1), np.eye(2))).d_min == -1
+        with pytest.raises(ValueError, match="d=-1"):
+            RadialOperatorRep(2, (np.eye(2),))
 
 
 class TestFiniteRank:
@@ -253,45 +224,24 @@ class TestIsRadial:
         # assembled from real blocks, so the commutator is exactly zero
         s = toeplitz_matrix(indicator_symbol(1.0), SpaceId("poly", 3), 12)
         assert is_radial(s).max_commutator_norm == 0.0
-        assert commutator_norms(s) == [(tau, 0.0) for tau in DEFAULT_TAUS]
         # complex blocks: the phase difference is exactly 0 on each block
         s = assemble_blocks(random_rep(3, 5, seed=4), 9)
         assert is_radial(s).max_commutator_norm == 0.0
-        assert commutator_norms(s) == [(tau, 0.0) for tau in DEFAULT_TAUS]
         assert calls == []
         assert is_radial(vanishing_berezin_witness(POLY2, 6)).max_commutator_norm > 0
         assert len(calls) == len(DEFAULT_TAUS)
 
-    def test_commutator_norms_export(self):
-        witness = vanishing_berezin_witness(POLY2, 6)
-        rows = commutator_norms(witness)
-        assert len(rows) == 3
-        assert all(norm > 0 for _, norm in rows)
-
-    def test_commutator_csv_layout(self):
-        witness = vanishing_berezin_witness(POLY2, 6)
-        text = commutator_csv(witness, taus=(1j,))
-        lines = text.strip().split("\n")
-        assert lines[0] == "tau_re,tau_im,commutator_norm"
-        tau_re, tau_im, norm = lines[1].split(",")
-        assert (float(tau_re), float(tau_im)) == (0.0, 1.0)
-        assert float(norm) == pytest.approx(math.sqrt(2))
-
-    def test_rep_json_layout(self):
-        rep = random_rep(2, 1)
-        record = rep.to_json_dict()
-        assert record["n"] == 2 and record["d_min"] == -1
-        assert len(record["blocks"]) == 3
-        assert record["blocks"][0][0][0] == [rep.block(-1)[0, 0].real,
-                                             rep.block(-1)[0, 0].imag]
-
     def test_off_block_mass(self):
+        # the witness lies wholly off the blocks; an assembled matrix has
+        # none off them, so it passes phi_n even at tolerance 0
         witness = vanishing_berezin_witness(POLY2, 6)
-        off, total = off_block_mass(witness)
-        assert off == pytest.approx(total)
-        s = assemble_blocks(random_rep(2, 4), 6)
-        off, total = off_block_mass(s)
-        assert off == 0.0 and total > 0
+        total = np.linalg.norm(witness.entries)
+        with pytest.raises(RadialityError,
+                           match=re.escape(f"off-block mass {total:.3e} ")):
+            phi_n(witness, d_max=4)
+        rep = random_rep(2, 4)
+        back = phi_n(assemble_blocks(rep, 6), d_max=4, tol=0.0)
+        assert all(np.array_equal(a, b) for a, b in zip(back.blocks, rep.blocks))
 
 
 class TestToeplitzCovariance:

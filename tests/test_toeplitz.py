@@ -14,20 +14,19 @@ from polyfock.exact_poly import BiPolynomial, gaussian_inner
 from polyfock.fock_spaces import SpaceId
 from polyfock.hermite_basis import HermiteIndex, b_coeffs, b_exact
 from polyfock.quadrature import QuadratureConvergenceError
-from polyfock.radial_ops import (is_radial, off_block_mass, phi_n, phi_true,
-                                 radialize_matrix)
+from polyfock.radial_ops import is_radial, phi_n, radialize_matrix
 from polyfock import hermite_basis, toeplitz
 from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                RadialSymbol, beta, const_symbol,
                                exp_decay_symbol, gaussian_symbol,
-                               indicator_symbol, inverse_linear_symbol,
-                               inverse_quadratic_symbol, lambda_seq,
-                               limit_diagnostic, separation_check,
-                               squared_radius_symbol, symbol_from_spec,
-                               toeplitz_block, toeplitz_blocks, toeplitz_matrix)
+                               indicator_symbol, inverse_quadratic_symbol,
+                               lambda_seq, limit_diagnostic, separation_check,
+                               symbol_from_spec, toeplitz_block, toeplitz_blocks,
+                               toeplitz_matrix)
 from polyfock.verify import _indicator_eigenvalue
 
-from oracles import block_checked_by_doubling, gammp
+from oracles import (block_checked_by_doubling, gammp, inverse_linear_symbol,
+                     squared_radius_symbol)
 
 
 def test_gammp_oracle_self_check():
@@ -198,6 +197,33 @@ class TestBeta:
         assert beta(indicator_symbol(u), p, 0, 0) == pytest.approx(
             gammp(c, u * u), abs=1e-9)
 
+
+
+_GAUSS = gaussian_symbol(2.0)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (toeplitz_block, (_GAUSS, 2, 3.5), "d"),
+    (toeplitz_block, (_GAUSS, 2.0, 3), "n"),
+    (toeplitz_blocks, (_GAUSS, 2, 3.0), "d_max"),
+    (lambda_seq, (_GAUSS, 1, 2.0), "p_max"),
+    (lambda_seq, (_GAUSS, np.float64(1), 2), "n"),
+    (beta, (_GAUSS, 2.0, 0, 0), "d"),
+    (beta, (_GAUSS, 2, 0, 0.0), "k"),
+    (limit_diagnostic, (_GAUSS, 0, 0, [10, 10.5]), r"d_list\[1\]"),
+    (separation_check, (2.0, 0, 1), "n"),
+], ids=["block-d", "block-n", "blocks-d_max", "lambda-p_max", "lambda-n",
+        "beta-d", "beta-k", "limit-d_list", "separation-n"])
+def test_non_integer_index_is_named(call, args, name):
+    # a float never reaches the radial pass, not even an integral one
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        call(*args)
+
+
+def test_numpy_integer_indices_pass():
+    assert np.array_equal(toeplitz_block(_GAUSS, np.int64(2), np.int32(3)),
+                          toeplitz_block(_GAUSS, 2, 3))
+    assert beta(_GAUSS, np.int64(2), np.int8(0), 1) == beta(_GAUSS, 2, 0, 1)
 
 class TestLambdaSequences:
     def test_constant_symbol(self):
@@ -818,8 +844,8 @@ class TestToeplitzMatrix:
                                 space, 40)
         blocks = toeplitz_matrix(gaussian_symbol(s), space, 40)
         assert np.max(np.abs(dense.entries - blocks.entries)) < 1e-12
-        off, total = off_block_mass(dense)
-        assert off <= 1e-12 * total
+        off = np.linalg.norm(dense.entries - radialize_matrix(dense).entries)
+        assert off <= 1e-12 * np.linalg.norm(dense.entries)
 
     def test_non_finite_symbol_is_named(self):
         a = RadialSymbol(lambda r: math.nan if r > 1.0 else 1.0, name="spiky")
@@ -914,9 +940,11 @@ class TestToeplitzMatrix:
             for n in (1, 3):
                 space = SpaceId("true_poly", n)
                 m = toeplitz_matrix(a, space, 16)
-                rep = phi_true(m, p_max=15, tol=1e-7)
+                diag = np.diag(m.entries)
+                off = np.linalg.norm(m.entries - np.diag(diag))
+                assert off <= 1e-7 * np.linalg.norm(m.entries)
                 seq = lambda_seq(a, n, 15)
-                assert np.max(np.abs(rep.eigenvalues - seq.values)) < 1e-8
+                assert np.max(np.abs(diag - seq.values)) < 1e-8
 
 
 class TestLimitDiagnostic:
@@ -941,12 +969,6 @@ class TestLimitDiagnostic:
     def test_requires_declared_limit(self):
         with pytest.raises(ValueError):
             limit_diagnostic(squared_radius_symbol(), 0, 0, [10])
-
-    def test_json_record_layout(self):
-        rec = limit_diagnostic(const_symbol(1.0), 0, 0, [5])[0]
-        assert rec.to_json_dict() == {"d": 5, "beta_re": pytest.approx(1.0),
-                                      "beta_im": 0.0,
-                                      "residual": pytest.approx(0.0, abs=1e-10)}
 
 
 class TestSeparation:
