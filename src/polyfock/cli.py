@@ -48,11 +48,6 @@ def dumps_fixed(obj) -> str:
         return format_float(obj)
     if obj is None:
         return "null"
-    import numpy as np  # only a numpy scalar gets this far
-    if isinstance(obj, np.integer):
-        return str(int(obj))
-    if isinstance(obj, np.floating):
-        return format_float(float(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

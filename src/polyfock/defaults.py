@@ -1,8 +1,12 @@
-"""Defaults that the library and the CLI parser share.
+"""Defaults that the library and the CLI parser share, and the one reader
+of the integer arguments (orders, degrees, indices, sizes, truncations and
+positions) of every module.
 
 Kept apart from the numerical modules, and free of numpy, so that building
 the parser loads nothing the chosen subcommand does not need.
 """
+
+import operator
 
 #: default truncation P: eigenvalues p = 0..P and kernel series terms
 DEFAULT_P_MAX = 200
@@ -12,3 +16,20 @@ DEFAULT_D_MAX = 200
 
 #: the `verify` suites, in the order they run and report
 SUITE_NAMES = ("laguerre", "basis", "kernels", "radial", "toeplitz")
+
+
+def integers(least: int | None = None, **args) -> list[int]:
+    """The arguments as ints, read as `operator.index` reads them: Python and
+    numpy integers pass, and the first that is not an integer (a float
+    included), or is below `least` when that is given, raises a ValueError
+    naming it."""
+    out = []
+    for name, value in args.items():
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+        out.append(value)
+    return out

@@ -14,6 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
+from .defaults import integers
+
 MAX_FACTORIAL = 256
 
 Scalar = Union[int, Fraction, "RationalComplex"]
@@ -22,8 +24,7 @@ Scalar = Union[int, Fraction, "RationalComplex"]
 @lru_cache(maxsize=None)
 def factorial(n: int) -> int:
     """Memoized arbitrary-precision factorial, capped at MAX_FACTORIAL."""
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
+    [n] = integers(0, n=n)
     if n > MAX_FACTORIAL:
         raise ValueError(f"factorial cap exceeded: {n} > {MAX_FACTORIAL}")
     return math.factorial(n)

@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
+from .defaults import integers
 from .laguerre import _recurrence_scalar, _times_exp, profile_point
 
 # numpy is imported inside the array function (`berezin`) and the exact layer
@@ -40,8 +41,7 @@ class SpaceId:
     def __post_init__(self):
         if self.kind not in ("poly", "true_poly"):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.n < 1:
-            raise ValueError("space order must be >= 1")
+        integers(1, n=self.n)
 
     def basis_indices(self, truncation: int) -> list[tuple[int, int]]:
         """Basis enumeration up to the truncation: p ranges over 0..P-1.
@@ -49,8 +49,7 @@ class SpaceId:
         For the full space the order is lexicographic in (q, p); the true
         layer is the single column q = n-1 ordered by p.
         """
-        if truncation < 1:
-            raise ValueError("truncation must be positive")
+        [truncation] = integers(1, truncation=truncation)
         if self.kind == "poly":
             return [(p, q) for q in range(self.n) for p in range(truncation)]
         return [(p, self.n - 1) for p in range(truncation)]
@@ -100,8 +99,7 @@ def _laguerre_factor(n: int, alpha: int, z: complex, w: complex) -> float:
 
 
 def _kernel_plain(n: int, z: complex, w: complex, alpha: int) -> complex:
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    [n] = integers(1, n=n)
     arg = _checked_exp_arg(z, w)
     value = cmath.exp(arg) * _laguerre_factor(n, alpha, z, w)
     if not cmath.isfinite(value):
@@ -157,9 +155,7 @@ def kernel_recursion_check(n: int) -> bool:
     creation operators of the exact layer, so the whole step reduces to exact
     polynomial arithmetic:  P_{n+1} = -(1/n) (u - d/du_bar)(ubar - d/du) P_n.
     """
-    if n < 1:
-        raise ValueError("recursion starts at order 1; the order-0 kernel "
-                         "does not exist")
+    [n] = integers(1, n=n)
     if n > 8:
         raise ValueError("exact recursion check capped at order 8")
     from fractions import Fraction
@@ -178,8 +174,7 @@ def kernel_recursion_check(n: int) -> bool:
 
 def evaluation_bound(n: int, z: complex) -> float:
     """Sharp bound sqrt(n) e^(|z|^2 / 2) on point evaluation at z."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    [n] = integers(1, n=n)
     half = 0.5 * abs(_finite_point(z)) ** 2
     if half > EXP_OVERFLOW_LIMIT:
         raise OverflowError(f"bound exponent |z|^2 / 2 = {half:.1f} exceeds the "

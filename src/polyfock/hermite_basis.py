@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from .defaults import integers
 from .laguerre import _times_exp, profile_point, profile_scaled
 
 # numpy is imported inside the array function and the exact layer inside the
@@ -40,8 +41,7 @@ class HermiteIndex:
     q: int
 
     def __post_init__(self):
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"indices must be nonnegative, got ({self.p}, {self.q})")
+        integers(0, p=self.p, q=self.q)
 
     @property
     def d(self) -> int:
@@ -162,6 +162,7 @@ def monomial_b_inner(d: int, k: int, q: int) -> SignedSquare:
     Requires k <= q and all exponents nonnegative.  The value is
     sqrt(q! (d+q)!) for k = q and 0 for k < q.
     """
+    d, k, q = integers(d=d, k=k, q=q)
     if k > q:
         raise ValueError("requires k <= q")
     if min(d + k, d + q, k, q) < 0:

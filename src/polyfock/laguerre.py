@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+from .defaults import integers
+
 # numpy is imported inside the array functions, so the exact and point paths
 # (the CLI's `basis` and `kernel`) never load it; the exact layer is imported
 # inside the exact functions, so the float paths (the CLI's `toeplitz`,
@@ -34,10 +36,7 @@ class LaguerreParams:
     alpha: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.n}")
-        if self.alpha < 0:
-            raise ValueError(f"order must be nonnegative, got {self.alpha}")
+        integers(0, n=self.n, alpha=self.alpha)
 
 
 def _recurrence_scalar(n: int, alpha: int, x: float) -> float:
@@ -194,8 +193,8 @@ def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> flo
     in the order parameter on compact intervals.
     """
     import numpy as np
-    if grid < 2:
-        raise ValueError("grid must have at least 2 points")
+    m, alpha = integers(0, m=m, alpha=alpha)
+    [grid] = integers(2, grid=grid)
     if not 0 <= x < math.inf:
         raise ValueError(f"interval end x must be finite and nonnegative, got {x}")
     t = np.linspace(0.0, x, grid)
@@ -212,8 +211,7 @@ def rodrigues_identity_residual(n: int, alpha: int) -> bool:
     exponential factor and maps g to dg/dx - y g.
     """
     from .exact_poly import BiPolynomial, creation_adagger
-    if n < 0 or alpha < 0:
-        raise ValueError("indices must be nonnegative")
+    n, alpha = integers(0, n=n, alpha=alpha)
     if n > 10 or alpha > 10:
         raise ValueError("indices limited to 10 for the exact check")
     # n applications of (d/dx - y) to x^(n+alpha), i.e. (-1)^n (y - d/dx)^n

@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from .defaults import integers
 from .laguerre import orthonormal_scaled
 
 
@@ -67,10 +68,8 @@ def gauss_laguerre(alpha: int, n_nodes: int) -> QuadratureRule:
     the eigenvalues of the dense symmetric Jacobi matrix (`np.linalg.eigvalsh`,
     ascending); weights come from the Christoffel sum at each node.
     """
-    if n_nodes < 1:
-        raise ValueError("need at least one node")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    [alpha] = integers(0, alpha=alpha)
+    [n_nodes] = integers(1, n_nodes=n_nodes)
     k = np.arange(n_nodes, dtype=float)
     diag = 2.0 * k + alpha + 1.0
     off = np.sqrt(k[1:] * (k[1:] + alpha))
@@ -111,8 +110,7 @@ class CircleRule:
     m_angles: int
 
     def __post_init__(self):
-        if self.m_angles < 1:
-            raise ValueError("need at least one angle")
+        integers(1, m_angles=self.m_angles)
 
     @property
     def taus(self) -> np.ndarray:

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .defaults import integers
 from .fock_spaces import SpaceId
 from .quadrature import CircleRule
 
@@ -80,6 +81,7 @@ class RadialOperatorRep:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        integers(1, n=self.n)
         for i, block in enumerate(self.blocks):
             d = self.d_min + i
             size = min(self.n, self.n + d)
@@ -182,6 +184,7 @@ def phi_n(s: BasisMatrix, d_max: int,
     if s.space.kind != "poly":
         raise ValueError("block decomposition is defined over the full space")
     n = s.space.n
+    [d_max] = integers(d_max=d_max)
     _require_block_coverage(n, s.truncation, d_max)
     total = float(np.linalg.norm(s.entries))
     # S minus its radialization, formed in the radialization's own array
@@ -204,8 +207,8 @@ def assemble_blocks(rep: RadialOperatorRep, truncation: int) -> BasisMatrix:
     result is the largest block norm.
     """
     space = SpaceId("poly", rep.n)
-    _require_block_coverage(rep.n, truncation, rep.d_max)
     rows_of = space.diagonal_rows(truncation)
+    _require_block_coverage(rep.n, truncation, rep.d_max)
     s = BasisMatrix.zeros(space, truncation)
     for d in range(rep.d_min, rep.d_max + 1):
         s.entries[np.ix_(rows_of[d], rows_of[d])] = rep.block(d)

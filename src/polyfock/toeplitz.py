@@ -23,14 +23,13 @@ that test (`_agreed`).  The matrix of a plain callable g(z) takes
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .defaults import DEFAULT_P_MAX
+from .defaults import DEFAULT_P_MAX, integers
 from .laguerre import orthonormal_scaled
 from .quadrature import (QuadratureConvergenceError, _polar_checked,
                          _polar_samples, _sampler, gauss_laguerre, legendre_rule)
@@ -158,19 +157,6 @@ class EigenvalueSequence:
     n: int
     values: np.ndarray
     quadrature_meta: dict = field(default_factory=dict)
-
-
-def _integers(**args) -> list[int]:
-    """The arguments as ints, read as `operator.index` reads them: Python and
-    numpy integers pass, and the first that is not an integer (a float
-    included) raises a ValueError naming it."""
-    out = []
-    for name, value in args.items():
-        try:
-            out.append(operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    return out
 
 
 #: degrees times rows per `_block_checked` call: bounds the (degrees, rows,
@@ -431,9 +417,9 @@ def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
     padded on the right with -1 to the common width K.  Adjacent rows with
     the same degrees run together, _CHUNK // (their number) at a time (at
     least one); every call samples the symbol through one `quadrature._sampler`.
-    The chunks share one scratch buffer, allocated here for the largest
-    chunk's first step, grown when a doubling step needs more and kept so
-    for the rest of the pass; no buffer outlives the call.
+    The chunks share one scratch buffer, which `_block_once` allocates at the
+    first chunk and replaces by a larger one whenever a step needs more; no
+    buffer outlives the call.
     Returns the (rows, K, K) stack of the blocks, each in the leading corner
     of its row with zeros around it, and the node count each converged at.
     """
@@ -441,21 +427,15 @@ def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
     stack = np.zeros(degrees.shape + degrees.shape[-1:], dtype=complex)
     nodes = np.zeros(len(ds), dtype=int)
     starts = [0] if len(ds) else []
-    if len(ds) > 1:
-        starts += (np.flatnonzero((degrees[1:] != degrees[:-1]).any(axis=1))
-                   + 1).tolist()
+    starts += (np.flatnonzero((degrees[1:] != degrees[:-1]).any(axis=1))
+               + 1).tolist()
     chunks = []
     for first, end in zip(starts, starts[1:] + [len(ds)]):
         ms = degrees[first][degrees[first] >= 0].tolist()
         step = max(1, _CHUNK // len(ms))
         chunks += [(slice(lo, min(lo + step, end)), ms)
                    for lo in range(first, end, step)]
-    # the five planes of `_block_once` at 64 + 128 nodes in each of a row's
-    # pieces (2 (1 + m // 8) and one per breakpoint, see `_window`) and tail
-    width = max(((rows.stop - rows.start)
-                 * (2 * (1 + ms[-1] // 8) + len(a.breakpoints) + 1)
-                 for rows, ms in chunks), default=0)
-    scratch = [np.empty(5 * 3 * _N_START * width)]
+    scratch = [np.empty(0)]
     for rows, ms in chunks:
         stack[rows, :len(ms), :len(ms)], nodes[rows] = _block_checked(
             a, values, ds[rows], ms, scratch)
@@ -483,7 +463,7 @@ def beta(a: RadialSymbol, d: int, j: int, k: int) -> complex:
     Self-checked by doubling the node count until two consecutive values
     agree; raises QuadratureConvergenceError otherwise.
     """
-    d, j, k = _integers(d=d, j=j, k=k)
+    d, j, k = integers(d=d, j=j, k=k)
     return complex(_betas(a, np.array([d]), j, k)[0])
 
 
@@ -491,8 +471,6 @@ def _true_layer(a: RadialSymbol, n: int,
                 positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """lambda(p) = beta(a, p-n+1, n-1, n-1) at the given positions, in one
     pass, and the node count at which each passed its self-check."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
     p = np.asarray(positions)
     stack, nodes = _diagonal_blocks(a, p - n + 1, np.minimum(p, n - 1)[:, None])
     return stack[:, 0, 0], nodes
@@ -506,9 +484,8 @@ def lambda_seq(a: RadialSymbol, n: int,
     `quadrature_meta["nodes"][p]` is the node count at which lambda(p)
     passed its self-check.
     """
-    n, p_max = _integers(n=n, p_max=p_max)
-    if p_max < 0:
-        raise ValueError(f"p_max must be nonnegative, got {p_max}")
+    [n] = integers(1, n=n)
+    [p_max] = integers(0, p_max=p_max)
     values, nodes = _true_layer(a, n, np.arange(p_max + 1))
     meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": BETA_REL_TOL,
             "nodes": nodes.tolist()}
@@ -518,9 +495,8 @@ def lambda_seq(a: RadialSymbol, n: int,
 def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
     """Block of the radial Toeplitz operator on diagonal d: the matrix of
     beta values over the indices living inside the order-n space."""
-    n, d = _integers(n=n, d=d)
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    [n] = integers(1, n=n)
+    [d] = integers(d=d)
     if d < -n + 1:
         raise ValueError(f"diagonal {d} is empty in a space of order {n}")
     return _diagonal_blocks(a, np.array([d]),
@@ -530,9 +506,8 @@ def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
 def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int) -> list[np.ndarray]:
     """The blocks `toeplitz_block(a, n, d)` for d = -n+1, ..., d_max, in one
     pass."""
-    n, d_max = _integers(n=n, d_max=d_max)
-    if n < 1:
-        raise ValueError("order must be >= 1")
+    [n] = integers(1, n=n)
+    [d_max] = integers(d_max=d_max)
     if d_max < -n + 1:
         raise ValueError(f"d_max must be at least {-n + 1}, the first diagonal "
                          f"of a space of order {n}, got {d_max}")
@@ -608,8 +583,8 @@ def limit_diagnostic(a: RadialSymbol, j: int, k: int,
     Requires a declared limit v at infinity; the residuals witness the
     convergence of the blocks to v times the identity.
     """
-    j, k, *ds = _integers(j=j, k=k, **{f"d_list[{i}]": d
-                                       for i, d in enumerate(d_list)})
+    j, k, *ds = integers(j=j, k=k, **{f"d_list[{i}]": d
+                                      for i, d in enumerate(d_list)})
     if a.limit_at_infinity is None:
         raise ValueError("symbol must declare its limit at infinity")
     target = a.limit_at_infinity if j == k else 0.0
@@ -635,12 +610,10 @@ def separation_check(n: int, p: int, q: float,
     """Search the grid for an indicator radius whose eigenvalue separates the
     nonnegative integer positions p and q, computing only those two per
     radius; q = inf compares against the limit value 0 at u = 1."""
-    [n] = _integers(n=n)
-    if not (float(p).is_integer() and p >= 0):
-        raise ValueError(f"position p must be a nonnegative integer, got {p}")
-    p = int(p)
-    if q != math.inf and not (float(q).is_integer() and q >= 0):
-        raise ValueError(f"position q must be a nonnegative integer or inf, got {q}")
+    [n] = integers(1, n=n)
+    [p] = integers(0, **{"position p": p})
+    if q != math.inf:
+        [q] = integers(0, **{"position q": q})
     if p == q:
         raise ValueError("positions must differ")
     if math.isinf(q):
@@ -649,7 +622,7 @@ def separation_check(n: int, p: int, q: float,
         return SeparationResult(p, q, found, 1.0 if found else None, gap)
     best_u, best_gap = None, 0.0
     for u in u_grid:
-        lam_p, lam_q = _true_layer(indicator_symbol(u), n, (p, int(q)))[0].real
+        lam_p, lam_q = _true_layer(indicator_symbol(u), n, (p, q))[0].real
         gap = float(abs(lam_p - lam_q))
         if gap > best_gap:
             best_u, best_gap = u, gap

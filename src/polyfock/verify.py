@@ -73,13 +73,14 @@ def suite_laguerre(quick: bool = False) -> list[CheckResult]:
     worst = 0.0
     for alpha in range(amax + 1):
         rule = gauss_laguerre(alpha, nmax + 2)
+        values = []
         for n in range(nmax + 1):
-            ln = np.array([laguerre_eval(LaguerreParams(n, alpha), float(t))
-                           for t in rule.nodes])
+            params = LaguerreParams(n, alpha)
+            values.append(np.array([laguerre_eval(params, float(t))
+                                    for t in rule.nodes]))
+        for n in range(nmax + 1):
             for m in range(n, nmax + 1):
-                lm = np.array([laguerre_eval(LaguerreParams(m, alpha), float(t))
-                               for t in rule.nodes])
-                val = float(np.sum(rule.weights * ln * lm))
+                val = float(np.sum(rule.weights * values[n] * values[m]))
                 rhs = math.factorial(n + alpha) / math.factorial(n) if n == m else 0.0
                 scale = math.sqrt(math.factorial(n + alpha) / math.factorial(n)
                                   * math.factorial(m + alpha) / math.factorial(m))
@@ -90,8 +91,8 @@ def suite_laguerre(quick: bool = False) -> list[CheckResult]:
     for alpha in range(amax + 1):
         rule = gauss_laguerre(alpha, nmax + 2)
         for m in range(nmax + 1):
-            lm = np.array([laguerre_eval(LaguerreParams(m, alpha), float(t))
-                           for t in rule.nodes])
+            params = LaguerreParams(m, alpha)
+            lm = np.array([laguerre_eval(params, float(t)) for t in rule.nodes])
             norm = math.factorial(m) / math.factorial(m + alpha)
             val = float(np.sum(rule.weights * lm * lm)) * norm
             worst = max(worst, abs(val - 1.0))
@@ -101,14 +102,15 @@ def suite_laguerre(quick: bool = False) -> list[CheckResult]:
     nr = 12 if quick else 30
     for n in range(nr + 1):
         for alpha in (0, 3, 10):
+            params = LaguerreParams(n, alpha)
             for x in (0.1, 1.0, 10.0, 50.0):
                 exact = _laguerre_explicit_float(n, alpha, x)
-                rec = laguerre_eval(LaguerreParams(n, alpha), x)
+                rec = laguerre_eval(params, x)
                 # at exact zeros of the polynomial fall back to the term
                 # magnitude sum as the relative scale
                 scale = abs(exact) or float(sum(
                     abs(c) * Fraction(x) ** k for k, c in
-                    enumerate(laguerre_exact(LaguerreParams(n, alpha)))))
+                    enumerate(laguerre_exact(params))))
                 worst = max(worst, abs(rec - exact) / scale)
     out.append(_check("laguerre", "recurrence_vs_explicit_sum", worst, 1e-12))
 

@@ -153,7 +153,7 @@ class TestEvaluationBound:
     @pytest.mark.parametrize("n", [0, -1])
     def test_order_below_one_rejected(self, n):
         # as for the kernels: the order-n space exists for n >= 1 only
-        with pytest.raises(ValueError, match="order must be >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1, got "):
             evaluation_bound(n, 0.5 + 0j)
 
     def test_overflow_names_the_limit(self):

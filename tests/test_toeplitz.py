@@ -256,7 +256,7 @@ class TestLambdaSequences:
 
     def test_range_validation(self):
         assert len(lambda_seq(const_symbol(1.0), 1, 0).values) == 1
-        with pytest.raises(ValueError, match="p_max must be nonnegative, got -3"):
+        with pytest.raises(ValueError, match="p_max must be >= 0, got -3"):
             lambda_seq(const_symbol(1.0), 2, -3)
 
 
@@ -335,7 +335,7 @@ class TestBlocks:
     def test_empty_diagonal_rejected(self):
         with pytest.raises(ValueError):
             toeplitz_block(const_symbol(1.0), 2, -2)
-        with pytest.raises(ValueError, match="order"):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             toeplitz_block(const_symbol(1.0), 0, 1)
         with pytest.raises(ValueError, match="got -5"):
             toeplitz_blocks(const_symbol(1.0), 2, -5)
