@@ -19,7 +19,7 @@ import numpy as np
 
 from polyfock.toeplitz import (RadialSymbol, exp_decay_symbol, gaussian_symbol,
                                indicator_symbol, inverse_quadratic_symbol,
-                               lambda_seq, toeplitz_blocks)
+                               lambda_seq, toeplitz_block)
 
 
 def oscillating_symbol(freq: float) -> RadialSymbol:
@@ -58,13 +58,12 @@ def emit_eigenvalue_oscillation(outdir: str, n: int, pmax: int) -> None:
 def emit_block_scalar_distance(outdir: str, n: int, dmax: int) -> None:
     symbols = [indicator_symbol(1.0), exp_decay_symbol(),
                inverse_quadratic_symbol()]
-    ds = sorted({0, 1, 2, 5, 10, 20, 50, 100, dmax})
+    ds = sorted(d for d in {0, 1, 2, 5, 10, 20, 50, 100, dmax} if d <= dmax)
     records = []
     for a in symbols:
         v = a.limit_at_infinity
-        blocks = toeplitz_blocks(a, n, ds[-1])  # from d = -n + 1
         for d in ds:
-            block = blocks[d + n - 1]
+            block = toeplitz_block(a, n, d)
             dist = float(np.linalg.norm(block - v * np.eye(block.shape[0]), 2))
             records.append({"symbol": a.name, "d": d,
                             "distance_to_scalar": dist})

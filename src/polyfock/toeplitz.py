@@ -1,13 +1,13 @@
 """Radial Toeplitz machinery: the beta integrals pairing a radial symbol with
-two normalized Laguerre functions, the resulting operator blocks and
-eigenvalue sequences, limit diagnostics, and separation witnesses.
+two normalized Laguerre functions, and the resulting operator blocks and
+eigenvalue sequences.
 
 Symbols are callables in the radius r; the substitution t = r^2 and the
 mapping of declared breakpoints are handled here, in one place.  All beta
 values, blocks, eigenvalue sequences and matrices of radial symbols come from
 one batched pass over their diagonals (`_diagonal_blocks`) on one
-self-checked window rule with its own weight constant (`_window`), the
-separation witnesses included.  The pass stacks adjacent diagonals with the
+self-checked window rule with its own weight constant (`_window`).
+The pass stacks adjacent diagonals with the
 same degrees as rows of (rows, nodes) arrays, in bounded chunks, and returns
 one (rows, K, K) array.  The chunks of a pass share one scratch buffer for
 those arrays, so a long pass does not map fresh pages for every chunk; each
@@ -59,10 +59,11 @@ class RadialSymbol:
     """A radial symbol a(r) with its declared analytic metadata.
 
     `breakpoints` are discontinuity radii (quadrature pieces are aligned to
-    them); `limit_at_infinity` enables the limit diagnostics; `bound` is the
-    sup norm, infinite for unbounded symbols (permitted, flagged).  The
-    quadrature calls `fn` on whole arrays of radii; a callable that only
-    takes one radius at a time is called once per radius instead.
+    them); `limit_at_infinity` is the value a(inf) that the eigenvalues and
+    blocks tend to, declared when it exists; `bound` is the sup norm,
+    infinite for unbounded symbols (permitted, flagged).  The quadrature
+    calls `fn` on whole arrays of radii; a callable that only takes one
+    radius at a time is called once per radius instead.
     """
 
     fn: Callable[[float], complex]
@@ -442,16 +443,6 @@ def _diagonal_blocks(a: RadialSymbol, ds: np.ndarray,
     return stack, nodes
 
 
-def _betas(a: RadialSymbol, ds: np.ndarray, j: int, k: int) -> np.ndarray:
-    """beta(a, d, j, k) for each d in ds: entry [0, -1] of the block of the
-    degrees min(j, j+d), min(k, k+d) (blocks are symmetric)."""
-    low = np.minimum(ds, 0)
-    if len(ds) and min(j, k) + low.min() < 0:
-        raise ValueError(f"indices (d={ds.min()}, j={j}, k={k}) leave the "
-                         f"valid range")
-    return _diagonal_blocks(a, ds, low[:, None] + sorted({j, k}))[0][:, 0, -1]
-
-
 def beta(a: RadialSymbol, d: int, j: int, k: int) -> complex:
     """Matrix element of multiplication by the symbol between two basis
     elements on diagonal d: the integral of a(sqrt t) against two normalized
@@ -464,16 +455,14 @@ def beta(a: RadialSymbol, d: int, j: int, k: int) -> complex:
     agree; raises QuadratureConvergenceError otherwise.
     """
     d, j, k = integers(d=d, j=j, k=k)
-    return complex(_betas(a, np.array([d]), j, k)[0])
-
-
-def _true_layer(a: RadialSymbol, n: int,
-                positions: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """lambda(p) = beta(a, p-n+1, n-1, n-1) at the given positions, in one
-    pass, and the node count at which each passed its self-check."""
-    p = np.asarray(positions)
-    stack, nodes = _diagonal_blocks(a, p - n + 1, np.minimum(p, n - 1)[:, None])
-    return stack[:, 0, 0], nodes
+    low = min(d, 0)
+    if min(j, k) + low < 0:
+        raise ValueError(f"indices (d={d}, j={j}, k={k}) leave the valid range")
+    # entry [0, -1] of the block of the degrees min(j, j+d), min(k, k+d)
+    # (blocks are symmetric)
+    stack, _ = _diagonal_blocks(a, np.array([d]),
+                                np.array([[low + m for m in sorted({j, k})]]))
+    return complex(stack[0, 0, -1])
 
 
 def lambda_seq(a: RadialSymbol, n: int,
@@ -486,10 +475,11 @@ def lambda_seq(a: RadialSymbol, n: int,
     """
     [n] = integers(1, n=n)
     [p_max] = integers(0, p_max=p_max)
-    values, nodes = _true_layer(a, n, np.arange(p_max + 1))
+    p = np.arange(p_max + 1)
+    stack, nodes = _diagonal_blocks(a, p - n + 1, np.minimum(p, n - 1)[:, None])
     meta = {"n_start": _N_START, "n_max": _N_MAX, "rel_tol": BETA_REL_TOL,
             "nodes": nodes.tolist()}
-    return EigenvalueSequence(n=n, values=values, quadrature_meta=meta)
+    return EigenvalueSequence(n=n, values=stack[:, 0, 0], quadrature_meta=meta)
 
 
 def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
@@ -567,65 +557,3 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
         return sum(np.outer(profile, profile) * mode[mode_of]
                    for profile, mode in zip(profiles.T, modes))
     return BasisMatrix(space, truncation, _polar_checked(once, m_angles))
-
-
-@dataclass(frozen=True)
-class LimitRecord:
-    d: int
-    beta: complex
-    residual: float
-
-
-def limit_diagnostic(a: RadialSymbol, j: int, k: int,
-                     d_list: Sequence[int]) -> list[LimitRecord]:
-    """Residuals |beta(a, d, j, k) - delta_{jk} v| along increasing d.
-
-    Requires a declared limit v at infinity; the residuals witness the
-    convergence of the blocks to v times the identity.
-    """
-    j, k, *ds = integers(j=j, k=k, **{f"d_list[{i}]": d
-                                      for i, d in enumerate(d_list)})
-    if a.limit_at_infinity is None:
-        raise ValueError("symbol must declare its limit at infinity")
-    target = a.limit_at_infinity if j == k else 0.0
-    ds = np.sort(ds)
-    return [LimitRecord(d=d, beta=val, residual=abs(val - target))
-            for d, val in zip(ds.tolist(), _betas(a, ds, j, k).tolist())]
-
-
-@dataclass(frozen=True)
-class SeparationResult:
-    p: int
-    q: float
-    found: bool
-    witness_u: float | None
-    gap: float
-
-
-SEPARATION_GAP = 1e-6
-
-
-def separation_check(n: int, p: int, q: float,
-                     u_grid: Sequence[float] = (0.5, 1.0, 2.0, 4.0)) -> SeparationResult:
-    """Search the grid for an indicator radius whose eigenvalue separates the
-    nonnegative integer positions p and q, computing only those two per
-    radius; q = inf compares against the limit value 0 at u = 1."""
-    [n] = integers(1, n=n)
-    [p] = integers(0, **{"position p": p})
-    if q != math.inf:
-        [q] = integers(0, **{"position q": q})
-    if p == q:
-        raise ValueError("positions must differ")
-    if math.isinf(q):
-        gap = float(_true_layer(indicator_symbol(1.0), n, (p,))[0][0].real)
-        found = gap > SEPARATION_GAP
-        return SeparationResult(p, q, found, 1.0 if found else None, gap)
-    best_u, best_gap = None, 0.0
-    for u in u_grid:
-        lam_p, lam_q = _true_layer(indicator_symbol(u), n, (p, q))[0].real
-        gap = float(abs(lam_p - lam_q))
-        if gap > best_gap:
-            best_u, best_gap = u, gap
-        if gap > SEPARATION_GAP:
-            return SeparationResult(p=p, q=q, found=True, witness_u=u, gap=gap)
-    return SeparationResult(p=p, q=q, found=False, witness_u=best_u, gap=best_gap)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from polyfock import toeplitz
+from polyfock import toeplitz, verify
 from polyfock.cli import dumps_fixed, format_float, main, parse_complex
 from polyfock.quadrature import QuadratureConvergenceError
 
@@ -211,7 +211,62 @@ class TestBlockWriter:
         assert path.read_bytes() == want.encode("utf-8")
 
 
+#: every `verify` line, in the order `run_suites(SUITE_NAMES)` reports them,
+#: full and quick alike
+VERIFY_LINES = [
+    "laguerre/orthogonality",
+    "laguerre/function_normalization",
+    "laguerre/recurrence_vs_explicit_sum",
+    "laguerre/order_decay_monotone",
+    "laguerre/order_decay_small_at_120",
+    "laguerre/rodrigues_identity_exact",
+    "basis/operator_vs_closed_coefficients",
+    "basis/exact_orthonormality",
+    "basis/monomial_pairing_closed_form",
+    "basis/numeric_orthonormality",
+    "basis/polar_profile_is_polynomial",
+    "basis/rotation_eigenrelation",
+    "kernels/series_vs_closed_form",
+    "kernels/recursion_exact",
+    "kernels/rotation_invariance",
+    "kernels/hermitian_symmetry",
+    "kernels/telescoping_sum",
+    "kernels/diagonal_and_sharp_bound",
+    "kernels/berezin_identity_is_one",
+    "kernels/berezin_blind_spot_vanishes",
+    "kernels/berezin_blind_spot_operator_nonzero",
+    "radial/radialization_fixed_point_on_radial",
+    "radial/radial_report_on_assembled",
+    "radial/blind_spot_witness_nonradial",
+    "radial/numeric_radialization_matches_exact",
+    "radial/aliasing_witness_below_nyquist",
+    "radial/block_sizes_1_to_n_then_n",
+    "radial/phi_assemble_round_trip_exact",
+    "radial/assembled_norm_is_max_block_norm",
+    "radial/block_map_multiplicative",
+    "radial/toeplitz_rotation_covariance",
+    "radial/finite_rank_constructor",
+    "radial/berezin_of_radial_is_rotation_invariant",
+    "toeplitz/beta_of_one_is_delta",
+    "toeplitz/beta_indicator_closed_form",
+    "toeplitz/indicator_eigenvalues_vs_gamma",
+    "toeplitz/indicator_monotone_positive",
+    "toeplitz/true_layer_diagonality",
+    "toeplitz/eigenvalues_match_matrix_diagonal",
+    "toeplitz/eigenvalue_contractivity",
+    "toeplitz/eigenvalue_limit_at_infinity",
+    "toeplitz/slow_symbol_limit_monotone",
+    "toeplitz/block_limit_toward_scalar",
+    "toeplitz/indicator_separation_witnesses",
+]
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+    def test_line_names_and_order(self, quick):
+        results = verify.run_suites(list(verify.SUITE_NAMES), quick=quick)
+        assert [f"{r.suite}/{r.name}" for r in results] == VERIFY_LINES
+
     def test_quick_suite_passes_fast(self):
         start = time.monotonic()
         proc = run_cli("verify", "--suite", "laguerre", "--quick")

@@ -6,6 +6,7 @@ integers its own way, with `operator.index`.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
 
@@ -23,7 +24,6 @@ from polyfock.quadrature import CircleRule, gauss_laguerre
 from polyfock.radial_ops import (BasisMatrix, RadialOperatorRep,
                                  assemble_blocks, phi_n, radialize_numeric)
 from polyfock.toeplitz import (beta, const_symbol, gaussian_symbol, lambda_seq,
-                               limit_diagnostic, separation_check,
                                toeplitz_block, toeplitz_blocks, toeplitz_matrix)
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "polyfock"
@@ -84,17 +84,6 @@ ROWS = [
     ("toeplitz_blocks-n", "n", 1, 2, lambda v: toeplitz_blocks(GAUSS, v, 3)),
     ("toeplitz_blocks-d_max", "d_max", None, 3,
      lambda v: toeplitz_blocks(GAUSS, 2, v)),
-    ("limit_diagnostic-j", "j", None, 0,
-     lambda v: limit_diagnostic(GAUSS, v, 0, [10])),
-    ("limit_diagnostic-k", "k", None, 0,
-     lambda v: limit_diagnostic(GAUSS, 0, v, [10])),
-    ("limit_diagnostic-d_list", "d_list[1]", None, 20,
-     lambda v: limit_diagnostic(GAUSS, 0, 0, [10, v])),
-    ("separation_check-n", "n", 1, 2, lambda v: separation_check(v, 0, 5)),
-    ("separation_check-p", "position p", 0, 0,
-     lambda v: separation_check(2, v, 5)),
-    ("separation_check-q", "position q", 0, 5,
-     lambda v: separation_check(2, 0, v)),
 ]
 
 
@@ -103,7 +92,7 @@ def rows(bounded_only=False):
             if row[2] is not None or not bounded_only]
 
 
-@pytest.mark.parametrize("value", [2.0, 2.5, np.float64(3.0)])
+@pytest.mark.parametrize("value", [0.0, 2.0, 2.5, np.float64(3.0), 3.5])
 @pytest.mark.parametrize("name, least, valid, call", rows())
 def test_float_is_named(name, least, valid, call, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be an "
@@ -120,8 +109,23 @@ def test_value_below_the_bound_is_named(name, least, valid, call):
 
 @pytest.mark.parametrize("name, least, valid, call", rows())
 def test_numpy_integers_pass(name, least, valid, call):
-    call(valid)
-    call(np.int64(valid))
+    want = call(valid)
+    for kind in (np.int8, np.int32, np.int64):
+        assert same(call(kind(valid)), want), kind
+
+
+def same(x, y) -> bool:
+    """x == y, arrays compared entry by entry, and dataclasses, lists and
+    tuples item by item."""
+    if isinstance(x, np.ndarray):
+        return np.array_equal(x, y)
+    if dataclasses.is_dataclass(x):
+        return type(x) is type(y) and all(
+            same(getattr(x, f.name), getattr(y, f.name))
+            for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(map(same, x, y))
+    return x == y
 
 
 def test_silent_float_answers_are_gone():
@@ -132,8 +136,6 @@ def test_silent_float_answers_are_gone():
         evaluation_bound(2.5, 0j)
     with pytest.raises(ValueError, match="^m_angles must be an integer"):
         radialize_numeric(IDENTITY, CircleRule(8.5))
-    with pytest.raises(ValueError, match="^position p must be an integer"):
-        separation_check(2, 0.0, 5.0)
 
 
 def uses_of_operator(tree: ast.AST) -> list[str]:

@@ -36,10 +36,9 @@ OLD_EXPORTS = {
         "is_radial", "phi_n", "radialize_matrix", "radialize_numeric",
         "vanishing_berezin_witness"],
     "toeplitz": [
-        "EigenvalueSequence", "LimitRecord", "NonFiniteIntegrandError",
-        "RadialSymbol", "beta", "const_symbol", "exp_decay_symbol",
-        "gaussian_symbol", "indicator_symbol", "inverse_quadratic_symbol",
-        "lambda_seq", "limit_diagnostic", "separation_check",
+        "EigenvalueSequence", "NonFiniteIntegrandError", "RadialSymbol",
+        "beta", "const_symbol", "exp_decay_symbol", "gaussian_symbol",
+        "indicator_symbol", "inverse_quadratic_symbol", "lambda_seq",
         "symbol_from_spec", "toeplitz_block", "toeplitz_blocks",
         "toeplitz_matrix"],
 }

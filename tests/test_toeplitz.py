@@ -20,9 +20,8 @@ from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
                                RadialSymbol, beta, const_symbol,
                                exp_decay_symbol, gaussian_symbol,
                                indicator_symbol, inverse_quadratic_symbol,
-                               lambda_seq, limit_diagnostic, separation_check,
-                               symbol_from_spec, toeplitz_block, toeplitz_blocks,
-                               toeplitz_matrix)
+                               lambda_seq, symbol_from_spec, toeplitz_block,
+                               toeplitz_blocks, toeplitz_matrix)
 from polyfock.verify import _indicator_eigenvalue
 
 from oracles import (block_checked_by_doubling, gammp, inverse_linear_symbol,
@@ -198,33 +197,6 @@ class TestBeta:
             gammp(c, u * u), abs=1e-9)
 
 
-
-_GAUSS = gaussian_symbol(2.0)
-
-
-@pytest.mark.parametrize("call, args, name", [
-    (toeplitz_block, (_GAUSS, 2, 3.5), "d"),
-    (toeplitz_block, (_GAUSS, 2.0, 3), "n"),
-    (toeplitz_blocks, (_GAUSS, 2, 3.0), "d_max"),
-    (lambda_seq, (_GAUSS, 1, 2.0), "p_max"),
-    (lambda_seq, (_GAUSS, np.float64(1), 2), "n"),
-    (beta, (_GAUSS, 2.0, 0, 0), "d"),
-    (beta, (_GAUSS, 2, 0, 0.0), "k"),
-    (limit_diagnostic, (_GAUSS, 0, 0, [10, 10.5]), r"d_list\[1\]"),
-    (separation_check, (2.0, 0, 1), "n"),
-], ids=["block-d", "block-n", "blocks-d_max", "lambda-p_max", "lambda-n",
-        "beta-d", "beta-k", "limit-d_list", "separation-n"])
-def test_non_integer_index_is_named(call, args, name):
-    # a float never reaches the radial pass, not even an integral one
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
-        call(*args)
-
-
-def test_numpy_integer_indices_pass():
-    assert np.array_equal(toeplitz_block(_GAUSS, np.int64(2), np.int32(3)),
-                          toeplitz_block(_GAUSS, 2, 3))
-    assert beta(_GAUSS, np.int64(2), np.int8(0), 1) == beta(_GAUSS, 2, 0, 1)
-
 class TestLambdaSequences:
     def test_constant_symbol(self):
         seq = lambda_seq(const_symbol(2.5), 3, 12)
@@ -304,8 +276,6 @@ class TestLambdaIndicator:
     def test_non_finite_radius_rejected(self, u):
         with pytest.raises(ValueError, match="finite"):
             indicator_symbol(u)
-        with pytest.raises(ValueError, match="finite"):
-            separation_check(1, 0, 1, (u,))
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -704,15 +674,19 @@ class TestFusedSelfCheck:
     @pytest.mark.parametrize("n, p, q", [(1, 0, 1), (2, 5, 40), (3, 99, 100),
                                          (2, 3, math.inf)])
     def test_two_row_calls(self, monkeypatch, n, p, q):
-        fused, old = _fused_and_doubling(monkeypatch,
-                                         lambda: separation_check(n, p, q))
-        assert fused == old
-        if q != math.inf:
-            for u in (0.5, 2.0):
-                fused, old = _fused_and_doubling(
-                    monkeypatch, lambda: toeplitz._true_layer(
-                        indicator_symbol(u), n, (p, q)))
-                assert all(np.array_equal(x, y) for x, y in zip(fused, old))
+        # the true-layer rows lambda(p) and lambda(q) in one pass (lambda(p)
+        # alone for q = inf), and lambda_seq's own two-row pass lambda(0),
+        # lambda(1): one chunk at n = 1, two of different degrees from n = 2
+        positions = np.array([p] if q == math.inf else [p, q])
+        for u in (0.5, 1.0, 2.0):
+            a = indicator_symbol(u)
+            fused, old = _fused_and_doubling(
+                monkeypatch, lambda: toeplitz._diagonal_blocks(
+                    a, positions - n + 1, np.minimum(positions, n - 1)[:, None]))
+            assert all(np.array_equal(x, y) for x, y in zip(fused, old))
+            fused, old = _fused_and_doubling(monkeypatch,
+                                             lambda: lambda_seq(a, n, 1))
+            assert _same_outcome(fused, old)
 
     @pytest.mark.parametrize("name", sorted(_CROSS_SYMBOLS))
     def test_batched_calls(self, monkeypatch, name):
@@ -948,74 +922,53 @@ class TestToeplitzMatrix:
 
 
 class TestLimitDiagnostic:
+    """The residuals |A_d - a(inf) I| of the blocks along increasing d, which
+    `verify`'s block_limit_toward_scalar reads from `toeplitz_block`."""
+
     def test_constant_residuals_vanish(self):
-        recs = limit_diagnostic(const_symbol(2.0), 1, 1, [5, 50])
-        assert all(r.residual < 1e-10 for r in recs)
+        for d in (5, 50):
+            assert abs(beta(const_symbol(2.0), d, 1, 1) - 2.0) < 1e-10
+            assert np.abs(toeplitz_block(const_symbol(2.0), 2, d)
+                          - 2.0 * np.eye(2)).max() < 1e-10
 
     def test_indicator_residual_small_and_decreasing(self):
-        recs = limit_diagnostic(indicator_symbol(1.0), 0, 0, [10, 200])
-        assert recs[-1].residual < 1e-6
-        assert recs[-1].residual <= recs[0].residual
+        first, last = (abs(toeplitz_block(indicator_symbol(1.0), 2, d)[0, 0])
+                       for d in (10, 200))
+        assert last < 1e-6
+        assert last <= first
 
     def test_off_diagonal_slow_symbol_decreasing(self):
-        recs = limit_diagnostic(inverse_linear_symbol(), 0, 1, [10, 50, 200])
-        residuals = [r.residual for r in recs]
+        residuals = [abs(beta(inverse_linear_symbol(), d, 0, 1))
+                     for d in (10, 50, 200)]
         assert residuals[0] > residuals[1] > residuals[2]
-
-    def test_empty_request(self):
-        assert limit_diagnostic(const_symbol(1.0), 0, 0, []) == []
-        assert limit_diagnostic(const_symbol(1.0), 0, 1, []) == []
-
-    def test_requires_declared_limit(self):
-        with pytest.raises(ValueError):
-            limit_diagnostic(squared_radius_symbol(), 0, 0, [10])
 
 
 class TestSeparation:
+    """Indicator eigenvalues separate the points of N and N against infinity,
+    where they tend to 0; `verify`'s indicator_separation_witnesses reads
+    these gaps from `lambda_seq`."""
+
     def test_adjacent_positions_gap(self):
-        result = separation_check(1, 0, 1, (1.0,))
-        assert result.found
-        assert result.gap == pytest.approx(math.exp(-1), abs=1e-12)
+        values = lambda_seq(indicator_symbol(1.0), 1, 1).values.real
+        assert abs(values[0] - values[1]) == pytest.approx(math.exp(-1),
+                                                           abs=1e-12)
 
     def test_distant_positions(self):
-        result = separation_check(2, 0, 5)
-        assert result.found and result.witness_u is not None
+        gaps = [abs(values[0] - values[5]) for values in
+                (lambda_seq(indicator_symbol(u), 2, 5).values.real
+                 for u in (0.5, 1.0, 2.0, 4.0))]
+        assert max(gaps) > 1e-6
 
     def test_infinity_comparison(self):
-        result = separation_check(3, 2, math.inf)
-        assert result.found and result.witness_u == 1.0 and result.gap > 1e-6
-
-    def test_equal_positions_rejected(self):
-        with pytest.raises(ValueError):
-            separation_check(1, 3, 3)
+        assert lambda_seq(indicator_symbol(1.0), 3, 2).values[2].real > 1e-6
 
     def test_large_position_against_exact_oracle(self):
         # u^2 = 3025 sits in the bulk of lambda(3000), so its value is not
         # negligible: the gap checks both positions
-        result = separation_check(3, 0, 3000, (55.0,))
+        values = lambda_seq(indicator_symbol(55.0), 3, 3000).values.real
         want = _indicator_eigenvalue(55.0, 3, 0) - _indicator_eigenvalue(55.0, 3, 3000)
         assert 0.1 < want < 0.9
-        assert result.found and result.gap == pytest.approx(want, abs=1e-10)
-
-    def test_computes_only_the_two_positions(self, monkeypatch):
-        rows = []
-        route = toeplitz._diagonal_blocks
-
-        def spy(a, diagonals, *args):
-            rows.append(len(diagonals))
-            return route(a, diagonals, *args)
-
-        monkeypatch.setattr(toeplitz, "_diagonal_blocks", spy)
-        result = separation_check(1, 0, 100000)
-        assert result.found and result.witness_u == 0.5
-        assert result.gap == pytest.approx(1 - math.exp(-0.25), abs=1e-12)
-        assert separation_check(2, 100000, math.inf).gap == pytest.approx(0.0, abs=1e-12)
-        assert rows == [2, 1]
-
-    @pytest.mark.parametrize("p, q, name", [
-        (0, 2.5, "position q"), (0, -math.inf, "position q"),
-        (0, math.nan, "position q"), (0, -1, "position q"),
-        (-1, 2, "position p"), (1.5, 2, "position p")])
-    def test_invalid_positions_rejected(self, p, q, name):
-        with pytest.raises(ValueError, match=name):
-            separation_check(2, p, q)
+        assert values[0] - values[3000] == pytest.approx(want, abs=1e-10)
+        for p in (0, 3000):
+            assert values[p] == pytest.approx(_indicator_eigenvalue(55.0, 3, p),
+                                              abs=1e-10)
