@@ -197,6 +197,31 @@ class TestBeta:
             gammp(c, u * u), abs=1e-9)
 
 
+_GAUSS = gaussian_symbol(2.0)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (toeplitz_block, (_GAUSS, 2, 3.5), "d"),
+    (toeplitz_block, (_GAUSS, 2.0, 3), "n"),
+    (toeplitz_blocks, (_GAUSS, 2, 3.0), "d_max"),
+    (lambda_seq, (_GAUSS, 1, 2.0), "p_max"),
+    (lambda_seq, (_GAUSS, np.float64(1), 2), "n"),
+    (beta, (_GAUSS, 2.0, 0, 0), "d"),
+    (beta, (_GAUSS, 2, 0, 0.0), "k"),
+], ids=["block-d", "block-n", "blocks-d_max", "lambda-p_max", "lambda-n",
+        "beta-d", "beta-k"])
+def test_non_integer_index_is_named(call, args, name):
+    # a float never reaches the radial pass, not even an integral one
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        call(*args)
+
+
+def test_numpy_integer_indices_pass():
+    assert np.array_equal(toeplitz_block(_GAUSS, np.int64(2), np.int32(3)),
+                          toeplitz_block(_GAUSS, 2, 3))
+    assert beta(_GAUSS, np.int64(2), np.int8(0), 1) == beta(_GAUSS, 2, 0, 1)
+
+
 class TestLambdaSequences:
     def test_constant_symbol(self):
         seq = lambda_seq(const_symbol(2.5), 3, 12)
