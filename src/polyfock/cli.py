@@ -6,7 +6,8 @@ is fixed and every float is rendered with 17 significant digits.  Complex
 numbers on the command line are written as a+bi with no spaces; values that
 start with a minus sign need the --flag=value form.
 
-Exit codes: 0 success, 1 computation or verification failure, 2 bad arguments.
+Exit codes: 0 success, 1 computation or verification failure (a request too
+large for memory included), 2 bad arguments.
 
 Each command imports the layers it uses when it runs, so start-up loads only
 those: `basis` and `kernel` are exact or point work and never load numpy,
@@ -214,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, KeyError, OSError) as exc:
+    except (ValueError, OverflowError, KeyError, OSError, MemoryError) as exc:
         return _fail(exc)
     except RuntimeError as exc:
         from .quadrature import QuadratureConvergenceError

@@ -22,7 +22,8 @@ def integers(least: int | None = None, **args) -> list[int]:
     """The arguments as ints, read as `operator.index` reads them: Python and
     numpy integers pass, and the first that is not an integer (a float
     included), or is below `least` when that is given, raises a ValueError
-    naming it."""
+    naming it.  The dataclasses store the ints it returns, so a numpy
+    integer field never stays fixed-width."""
     out = []
     for name, value in args.items():
         try:

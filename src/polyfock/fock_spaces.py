@@ -41,7 +41,8 @@ class SpaceId:
     def __post_init__(self):
         if self.kind not in ("poly", "true_poly"):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        integers(1, n=self.n)
+        [n] = integers(1, n=self.n)
+        object.__setattr__(self, "n", n)
 
     def basis_indices(self, truncation: int) -> list[tuple[int, int]]:
         """Basis enumeration up to the truncation: p ranges over 0..P-1.

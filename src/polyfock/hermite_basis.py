@@ -41,7 +41,9 @@ class HermiteIndex:
     q: int
 
     def __post_init__(self):
-        integers(0, p=self.p, q=self.q)
+        p, q = integers(0, p=self.p, q=self.q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def d(self) -> int:

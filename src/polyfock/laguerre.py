@@ -36,7 +36,9 @@ class LaguerreParams:
     alpha: int
 
     def __post_init__(self):
-        integers(0, n=self.n, alpha=self.alpha)
+        n, alpha = integers(0, n=self.n, alpha=self.alpha)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
 
 
 def _recurrence_scalar(n: int, alpha: int, x: float) -> float:

@@ -110,7 +110,8 @@ class CircleRule:
     m_angles: int
 
     def __post_init__(self):
-        integers(1, m_angles=self.m_angles)
+        [m_angles] = integers(1, m_angles=self.m_angles)
+        object.__setattr__(self, "m_angles", m_angles)
 
     @property
     def taus(self) -> np.ndarray:

@@ -81,7 +81,8 @@ class RadialOperatorRep:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        integers(1, n=self.n)
+        [n] = integers(1, n=self.n)
+        object.__setattr__(self, "n", n)
         for i, block in enumerate(self.blocks):
             d = self.d_min + i
             size = min(self.n, self.n + d)

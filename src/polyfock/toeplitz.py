@@ -6,7 +6,9 @@ Symbols are callables in the radius r; the substitution t = r^2 and the
 mapping of declared breakpoints are handled here, in one place.  All beta
 values, blocks, eigenvalue sequences and matrices of radial symbols come from
 one batched pass over their diagonals (`_diagonal_blocks`) on one
-self-checked window rule with its own weight constant (`_window`).
+self-checked window rule with its own weight constant (`_window`); the
+blocks on F_n of any diagonals are one pass (`_blocks`), and so is every
+true-layer sequence up to an order (`_true_layers`).
 The pass stacks adjacent diagonals with the
 same degrees as rows of (rows, nodes) arrays, in bounded chunks, and returns
 one (rows, K, K) array.  The chunks of a pass share one scratch buffer for
@@ -482,6 +484,30 @@ def lambda_seq(a: RadialSymbol, n: int,
     return EigenvalueSequence(n=n, values=stack[:, 0, 0], quadrature_meta=meta)
 
 
+def _blocks(a: RadialSymbol, n: int, ds: Sequence[int]) -> np.ndarray:
+    """The blocks on F_n of the diagonals ds (each at least -n+1) in one
+    pass: a (len(ds), n, n) stack, block d in the leading min(n, n+d) corner
+    of its row with zeros around it.
+    The rows of diagonal d are b_{d+k,k} with Laguerre degrees k, so the
+    block of d on F_m is the leading corner of its block on F_n for m <= n,
+    up to the self-check: a row's rule is set by its largest degree."""
+    ds = np.asarray(ds)
+    ks = np.arange(n)
+    return _diagonal_blocks(
+        a, ds, np.where(ks < np.minimum(n, n + ds)[:, None], ks, -1))[0]
+
+
+def _true_layers(a: RadialSymbol, n_max: int, p_max: int) -> np.ndarray:
+    """lambda_n(p) for n = 1..n_max (row n-1) and p = 0..p_max from one
+    `_blocks` pass on F_{n_max} over d = -n_max+1, ..., p_max: lambda_n(p) is
+    the diagonal entry of degree min(p, n-1) in the block of d = p-n+1."""
+    n = np.arange(1, n_max + 1)[:, None]
+    p = np.arange(p_max + 1)
+    m = np.minimum(p, n - 1)
+    stack = _blocks(a, n_max, np.arange(-n_max + 1, p_max + 1))
+    return stack[p - n + n_max, m, m]
+
+
 def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
     """Block of the radial Toeplitz operator on diagonal d: the matrix of
     beta values over the indices living inside the order-n space."""
@@ -489,8 +515,8 @@ def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
     [d] = integers(d=d)
     if d < -n + 1:
         raise ValueError(f"diagonal {d} is empty in a space of order {n}")
-    return _diagonal_blocks(a, np.array([d]),
-                            np.arange(min(n, n + d))[None, :])[0][0]
+    size = min(n, n + d)
+    return _blocks(a, n, [d])[0, :size, :size]
 
 
 def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int) -> list[np.ndarray]:
@@ -501,11 +527,9 @@ def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int) -> list[np.ndarray]:
     if d_max < -n + 1:
         raise ValueError(f"d_max must be at least {-n + 1}, the first diagonal "
                          f"of a space of order {n}, got {d_max}")
-    ds = np.arange(-n + 1, d_max + 1)
-    sizes = np.minimum(n, n + ds)
-    ks = np.arange(n)
-    stack, _ = _diagonal_blocks(a, ds, np.where(ks < sizes[:, None], ks, -1))
-    return [stack[i, :s, :s] for i, s in enumerate(sizes.tolist())]
+    ds = range(-n + 1, d_max + 1)
+    stack = _blocks(a, n, ds)
+    return [block[:min(n, n + d), :min(n, n + d)] for d, block in zip(ds, stack)]
 
 
 def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],

@@ -29,9 +29,9 @@ from .quadrature import CircleRule, gauss_laguerre
 from .radial_ops import (BasisMatrix, assemble_blocks, finite_rank_radial,
                          is_radial, phi_n, radialize_matrix, radialize_numeric,
                          vanishing_berezin_witness)
-from .toeplitz import (beta, const_symbol, exp_decay_symbol, gaussian_symbol,
-                       indicator_symbol, inverse_quadratic_symbol, lambda_seq,
-                       toeplitz_block, toeplitz_matrix)
+from .toeplitz import (_blocks, _true_layers, beta, const_symbol,
+                       exp_decay_symbol, gaussian_symbol, indicator_symbol,
+                       inverse_quadratic_symbol, toeplitz_matrix)
 
 _SEED = 20240901
 
@@ -70,6 +70,7 @@ def suite_laguerre(quick: bool = False) -> list[CheckResult]:
     nmax, amax = (6, 4) if quick else (12, 8)
 
     worst = 0.0
+    squares = {}  # (m, alpha) -> sum w L_m^2, which the normalization reads
     for alpha in range(amax + 1):
         rule = gauss_laguerre(alpha, nmax + 2)
         values = []
@@ -80,21 +81,16 @@ def suite_laguerre(quick: bool = False) -> list[CheckResult]:
         for n in range(nmax + 1):
             for m in range(n, nmax + 1):
                 val = float(np.sum(rule.weights * values[n] * values[m]))
+                if n == m:
+                    squares[m, alpha] = val
                 rhs = math.factorial(n + alpha) / math.factorial(n) if n == m else 0.0
                 scale = math.sqrt(math.factorial(n + alpha) / math.factorial(n)
                                   * math.factorial(m + alpha) / math.factorial(m))
                 worst = max(worst, abs(val - rhs) / scale)
     out.append(_check("laguerre", "orthogonality", worst, 1e-10))
 
-    worst = 0.0
-    for alpha in range(amax + 1):
-        rule = gauss_laguerre(alpha, nmax + 2)
-        for m in range(nmax + 1):
-            params = LaguerreParams(m, alpha)
-            lm = np.array([laguerre_eval(params, float(t)) for t in rule.nodes])
-            norm = math.factorial(m) / math.factorial(m + alpha)
-            val = float(np.sum(rule.weights * lm * lm)) * norm
-            worst = max(worst, abs(val - 1.0))
+    worst = max(abs(val * (math.factorial(m) / math.factorial(m + alpha)) - 1.0)
+                for (m, alpha), val in squares.items())
     out.append(_check("laguerre", "function_normalization", worst, 1e-10))
 
     worst = 0.0
@@ -439,26 +435,22 @@ def _indicator_eigenvalue(u: float, n: int, p: int) -> float:
 
 def suite_toeplitz(quick: bool = False) -> list[CheckResult]:
     out = []
-    jk = 2
-    worst = 0.0
-    for d in (0, 5, 40, 200):
-        for j in range(jk + 1):
-            for k in range(jk + 1):
-                target = 1.0 if j == k else 0.0
-                worst = max(worst, abs(beta(const_symbol(1.0), d, j, k) - target))
+    # a line reads a symbol's blocks, or its true-layer eigenvalues at every
+    # order up to N, from one pass on F_N (`_blocks`, `_true_layers`)
+    worst = float(np.max(np.abs(_blocks(const_symbol(1.0), 3, [0, 5, 40, 200])
+                                - np.eye(3))))
     out.append(_check("toeplitz", "beta_of_one_is_delta", worst, 1e-10))
 
     worst = abs(beta(indicator_symbol(1.0), 0, 0, 0) - (1 - math.exp(-1)))
     out.append(_check("toeplitz", "beta_indicator_closed_form", worst, 1e-10))
 
     # the indicator eigenvalues that the gamma, monotonicity and separation
-    # lines read, one pass per (u, n)
+    # lines read: ind[u, n] = lambda_n, n <= 3, one pass per u
     pcap = 10 if quick else 30
-    ind = {(u, n): lambda_seq(indicator_symbol(u), n, pcap).values
-           for u, n in ((0.5, 1), (1.0, 1), (2.0, 1), (0.5, 2), (1.0, 2),
-                        (2.0, 2), (1.0, 3), (2.0, 3))}
-    worst = max(abs(values[p] - _indicator_eigenvalue(u, n, p))
-                for (u, n), values in ind.items() if n <= 2
+    ind = {(u, n): values for u in (0.5, 1.0, 2.0) for n, values in
+           enumerate(_true_layers(indicator_symbol(u), 3, pcap), 1)}
+    worst = max(abs(ind[u, n][p] - _indicator_eigenvalue(u, n, p))
+                for u in (0.5, 1.0, 2.0) for n in (1, 2)
                 for p in range(pcap + 1))
     out.append(_check("toeplitz", "indicator_eigenvalues_vs_gamma", worst, 1e-9))
 
@@ -470,24 +462,23 @@ def suite_toeplitz(quick: bool = False) -> list[CheckResult]:
 
     symbols = [indicator_symbol(1.0), exp_decay_symbol(),
                inverse_quadratic_symbol()]
-    # (matrix symbol, sequence symbol): a radial symbol's matrix is built from
-    # the same blocks as its sequence, so the polar route on a radial
-    # callable keeps both checks between two independent routes
+    # (matrix symbol, sequence symbol): a radial symbol's matrix takes one
+    # degree per diagonal, its sequences the blocks on F_{n_max}, so the two
+    # windows differ; the gaussian's matrix takes the polar route
     pairs = [(a, a) for a in symbols] + [
         (lambda z: np.exp(-np.abs(z) ** 2 / 4.0), gaussian_symbol(2.0))]
     trunc = 20 if quick else 40
+    n_max = 2 if quick else 4
     worst_off, worst_diag, worst_excess = 0.0, 0.0, 0.0
-    for n in range(1, 5 if not quick else 3):
-        st = SpaceId("true_poly", n)
-        for g, a in pairs:
-            m = toeplitz_matrix(g, st, trunc)
+    for g, a in pairs:
+        lam = _true_layers(a, n_max, trunc - 1)
+        worst_excess = max(worst_excess, float(np.max(np.abs(lam))) - a.bound)
+        for n, values in enumerate(lam, 1):
+            m = toeplitz_matrix(g, SpaceId("true_poly", n), trunc)
             diag = np.diag(m.entries)
             off = float(np.linalg.norm(m.entries - np.diag(diag)))
             worst_off = max(worst_off, off / float(np.linalg.norm(m.entries)))
-            lam = lambda_seq(a, n, trunc - 1)
-            worst_diag = max(worst_diag, float(np.max(np.abs(diag - lam.values))))
-            worst_excess = max(worst_excess,
-                               float(np.max(np.abs(lam.values))) - a.bound)
+            worst_diag = max(worst_diag, float(np.max(np.abs(diag - values))))
     out.append(_check("toeplitz", "true_layer_diagonality", worst_off, 1e-8))
     out.append(_check("toeplitz", "eigenvalues_match_matrix_diagonal",
                       worst_diag, 1e-8))
@@ -502,14 +493,14 @@ def suite_toeplitz(quick: bool = False) -> list[CheckResult]:
 
     # 1/(1+r^2) approaches its limit only like 1/d; assert decrease, not size
     slow = inverse_quadratic_symbol()
-    res = [abs(beta(slow, d, 0, 0)) for d in (pmax // 4, pmax // 2, pmax)]
+    res = np.abs(_blocks(slow, 1, [pmax // 4, pmax // 2, pmax])[:, 0, 0])
     decreasing = res[0] > res[1] > res[2]
     out.append(_check("toeplitz", "slow_symbol_limit_monotone",
                       0.0 if decreasing else 1.0, 0.5))
 
     ok = True
     for a, v in ((indicator_symbol(1.0), 0.0), (const_symbol(1.0), 1.0)):
-        blocks = [toeplitz_block(a, 2, d) for d in (10, 50, 200)]
+        blocks = _blocks(a, 2, [10, 50, 200])
         norms = [float(np.linalg.norm(block - v * np.eye(2), 2))
                  for block in blocks]
         corners = [abs(block[0, 0] - v) for block in blocks]

@@ -405,6 +405,17 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == "error: beta did not converge\n"
 
+    def test_memory_error_exit_one(self, capsys, monkeypatch):
+        # what numpy raises for a block stack past the memory, as for
+        # `toeplitz --n 3000 --blocks`, without allocating one
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 402. GiB")
+        monkeypatch.setattr(toeplitz, "toeplitz_blocks", fail)
+        code = main(["toeplitz", "--n", "3000", "--symbol", "const:1",
+                     "--blocks", "--dmax", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 402. GiB\n"
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("args", [

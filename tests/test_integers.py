@@ -18,7 +18,8 @@ from polyfock.fock_spaces import (SpaceId, evaluation_bound, kernel_partial_sum,
                                   kernel_poly, kernel_recursion_check,
                                   kernel_true)
 from polyfock.hermite_basis import HermiteIndex, b_eval, monomial_b_inner
-from polyfock.laguerre import (LaguerreParams, laguerre_function_sup,
+from polyfock.laguerre import (LaguerreParams, laguerre_eval,
+                               laguerre_function_sup,
                                rodrigues_identity_residual)
 from polyfock.quadrature import CircleRule, gauss_laguerre
 from polyfock.radial_ops import (BasisMatrix, RadialOperatorRep,
@@ -112,6 +113,19 @@ def test_numpy_integers_pass(name, least, valid, call):
     want = call(valid)
     for kind in (np.int8, np.int32, np.int64):
         assert same(call(kind(valid)), want), kind
+
+
+def test_fields_store_python_ints():
+    # a numpy integer kept as given would overflow in the fixed-width
+    # arithmetic of the evaluations below
+    assert type(SpaceId("poly", np.int8(2)).n) is int
+    small = np.int8(100)
+    assert b_eval(HermiteIndex(small, small), 0.5 + 0.5j) == \
+        b_eval(HermiteIndex(100, 100), 0.5 + 0.5j)
+    assert laguerre_eval(LaguerreParams(small, small), 1.0) == \
+        laguerre_eval(LaguerreParams(100, 100), 1.0)
+    assert type(CircleRule(np.int16(8)).m_angles) is int
+    assert type(RadialOperatorRep(np.int8(2), REP.blocks).n) is int
 
 
 def same(x, y) -> bool:

@@ -15,10 +15,10 @@ from polyfock.fock_spaces import SpaceId
 from polyfock.hermite_basis import HermiteIndex, b_coeffs, b_exact
 from polyfock.quadrature import QuadratureConvergenceError
 from polyfock.radial_ops import is_radial, phi_n, radialize_matrix
-from polyfock import hermite_basis, toeplitz
-from polyfock.toeplitz import (EigenvalueSequence, NonFiniteIntegrandError,
-                               RadialSymbol, beta, const_symbol,
-                               exp_decay_symbol, gaussian_symbol,
+from polyfock import hermite_basis, toeplitz, verify
+from polyfock.toeplitz import (BETA_REL_TOL, EigenvalueSequence,
+                               NonFiniteIntegrandError, RadialSymbol, beta,
+                               const_symbol, exp_decay_symbol, gaussian_symbol,
                                indicator_symbol, inverse_quadratic_symbol,
                                lambda_seq, symbol_from_spec, toeplitz_block,
                                toeplitz_blocks, toeplitz_matrix)
@@ -675,6 +675,78 @@ _FLOOR_SYMBOLS = {
     "1e6 gauss": RadialSymbol(lambda r: 1e6 * np.exp(-r * r / 9),
                               limit_at_infinity=0.0, bound=1e6,
                               name="1e6 exp(-r^2/9)")}
+
+
+#: the five symbol families, with parameters from both sides of the radii
+#: sqrt(d) that the far diagonals' windows sit at
+_FAMILIES = st.one_of(st.floats(-2.0, 2.0).map(const_symbol),
+                      st.floats(0.3, 2000.0).map(indicator_symbol),
+                      st.floats(0.5, 2000.0).map(gaussian_symbol),
+                      st.just(inverse_quadratic_symbol()),
+                      st.just(exp_decay_symbol()))
+
+#: the diagonals on which the sweeps are checked: those of F_8 up to 0, then
+#: a log grid to 10^6
+_GRID = list(range(-7, 1)) + [1, 10, 10**2, 10**3, 10**4, 10**6]
+
+
+class TestOneSweep:
+    """`_blocks` reads the F_N blocks of any diagonals from one pass and
+    `_true_layers` every lambda_n, n <= N, from one pass: the block of d on
+    F_n is the leading corner of its block on F_N, and lambda_n(p) is the
+    diagonal entry of degree min(p, n-1) in the block of d = p-n+1.  A row's
+    rule is set by its whole block, so the reads agree with the one-order
+    passes to a multiple of the self-check tolerance, not bit for bit."""
+
+    @staticmethod
+    def close(got, want) -> bool:
+        want = np.asarray(want)
+        return bool(np.all(np.abs(got - want)
+                           <= 10 * BETA_REL_TOL * np.maximum(1, np.abs(want))))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), _FAMILIES,
+           st.lists(st.sampled_from(_GRID), min_size=1, max_size=4),
+           st.integers(0, 50))
+    @example(8, const_symbol(-1.5), [-7, 0, 10**6], 50)
+    @example(8, indicator_symbol(30.0), [-3, 10**2, 10**3], 50)
+    @example(8, gaussian_symbol(1000.0), [1, 10**4, 10**6], 50)
+    @example(8, inverse_quadratic_symbol(), [-7, 10, 10**6], 50)
+    @example(8, exp_decay_symbol(), [-1, 10**3, 10**4], 50)
+    def test_reads_match_the_one_order_passes(self, N, a, picks, p_max):
+        # a diagonal below the first one of F_N moves up to it
+        ds = sorted({max(d, 1 - N) for d in picks})
+        stack = toeplitz._blocks(a, N, ds)
+        assert stack.shape == (len(ds), N, N)
+        for d, block in zip(ds, stack):
+            size = min(N, N + d)
+            assert not block[size:].any() and not block[:, size:].any()
+            for n in range(max(1, 1 - d), N + 1):
+                s = min(n, n + d)
+                assert self.close(block[:s, :s], toeplitz_block(a, n, d)), (n, d)
+                if d >= 0:
+                    assert self.close(block[n - 1, n - 1],
+                                      beta(a, d, n - 1, n - 1)), (n, d)
+        layers = toeplitz._true_layers(a, N, p_max)
+        assert layers.shape == (N, p_max + 1)
+        for n, values in enumerate(layers, 1):
+            assert self.close(values, lambda_seq(a, n, p_max).values), n
+
+    def test_verify_reads_one_pass_per_symbol(self, monkeypatch):
+        # the toeplitz suite made 85 passes (71 quick): one per (u, n) of
+        # its indicator table, per order of each sequence symbol, per (j, k)
+        # of the unit symbol's blocks and per diagonal of its limit lines
+        calls = []
+        diagonal_blocks = toeplitz._diagonal_blocks
+
+        def spy(*args):
+            calls.append(None)
+            return diagonal_blocks(*args)
+        monkeypatch.setattr(toeplitz, "_diagonal_blocks", spy)
+        for quick, bound in ((False, 30), (True, 25)):
+            calls.clear()
+            assert all(r.passed for r in verify.suite_toeplitz(quick=quick))
+            assert len(calls) <= bound, (quick, len(calls))
 
 
 class TestFusedSelfCheck:
