@@ -24,8 +24,8 @@ _EXPORTS = {
         "HermiteIndex", "b_coeffs", "b_eval", "b_eval_polar", "b_exact",
         "monomial_b_inner"),
     "laguerre": (
-        "LaguerreParams", "laguerre_eval", "laguerre_exact",
-        "laguerre_function_sup", "rodrigues_identity_residual"),
+        "laguerre_eval", "laguerre_exact", "laguerre_function_sup",
+        "rodrigues_identity_residual"),
     "quadrature": (
         "CircleRule", "QuadratureConvergenceError", "QuadratureRule",
         "gauss_laguerre", "plane_inner"),

@@ -101,6 +101,7 @@ def _laguerre_factor(n: int, alpha: int, z: complex, w: complex) -> float:
 
 def _kernel_plain(n: int, z: complex, w: complex, alpha: int) -> complex:
     [n] = integers(1, n=n)
+    z, w = _finite_point(z), _finite_point(w, "w")
     arg = _checked_exp_arg(z, w)
     value = cmath.exp(arg) * _laguerre_factor(n, alpha, z, w)
     if not cmath.isfinite(value):
@@ -162,10 +163,10 @@ def kernel_recursion_check(n: int) -> bool:
     from fractions import Fraction
 
     from .exact_poly import BiPolynomial, creation_adagger, creation_adagger_bar
-    from .laguerre import LaguerreParams, laguerre_exact
+    from .laguerre import laguerre_exact
 
     def layer_poly(order: int) -> BiPolynomial:
-        coeffs = laguerre_exact(LaguerreParams(order - 1, 0))
+        coeffs = laguerre_exact(order - 1, 0)
         return BiPolynomial({(k, k): c for k, c in enumerate(coeffs)})
 
     stepped = creation_adagger_bar(creation_adagger(layer_poly(n)))

@@ -50,11 +50,6 @@ class HermiteIndex:
         """Diagonal index p - q."""
         return self.p - self.q
 
-    @property
-    def m(self) -> int:
-        """min(p, q), the Laguerre degree of the radial profile."""
-        return min(self.p, self.q)
-
 
 @lru_cache(maxsize=(MAX_EXACT_INDEX + 1) ** 2)
 def _body(p: int, q: int) -> BiPolynomial:

@@ -13,7 +13,6 @@ in one array and one point evaluator, `profile_scaled` and the numpy-free
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .defaults import integers
@@ -26,19 +25,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     import numpy as np
-
-
-@dataclass(frozen=True)
-class LaguerreParams:
-    """Degree n >= 0 and integer order alpha >= 0."""
-
-    n: int
-    alpha: int
-
-    def __post_init__(self):
-        n, alpha = integers(0, n=self.n, alpha=self.alpha)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
 
 
 def _recurrence_scalar(n: int, alpha: int, x: float) -> float:
@@ -169,37 +155,45 @@ def _times_exp(v: float, s: float) -> float:
         return math.inf
 
 
-def laguerre_eval(params: LaguerreParams, x: float) -> float:
-    """Value of L_n^(alpha)(x) for finite x >= 0."""
+def laguerre_eval(n: int, alpha: int, x: float) -> float:
+    """Value of L_n^(alpha)(x), integers n, alpha >= 0, for finite x >= 0."""
+    n, alpha = integers(0, n=n, alpha=alpha)
     if not 0 <= x < math.inf:
         raise ValueError(f"argument x must be finite and nonnegative, got {x}")
-    return _recurrence_scalar(params.n, params.alpha, float(x))
+    return _recurrence_scalar(n, alpha, float(x))
 
 
-def laguerre_exact(params: LaguerreParams) -> list[Fraction]:
+def laguerre_exact(n: int, alpha: int) -> list[Fraction]:
     """Exact coefficients of L_n^(alpha), ascending powers.
 
     Coefficient of x^k is (-1)^k * binom(n+alpha, n-k) / k!.
     """
     from fractions import Fraction
-    n, alpha = params.n, params.alpha
+    n, alpha = integers(0, n=n, alpha=alpha)
     return [Fraction((-1) ** k * math.comb(n + alpha, n - k), math.factorial(k))
             for k in range(n + 1)]
 
 
-def laguerre_function_sup(m: int, alpha: int, x: float, grid: int = 4096) -> float:
-    """Max over a uniform grid on [0, x] of |e^(-t/2) psi_m(t) t^(alpha/2)| /
-    sqrt(alpha!), the normalized Laguerre function of unit L2(dt) norm.
+def laguerre_function_sup(m: int, alpha: int, x: float) -> float:
+    """Max over 4096 evenly spaced points of [0, x] of
+    |e^(-t/2) psi_m(t) t^(alpha/2)| / sqrt(alpha!), the normalized Laguerre
+    function of unit L2(dt) norm.
 
+    The points stop at T, 40 decay lengths max(sqrt(alpha+1), t_hi^(1/3))
+    past the turning point t_hi (as in `toeplitz._window`), beyond which the
+    function stays below 1e-11, so the result is the same for every x >= T.
     Grid-based diagnostic only; used to witness the decay of the functions
     in the order parameter on compact intervals.
     """
     import numpy as np
     m, alpha = integers(0, m=m, alpha=alpha)
-    [grid] = integers(2, grid=grid)
     if not 0 <= x < math.inf:
         raise ValueError(f"interval end x must be finite and nonnegative, got {x}")
-    t = np.linspace(0.0, x, grid)
+    # turning points of the function: t_lo + t_hi = nu, t_lo t_hi ~ alpha^2
+    nu = 4 * m + 2 * alpha + 2
+    t_hi = 0.5 * (nu + math.sqrt(nu * nu - 4 * alpha * alpha))
+    reach = t_hi + 40 * max(math.sqrt(alpha + 1), t_hi ** (1 / 3))
+    t = np.linspace(0.0, min(x, reach), 4096)
     v, s = profile_scaled([m], alpha, np.sqrt(t))
     return float(np.max(np.abs(v[0] * np.exp(s[0] - 0.5 * t))))
 
@@ -220,7 +214,7 @@ def rodrigues_identity_residual(n: int, alpha: int) -> bool:
     lhs = BiPolynomial.monomial(n + alpha, 0)
     for _ in range(n):
         lhs = -creation_adagger(lhs)
-    coeffs = laguerre_exact(LaguerreParams(n, alpha))
+    coeffs = laguerre_exact(n, alpha)
     rhs = BiPolynomial({(alpha + k, k): c * math.factorial(n)
                         for k, c in enumerate(coeffs)})
     return lhs == rhs

@@ -16,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,11 +118,6 @@ def rotation_phases(space: SpaceId, truncation: int, tau: complex) -> np.ndarray
     return np.array([tau ** (q - p) for p, q in space.basis_indices(truncation)])
 
 
-def _require_unit(tau: complex, tol: float = 1e-12) -> None:
-    if abs(abs(tau) - 1.0) > tol:
-        raise ValueError(f"|tau| = {abs(tau)} is not on the unit circle")
-
-
 def radialize_matrix(s: BasisMatrix) -> BasisMatrix:
     """Exact Haar average of rotated conjugates: keeps an entry iff the input
     and output basis elements sit on the same diagonal."""
@@ -145,10 +140,9 @@ def radialize_numeric(s: BasisMatrix, circle_rule: CircleRule) -> BasisMatrix:
     return BasisMatrix(s.space, s.truncation, s.entries * phase_avg)
 
 
-def is_radial(s: BasisMatrix, taus: Iterable[complex] = DEFAULT_TAUS,
-              tol: float = DEFAULT_RADIAL_TOL) -> RadialityReport:
-    """Largest spectral norm of the commutators [R_tau, S] with the sampled
-    rotations.
+def is_radial(s: BasisMatrix) -> RadialityReport:
+    """Largest spectral norm of the commutators [R_tau, S] with the rotations
+    DEFAULT_TAUS; radial when it is at most DEFAULT_RADIAL_TOL.
 
     Equivalent, at this truncation, to having zero mass off the block
     structure: rotations are diagonal with phases tau^(q-p), so an entry
@@ -157,13 +151,13 @@ def is_radial(s: BasisMatrix, taus: Iterable[complex] = DEFAULT_TAUS,
     symbol, skips the SVD: its norm is 0.0 either way.
     """
     worst = 0.0
-    for tau in taus:
-        _require_unit(tau)
+    for tau in DEFAULT_TAUS:
         phases = rotation_phases(s.space, s.truncation, tau)
         commutator = (phases[:, None] - phases[None, :]) * s.entries
         if np.any(commutator):
             worst = max(worst, float(np.linalg.norm(commutator, 2)))
-    return RadialityReport(radial=worst <= tol, max_commutator_norm=worst)
+    return RadialityReport(radial=worst <= DEFAULT_RADIAL_TOL,
+                           max_commutator_norm=worst)
 
 
 def _require_block_coverage(n: int, truncation: int, d_max: int) -> None:
@@ -174,13 +168,12 @@ def _require_block_coverage(n: int, truncation: int, d_max: int) -> None:
                          f"d = {truncation - n}; got d_max = {d_max}")
 
 
-def phi_n(s: BasisMatrix, d_max: int,
-          tol: float = DEFAULT_RADIAL_TOL) -> RadialOperatorRep:
+def phi_n(s: BasisMatrix, d_max: int) -> RadialOperatorRep:
     """Extract the block sequence of a radial operator on the full space.
 
     Entry [j, k] of the block at diagonal d is <S b_{d+k,k}, b_{d+j,j}>.
     Fails when the off-block mass, the Frobenius norm of S minus its
-    radialization, exceeds the tolerance relative to the norm of S.
+    radialization, exceeds DEFAULT_RADIAL_TOL relative to the norm of S.
     """
     if s.space.kind != "poly":
         raise ValueError("block decomposition is defined over the full space")
@@ -191,9 +184,9 @@ def phi_n(s: BasisMatrix, d_max: int,
     # S minus its radialization, formed in the radialization's own array
     off_block = radialize_matrix(s).entries
     off = float(np.linalg.norm(np.subtract(s.entries, off_block, out=off_block)))
-    if total > 0 and off > tol * total:
-        raise RadialityError(f"off-block mass {off:.3e} exceeds {tol:.1e} "
-                             f"of total {total:.3e}")
+    if total > 0 and off > DEFAULT_RADIAL_TOL * total:
+        raise RadialityError(f"off-block mass {off:.3e} exceeds "
+                             f"{DEFAULT_RADIAL_TOL:.1e} of total {total:.3e}")
     rows_of = s.space.diagonal_rows(s.truncation)
     blocks = tuple(s.entries[np.ix_(rows_of[d], rows_of[d])]
                    for d in range(-n + 1, d_max + 1))

@@ -110,8 +110,9 @@ def indicator_symbol(u: float) -> RadialSymbol:
 
 def gaussian_symbol(s: float) -> RadialSymbol:
     """a(r) = exp(-r^2 / s^2); 0 where (r/s)^2 overflows."""
-    if s <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < s < math.inf:
+        raise ValueError("scale must be positive" if s <= 0 else
+                         f"scale must be positive and finite, got {s}")
 
     def fn(r):
         with np.errstate(over="ignore"):

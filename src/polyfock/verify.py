@@ -23,8 +23,8 @@ from .fock_spaces import (SpaceId, berezin, evaluation_bound, kernel_partial_sum
                           kernel_poly, kernel_recursion_check, kernel_true)
 from .hermite_basis import (HermiteIndex, b_coeffs, b_eval, b_eval_polar, b_exact,
                             monomial_b_inner)
-from .laguerre import (LaguerreParams, laguerre_exact, laguerre_function_sup,
-                       laguerre_eval, rodrigues_identity_residual)
+from .laguerre import (laguerre_exact, laguerre_function_sup, laguerre_eval,
+                       rodrigues_identity_residual)
 from .quadrature import CircleRule, gauss_laguerre
 from .radial_ops import (BasisMatrix, assemble_blocks, finite_rank_radial,
                          is_radial, phi_n, radialize_matrix, radialize_numeric,
@@ -57,7 +57,7 @@ def _check(suite: str, name: str, residual: float, tol: float) -> CheckResult:
 
 def _laguerre_explicit_float(n: int, alpha: int, x: float) -> float:
     # exact rational Horner evaluation at the exact binary value of x
-    coeffs = laguerre_exact(LaguerreParams(n, alpha))
+    coeffs = laguerre_exact(n, alpha)
     xf = Fraction(x)
     acc = Fraction(0)
     for c in reversed(coeffs):
@@ -75,8 +75,7 @@ def suite_laguerre(quick: bool = False) -> list[CheckResult]:
         rule = gauss_laguerre(alpha, nmax + 2)
         values = []
         for n in range(nmax + 1):
-            params = LaguerreParams(n, alpha)
-            values.append(np.array([laguerre_eval(params, float(t))
+            values.append(np.array([laguerre_eval(n, alpha, float(t))
                                     for t in rule.nodes]))
         for n in range(nmax + 1):
             for m in range(n, nmax + 1):
@@ -97,15 +96,14 @@ def suite_laguerre(quick: bool = False) -> list[CheckResult]:
     nr = 12 if quick else 30
     for n in range(nr + 1):
         for alpha in (0, 3, 10):
-            params = LaguerreParams(n, alpha)
             for x in (0.1, 1.0, 10.0, 50.0):
                 exact = _laguerre_explicit_float(n, alpha, x)
-                rec = laguerre_eval(params, x)
+                rec = laguerre_eval(n, alpha, x)
                 # at exact zeros of the polynomial fall back to the term
                 # magnitude sum as the relative scale
                 scale = abs(exact) or float(sum(
                     abs(c) * Fraction(x) ** k for k, c in
-                    enumerate(laguerre_exact(params))))
+                    enumerate(laguerre_exact(n, alpha))))
                 worst = max(worst, abs(rec - exact) / scale)
     out.append(_check("laguerre", "recurrence_vs_explicit_sum", worst, 1e-12))
 
@@ -411,7 +409,7 @@ def _indicator_eigenvalue(u: float, n: int, p: int) -> float:
     Only e^-U and A - B e^-U are rounded, at 60 digits: a float sum cancels.
     """
     m, alpha = min(p, n - 1), abs(p - n + 1)
-    ell = laguerre_exact(LaguerreParams(m, alpha))
+    ell = laguerre_exact(m, alpha)
     norm = Fraction(math.factorial(m), math.factorial(m + alpha))
     big_u = Fraction(u) ** 2
     # U^j / j! and its partial sums, times scale = denominator(U)^top top!

@@ -16,8 +16,8 @@ from polyfock.fock_spaces import (SpaceId, berezin, evaluation_bound,
                                   kernel_recursion_check, kernel_true)
 from polyfock.hermite_basis import (HermiteIndex, b_coeffs, b_exact,
                                     monomial_b_inner)
-from polyfock.laguerre import (LaguerreParams, laguerre_eval,
-                               laguerre_function_sup, rodrigues_identity_residual)
+from polyfock.laguerre import (laguerre_eval, laguerre_function_sup,
+                               rodrigues_identity_residual)
 from polyfock.quadrature import CircleRule, gauss_laguerre
 from polyfock.radial_ops import (assemble_blocks, is_radial, phi_n,
                                  radialize_matrix, vanishing_berezin_witness)
@@ -78,7 +78,7 @@ def test_criterion_3_laguerre_layer():
     for alpha in range(9):
         rule = gauss_laguerre(alpha, 14)
         values = np.stack([
-            np.array([laguerre_eval(LaguerreParams(n, alpha), float(t))
+            np.array([laguerre_eval(n, alpha, float(t))
                       for t in rule.nodes]) for n in range(13)])
         gram = (values * rule.weights[None, :]) @ values.T
         for n in range(13):
@@ -135,7 +135,7 @@ def test_criterion_5_radial_structure():
         space = SpaceId("poly", n)
         for a in SYMBOLS_5:
             s = toeplitz_matrix(a, space, trunc)
-            rep = phi_n(s, d_max=trunc - n, tol=1e-8)
+            rep = phi_n(s, d_max=trunc - n)
             sizes = [b.shape[0] for b in rep.blocks]
             assert sizes == list(range(1, n)) + [n] * (trunc - n + 1), (n, a.name)
             back = assemble_blocks(rep, trunc)

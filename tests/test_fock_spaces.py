@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,14 @@ class TestClosedForms:
         with pytest.raises(OverflowError, match=match):
             kernel(n, z, w)
 
+    @pytest.mark.parametrize("kernel", [kernel_poly, kernel_true])
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf),
+                                     complex(-math.inf, 1)])
+    def test_non_finite_point_named(self, kernel, bad):
+        with pytest.raises(ValueError, match=re.escape(f"got z={bad}")):
+            kernel(2, bad, 0j)
+        with pytest.raises(ValueError, match=re.escape(f"got w={bad}")):
+            kernel(2, 0j, bad)
 
 
 class TestSeries:

@@ -18,7 +18,7 @@ from polyfock.fock_spaces import (SpaceId, evaluation_bound, kernel_partial_sum,
                                   kernel_poly, kernel_recursion_check,
                                   kernel_true)
 from polyfock.hermite_basis import HermiteIndex, b_eval, monomial_b_inner
-from polyfock.laguerre import (LaguerreParams, laguerre_eval,
+from polyfock.laguerre import (laguerre_eval, laguerre_exact,
                                laguerre_function_sup,
                                rodrigues_identity_residual)
 from polyfock.quadrature import CircleRule, gauss_laguerre
@@ -45,8 +45,10 @@ ROWS = [
     ("monomial_b_inner-d", "d", None, 1, lambda v: monomial_b_inner(v, 0, 1)),
     ("monomial_b_inner-k", "k", None, 0, lambda v: monomial_b_inner(1, v, 1)),
     ("monomial_b_inner-q", "q", None, 1, lambda v: monomial_b_inner(1, 0, v)),
-    ("LaguerreParams-n", "n", 0, 2, lambda v: LaguerreParams(v, 1)),
-    ("LaguerreParams-alpha", "alpha", 0, 1, lambda v: LaguerreParams(2, v)),
+    ("laguerre_eval-n", "n", 0, 2, lambda v: laguerre_eval(v, 1, 1.0)),
+    ("laguerre_eval-alpha", "alpha", 0, 1, lambda v: laguerre_eval(2, v, 1.0)),
+    ("laguerre_exact-n", "n", 0, 2, lambda v: laguerre_exact(v, 1)),
+    ("laguerre_exact-alpha", "alpha", 0, 1, lambda v: laguerre_exact(2, v)),
     ("evaluation_bound-n", "n", 1, 2, lambda v: evaluation_bound(v, 0j)),
     ("kernel_poly-n", "n", 1, 2, lambda v: kernel_poly(v, 0j, 1j)),
     ("kernel_true-n", "n", 1, 2, lambda v: kernel_true(v, 0j, 1j)),
@@ -65,8 +67,6 @@ ROWS = [
      lambda v: laguerre_function_sup(v, 2, 1.0)),
     ("laguerre_function_sup-alpha", "alpha", 0, 2,
      lambda v: laguerre_function_sup(1, v, 1.0)),
-    ("laguerre_function_sup-grid", "grid", 2, 16,
-     lambda v: laguerre_function_sup(1, 2, 1.0, v)),
     ("rodrigues-n", "n", 0, 2, lambda v: rodrigues_identity_residual(v, 1)),
     ("rodrigues-alpha", "alpha", 0, 1,
      lambda v: rodrigues_identity_residual(2, v)),
@@ -122,8 +122,7 @@ def test_fields_store_python_ints():
     small = np.int8(100)
     assert b_eval(HermiteIndex(small, small), 0.5 + 0.5j) == \
         b_eval(HermiteIndex(100, 100), 0.5 + 0.5j)
-    assert laguerre_eval(LaguerreParams(small, small), 1.0) == \
-        laguerre_eval(LaguerreParams(100, 100), 1.0)
+    assert laguerre_eval(small, small, 1.0) == laguerre_eval(100, 100, 1.0)
     assert type(CircleRule(np.int16(8)).m_angles) is int
     assert type(RadialOperatorRep(np.int8(2), REP.blocks).n) is int
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polyfock.laguerre import (LaguerreParams, laguerre_eval, laguerre_exact,
+from polyfock.laguerre import (laguerre_eval, laguerre_exact,
                                laguerre_function_sup, orthonormal_scaled,
                                profile_point, profile_scaled,
                                rodrigues_identity_residual)
@@ -30,43 +30,43 @@ def explicit_sum(n, alpha, x):
 
 class TestLaguerreEval:
     def test_degree_zero_is_one(self):
-        assert laguerre_eval(LaguerreParams(0, 5), 7.3) == 1.0
+        assert laguerre_eval(0, 5, 7.3) == 1.0
 
     def test_degree_one(self):
-        assert laguerre_eval(LaguerreParams(1, 0), 2.0) == -1.0
+        assert laguerre_eval(1, 0, 2.0) == -1.0
 
     def test_degree_two(self):
         # oracle: (x^2 - 4x + 2)/2 at x = 3
-        assert laguerre_eval(LaguerreParams(2, 0), 3.0) == pytest.approx(-0.5, abs=1e-15)
+        assert laguerre_eval(2, 0, 3.0) == pytest.approx(-0.5, abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            laguerre_eval(LaguerreParams(2, 0), -1.0)
+            laguerre_eval(2, 0, -1.0)
         with pytest.raises(ValueError):
-            LaguerreParams(-1, 0)
+            laguerre_eval(-1, 0, 1.0)
         with pytest.raises(ValueError):
-            LaguerreParams(0, -2)
+            laguerre_eval(0, -2, 1.0)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf])
     def test_non_finite_argument_rejected(self, x):
         with pytest.raises(ValueError, match="argument x"):
-            laguerre_eval(LaguerreParams(2, 0), x)
+            laguerre_eval(2, 0, x)
 
     def test_recurrence_matches_explicit_sum(self):
         for n in range(31):
             for alpha in (0, 1, 4, 10):
                 for x in (0.1, 1.0, 10.0, 50.0):
                     exact = explicit_sum(n, alpha, x)
-                    got = laguerre_eval(LaguerreParams(n, alpha), x)
+                    got = laguerre_eval(n, alpha, x)
                     scale = abs(exact) if exact != 0 else 1.0
                     assert abs(got - exact) <= 1e-12 * scale
 
 
 class TestLaguerreExact:
     def test_examples(self):
-        assert laguerre_exact(LaguerreParams(2, 0)) == [1, -2, Fraction(1, 2)]
-        assert laguerre_exact(LaguerreParams(1, 2)) == [3, -1]
-        assert laguerre_exact(LaguerreParams(0, 9)) == [1]
+        assert laguerre_exact(2, 0) == [1, -2, Fraction(1, 2)]
+        assert laguerre_exact(1, 2) == [3, -1]
+        assert laguerre_exact(0, 9) == [1]
 
 
 def decayed_profile(m, alpha, t):
@@ -113,7 +113,7 @@ class TestLaguerreFunction:
             log_norm = 0.5 * (math.lgamma(m + 1) - math.lgamma(m + alpha + 1)
                               + alpha * math.log(t))
             want = ((-1) ** m * math.exp(log_norm)
-                    * laguerre_eval(LaguerreParams(m, alpha), t))
+                    * laguerre_eval(m, alpha, t))
             assert v * math.exp(s) == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("m, t", [(40, 1500.0), (50, 1600.0)])
@@ -123,7 +123,7 @@ class TestLaguerreFunction:
         from decimal import Decimal, localcontext
         big_t = Fraction(t)
         poly = sum(c * big_t ** k
-                   for k, c in enumerate(laguerre_exact(LaguerreParams(m, 0))))
+                   for k, c in enumerate(laguerre_exact(m, 0)))
         with localcontext() as ctx:
             ctx.prec = 60
             want = float((Decimal(-t) / 2).exp()
@@ -134,10 +134,11 @@ class TestLaguerreFunction:
         assert decayed_profile(m, 0, t) == pytest.approx(abs(want), rel=1e-12)
 
     def test_vectorized_matches_scalar(self):
+        # each x is below the grid's reach, so its 4096 points span [0, x]
         for m, alpha, x in ((3, 4, 11.0), (0, 40, 4.0), (5, 0, 30.0)):
-            t = np.linspace(0.0, x, 300)
+            t = np.linspace(0.0, x, 4096)
             want = max(decayed_profile(m, alpha, float(ti)) for ti in t)
-            got = laguerre_function_sup(m, alpha, x, grid=300)
+            got = laguerre_function_sup(m, alpha, x)
             assert abs(got - want) <= 1e-15
 
     def test_normalization(self):
@@ -146,7 +147,7 @@ class TestLaguerreFunction:
             rule = gauss_laguerre(alpha, 16)
             for m in range(13):
                 norm = math.factorial(m) / math.factorial(m + alpha)
-                lm = np.array([laguerre_eval(LaguerreParams(m, alpha), float(t))
+                lm = np.array([laguerre_eval(m, alpha, float(t))
                                for t in rule.nodes])
                 val = norm * float(np.sum(rule.weights * lm * lm))
                 assert val == pytest.approx(1.0, abs=1e-10)
@@ -309,9 +310,9 @@ class TestOrthogonality:
             rule = gauss_laguerre(alpha, 14)
             for n in range(13):
                 for m in range(n, 13):
-                    ln = np.array([laguerre_eval(LaguerreParams(n, alpha), float(t))
+                    ln = np.array([laguerre_eval(n, alpha, float(t))
                                    for t in rule.nodes])
-                    lm = np.array([laguerre_eval(LaguerreParams(m, alpha), float(t))
+                    lm = np.array([laguerre_eval(m, alpha, float(t))
                                    for t in rule.nodes])
                     val = float(np.sum(rule.weights * ln * lm))
                     want = math.factorial(n + alpha) / math.factorial(n) if n == m else 0.0
@@ -345,20 +346,29 @@ class TestSup:
         assert laguerre_function_sup(0, 40, 4.0) < 1e-6
 
     def test_grid_convergence(self):
-        coarse = laguerre_function_sup(2, 0, 1.0, grid=1000)
-        fine = laguerre_function_sup(2, 0, 1.0, grid=10000)
-        assert coarse > 0
-        assert abs(coarse - fine) <= 5e-4 * fine
+        # the grid's reach T: 40 decay lengths past the turning point t_hi
+        for m, alpha in ((2, 1), (0, 40), (5, 0), (0, 0)):
+            nu = 4 * m + 2 * alpha + 2
+            t_hi = 0.5 * (nu + math.sqrt(nu * nu - 4 * alpha * alpha))
+            reach = t_hi + 40 * max(math.sqrt(alpha + 1), t_hi ** (1 / 3))
+            assert reach < 1e3
+            # past T the result no longer depends on x
+            got = {laguerre_function_sup(m, alpha, x) for x in (1e3, 1e5, 1e308)}
+            assert len(got) == 1
+            # against 10^6 points on [0, T]
+            t = np.linspace(0.0, reach, 10 ** 6)
+            v, s = profile_scaled([m], alpha, np.sqrt(t))
+            want = float(np.max(np.abs(v[0]) * np.exp(s[0] - 0.5 * t)))
+            assert got.pop() == pytest.approx(want, rel=1e-3)
+        # 4096 points on all of [0, 1e5] are 24 apart and miss the peak
+        # 0.4345 near t = 0.14
+        assert laguerre_function_sup(30, 3, 1e5) >= 0.4
 
     def test_decay_in_order(self):
         for m in range(4):
             for x in (1.0, 4.0):
                 assert laguerre_function_sup(m, 80, x) < laguerre_function_sup(m, 40, x)
                 assert laguerre_function_sup(m, 120, x) < 1e-4
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            laguerre_function_sup(0, 0, 1.0, grid=1)
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
     def test_non_finite_or_negative_end_rejected(self, x):

@@ -44,10 +44,6 @@ class TestRotation:
     def test_identity_rotation(self):
         assert np.array_equal(rotation_phases(POLY2, 4, 1.0), np.ones(8))
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError, match="not on the unit circle"):
-            is_radial(identity_matrix(POLY2, 2), taus=(1.5,))
-
 
 class TestRadialization:
     def test_witness_killed_entirely(self):
@@ -207,8 +203,10 @@ class TestIsRadial:
 
     def test_witness_commutator_size(self):
         witness = vanishing_berezin_witness(POLY2, 6)
-        report = is_radial(witness, taus=(1j,))
+        report = is_radial(witness)
         # entry moving between diagonals 0 and 1 picks up |i^{-1} - 1| = sqrt 2
+        # at tau = 1j, which DEFAULT_TAUS contains
+        assert 1j in DEFAULT_TAUS
         assert not report.radial
         assert report.max_commutator_norm >= math.sqrt(2) - 1e-12
 
@@ -233,14 +231,16 @@ class TestIsRadial:
 
     def test_off_block_mass(self):
         # the witness lies wholly off the blocks; an assembled matrix has
-        # none off them, so it passes phi_n even at tolerance 0
+        # none off them, exactly
         witness = vanishing_berezin_witness(POLY2, 6)
         total = np.linalg.norm(witness.entries)
         with pytest.raises(RadialityError,
                            match=re.escape(f"off-block mass {total:.3e} ")):
             phi_n(witness, d_max=4)
         rep = random_rep(2, 4)
-        back = phi_n(assemble_blocks(rep, 6), d_max=4, tol=0.0)
+        s = assemble_blocks(rep, 6)
+        assert np.array_equal(radialize_matrix(s).entries, s.entries)
+        back = phi_n(s, d_max=4)
         assert all(np.array_equal(a, b) for a, b in zip(back.blocks, rep.blocks))
 
 

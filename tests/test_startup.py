@@ -25,8 +25,8 @@ OLD_EXPORTS = {
         "HermiteIndex", "b_coeffs", "b_eval", "b_eval_polar", "b_exact",
         "monomial_b_inner"],
     "laguerre": [
-        "LaguerreParams", "laguerre_eval", "laguerre_exact",
-        "laguerre_function_sup", "rodrigues_identity_residual"],
+        "laguerre_eval", "laguerre_exact", "laguerre_function_sup",
+        "rodrigues_identity_residual"],
     "quadrature": [
         "CircleRule", "QuadratureConvergenceError", "QuadratureRule",
         "gauss_laguerre", "plane_inner"],
@@ -182,7 +182,7 @@ def test_exact_laguerre_after_a_bare_laguerre_import():
     script = ("import sys, polyfock.laguerre as la\n"
               "print(sorted({'polyfock.exact_poly', 'fractions'} "
               "& set(sys.modules)))\n"
-              "print(la.laguerre_exact(la.LaguerreParams(2, 1)))\n"
+              "print(la.laguerre_exact(2, 1))\n"
               "print(la.rodrigues_identity_residual(3, 2))\n")
     proc = python("-c", script)
     assert proc.stdout == ("[]\n[Fraction(3, 1), Fraction(-3, 1), "
