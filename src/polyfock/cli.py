@@ -14,11 +14,17 @@ those: `basis` and `kernel` are exact or point work and never load numpy,
 `basis --eval` and `kernel` load no exact layer either, and `toeplitz` loads
 only the radial route (`laguerre`, `quadrature`, `toeplitz` and numpy), none
 of the plane or exact layers.
+
+The `polyfock` program enters through `run()`: the cyclic collector is off
+for the call and the heap is frozen before exit, so the interpreter's final
+collection skips numpy's objects.  `main(argv)` leaves the collector as it
+finds it, for callers that run it in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 
@@ -122,12 +128,15 @@ def _eigenvalues_csv(seq) -> str:
 
 def _blocks_json(head: dict, blocks) -> str:
     """`dumps_fixed` of head with "blocks" appended, each block written as
-    rows of [re, im] pairs straight from its `tolist()`."""
-    def pairs(row):
-        return ",".join(f"[{format_float(v.real)},{format_float(v.imag)}]"
-                        for v in row)
-    body = ",".join("[" + ",".join(f"[{pairs(row)}]" for row in block.tolist())
-                    + "]" for block in blocks)
+    rows of [re, im] pairs, one row per `%` operation on its interleaved
+    real and imaginary parts."""
+    import numpy as np
+
+    def rows(block) -> str:
+        pattern = "[" + ",".join(["[%.17g,%.17g]"] * block.shape[1]) + "]"
+        parts = np.stack([block.real, block.imag], -1).reshape(len(block), -1)
+        return ",".join(pattern % tuple(row) for row in parts.tolist())
+    body = ",".join(f"[{rows(block)}]" for block in blocks)
     return dumps_fixed(head)[:-1] + f',"blocks":[{body}]}}'
 
 
@@ -229,5 +238,18 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
+def run() -> None:
+    """The `polyfock` program: `main()` on the command line with the cyclic
+    collector off, then the heap frozen so that the interpreter's final
+    collection skips it, and exit with main's code.  One call per process
+    leaves few cycles, and the process's end frees them."""
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

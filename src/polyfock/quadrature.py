@@ -1,4 +1,5 @@
 """Integration rules: generalized Gauss-Laguerre, Gauss-Legendre on intervals,
+both from the eigenvalues of their Jacobi matrices (Golub-Welsch),
 equispaced circle samples, and the one self-checked polar tensor route on
 the Gaussian plane, which `plane_inner` and the matrix of a plain callable
 symbol (`toeplitz.toeplitz_matrix`) share: one sampler of callables on
@@ -59,6 +60,15 @@ def _christoffel_log_weights(nodes: np.ndarray, alpha: int,
     return math.lgamma(alpha + 1) - log_sum
 
 
+def _jacobi_eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal Jacobi matrix with
+    this diagonal and off-diagonal: the nodes of its Gauss rule."""
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    # eigvalsh raises LinAlgError when it fails to converge; that is a hard
+    # error here
+    return np.linalg.eigvalsh(jacobi)
+
+
 @lru_cache(maxsize=None)
 def gauss_laguerre(alpha: int, n_nodes: int) -> QuadratureRule:
     """N-point generalized Gauss-Laguerre rule via the Jacobi matrix.
@@ -71,12 +81,8 @@ def gauss_laguerre(alpha: int, n_nodes: int) -> QuadratureRule:
     [alpha] = integers(0, alpha=alpha)
     [n_nodes] = integers(1, n_nodes=n_nodes)
     k = np.arange(n_nodes, dtype=float)
-    diag = 2.0 * k + alpha + 1.0
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    # eigvalsh raises LinAlgError when it fails to converge; that is a hard
-    # error here
-    nodes = np.linalg.eigvalsh(jacobi)
+    nodes = _jacobi_eigenvalues(2.0 * k + alpha + 1.0,
+                                np.sqrt(k[1:] * (k[1:] + alpha)))
     log_w = _christoffel_log_weights(nodes, alpha, n_nodes)
     with np.errstate(over="ignore"):
         weights = np.exp(log_w)
@@ -87,9 +93,34 @@ def gauss_laguerre(alpha: int, n_nodes: int) -> QuadratureRule:
                           log_weights=log_w)
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for |x| < 1, by the recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
+    prev, cur = np.ones_like(x), x
+    for k in range(1, n):
+        prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+    return cur, n * (prev - x * cur) / (1.0 - x * x)
+
+
 @lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+    """N-point Gauss-Legendre rule on [-1, 1] (Golub-Welsch).
+
+    Nodes are the eigenvalues of the Legendre Jacobi matrix (zero diagonal,
+    off-diagonal k / sqrt(4k^2 - 1)), polished by one Newton step on P_n;
+    the weights are 2 / ((1 - x^2) P_n'(x)^2) at the polished nodes, and
+    both are symmetrized about 0.
+    """
+    k = np.arange(1.0, n)
+    x = _jacobi_eigenvalues(np.zeros(n), k / np.sqrt(4.0 * k * k - 1.0))
+    p, slope = _legendre(n, x)
+    x = x - p / slope
+    _, slope = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * slope * slope)
+    x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def legendre_rule(a, b, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:

@@ -91,10 +91,13 @@ class RadialSymbol:
 
 def const_symbol(c: complex) -> RadialSymbol:
     try:
+        finite = math.isfinite(c.real) and math.isfinite(c.imag)
         bound = abs(c)
     except OverflowError:
         raise ValueError(f"constant {c} has a modulus past the float "
                          f"range") from None
+    if not finite:
+        raise ValueError(f"constant must be finite, got {c}")
     return RadialSymbol(lambda r: c, limit_at_infinity=c, bound=bound,
                         name=f"const:{c}")
 

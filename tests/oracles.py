@@ -13,7 +13,9 @@ each rule size on a window built afresh, as the reference for the fused
 evaluation of its first two sizes; it runs the Laguerre recurrence as it was
 before it ran in place, which is kept as the reference for that recurrence.
 Two analytic radial symbols serve as test cases: 1/(1+r), with a slow
-limit, and the unbounded r^2, with closed-form blocks.
+limit, and the unbounded r^2, with closed-form blocks.  numpy's
+companion-matrix Gauss-Legendre rule is the reference for the package's
+Jacobi-matrix rule.
 """
 
 import math
@@ -29,6 +31,12 @@ from polyfock.toeplitz import (_N_MAX, _N_START, _STIRLING_FROM, BETA_ABS_TOL,
                                BETA_REL_TOL, ROUNDING_FLOOR,
                                NonFiniteIntegrandError, RadialSymbol,
                                _stirling_constant)
+
+
+def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-point Gauss-Legendre rule on [-1, 1], from the eigenvalues
+    of the Legendre companion matrix."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def gammp(s: float, x: float) -> float:

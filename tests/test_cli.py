@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -415,6 +416,52 @@ class TestExitCodes:
                      "--blocks", "--dmax", "0"])
         assert code == 1
         assert capsys.readouterr().err == "error: Unable to allocate 402. GiB\n"
+
+
+class TestProgramEntry:
+    """`python -m polyfock.cli` runs `run()`: main's output and exit code,
+    with the collector off and the heap frozen for the process's exit."""
+
+    @pytest.mark.parametrize("args", [
+        ("toeplitz", "--n", "3", "--symbol", "gauss:2", "--pmax", "30"),
+        ("kernel", "--n", "3", "--kind", "true", "--z", "0.5+1i", "--w", "2-1i",
+         "--series", "40"),
+        ("toeplitz", "--n", "4", "--symbol", "rational", "--blocks",
+         "--dmax", "12"),
+    ], ids=["toeplitz", "kernel", "blocks"])
+    def test_stdout_matches_in_process_main(self, args, capsys):
+        assert main(list(args)) == 0
+        proc = run_cli(*args)
+        assert proc.returncode == 0
+        assert proc.stdout == capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, code", [
+        (("basis", "--p", "1", "--q", "1"), 0),
+        (("toeplitz", "--n", "1", "--symbol", "nope:1"), 1),
+        (("toeplitz", "--n", "0"), 2)])
+    def test_exit_codes(self, args, code):
+        assert run_cli(*args).returncode == code
+
+    def test_run_disables_and_freezes_the_collector(self):
+        script = ("import atexit, gc, sys\n"
+                  "from polyfock.cli import run\n"
+                  "atexit.register(lambda: print(gc.isenabled(), "
+                  "gc.get_freeze_count() > 0))\n"
+                  "sys.argv = ['polyfock', 'basis', '--p', '1', '--q', '0']\n"
+                  "run()\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False True"
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        assert main(["toeplitz", "--n", "2", "--symbol", "const:1",
+                     "--pmax", "3"]) == 0
+        assert main(["toeplitz", "--n", "1", "--symbol", "nope:1"]) == 1
+        with pytest.raises(SystemExit):
+            main(["toeplitz", "--n", "0"])
+        assert gc.isenabled() and gc.get_freeze_count() == 0
 
 
 class TestDeterminism:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from polyfock.exact_poly import BiPolynomial, gaussian_inner
-from polyfock.quadrature import CircleRule, gauss_laguerre, plane_inner
+from polyfock.quadrature import (CircleRule, _leggauss, gauss_laguerre,
+                                 legendre_rule, plane_inner)
+
+from oracles import leggauss
 
 
 class TestGaussLaguerre:
@@ -70,6 +73,51 @@ class TestGaussLaguerre:
             gauss_laguerre(0, 0)
         with pytest.raises(ValueError):
             gauss_laguerre(-1, 4)
+
+
+#: the sizes the window rule uses (64 to 512), and the smallest
+LEGENDRE_SIZES = [1, 2, 3, 64, 128, 256, 512]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", LEGENDRE_SIZES)
+    def test_integrates_legendre_polynomials_exactly(self, n):
+        # sum w P_k(x) = 2 delta_k0 for every k < 2n, with P_k from
+        # (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}
+        x, w = _leggauss(n)
+        prev, cur = np.zeros(n), np.ones(n)
+        for k in range(2 * n):
+            assert abs(w @ cur - (2.0 if k == 0 else 0.0)) <= 1e-14, k
+            prev, cur = cur, ((2 * k + 1) * x * cur - k * prev) / (k + 1)
+
+    @pytest.mark.parametrize("n", LEGENDRE_SIZES)
+    def test_symmetric_and_normalized(self, n):
+        x, w = _leggauss(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        assert abs(math.fsum(w) - 2.0) <= 4e-15
+
+    @pytest.mark.parametrize("n", LEGENDRE_SIZES)
+    def test_nodes_match_numpy_leggauss(self, n):
+        assert np.max(np.abs(_leggauss(n)[0] - leggauss(n)[0])) <= 2.3e-16
+
+    def test_closed_forms(self):
+        x, w = _leggauss(1)
+        assert x.tolist() == [0.0] and w.tolist() == [2.0]
+        x, w = _leggauss(2)
+        assert x == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)],
+                                  rel=1e-15)
+        assert w == pytest.approx([1.0, 1.0], rel=1e-15)
+
+    def test_rules_are_read_only(self):
+        for part in _leggauss(8):
+            with pytest.raises(ValueError):
+                part[0] = 1.0
+
+    def test_interval_map(self):
+        # exact for u^7 on [1, 3] with 4 nodes
+        u, v = legendre_rule(1.0, 3.0, 4)
+        assert v @ u**7 == pytest.approx((3.0**8 - 1.0) / 8, rel=1e-14)
 
 
 class TestHalfline:

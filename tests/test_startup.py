@@ -1,7 +1,8 @@
 """Start-up loads only what is used: `import polyfock` is lazy, the CLI
 commands that do exact or point work (`basis`, `kernel`) never load numpy,
-the point evaluations load no exact layer either, and `toeplitz` loads only
-the radial route, none of the plane or exact layers.
+the point evaluations load no exact layer either, `toeplitz` loads only
+the radial route, none of the plane or exact layers, and no command loads
+`numpy.polynomial`.
 
 Each check runs in a fresh interpreter, so `sys.modules` starts clean.
 """
@@ -109,9 +110,13 @@ def test_exact_command_loads_the_exact_layer():
 
 @pytest.mark.parametrize("cli_args", [
     ["toeplitz", "--n", "1", "--symbol", "indicator:1", "--pmax", "3"],
+    ["toeplitz", "--n", "3", "--symbol", "rational", "--blocks", "--dmax", "4"],
+    ["verify", "--quick"],
 ])
 def test_float_array_commands_load_numpy(cli_args):
-    assert "numpy" in imported_modules(cli_args)
+    modules = imported_modules(cli_args)
+    assert "numpy" in modules
+    assert "numpy.polynomial" not in modules
 
 
 def test_every_old_export_resolves_to_its_module():

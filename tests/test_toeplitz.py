@@ -15,7 +15,7 @@ from polyfock.fock_spaces import SpaceId
 from polyfock.hermite_basis import HermiteIndex, b_coeffs, b_exact
 from polyfock.quadrature import QuadratureConvergenceError
 from polyfock.radial_ops import is_radial, phi_n, radialize_matrix
-from polyfock import hermite_basis, toeplitz, verify
+from polyfock import hermite_basis, quadrature, toeplitz, verify
 from polyfock.toeplitz import (BETA_REL_TOL, EigenvalueSequence,
                                NonFiniteIntegrandError, RadialSymbol, beta,
                                const_symbol, exp_decay_symbol, gaussian_symbol,
@@ -25,7 +25,7 @@ from polyfock.toeplitz import (BETA_REL_TOL, EigenvalueSequence,
 from polyfock.verify import _indicator_eigenvalue
 
 from oracles import (block_checked_by_doubling, gammp, inverse_linear_symbol,
-                     squared_radius_symbol)
+                     leggauss, squared_radius_symbol)
 
 
 def test_gammp_oracle_self_check():
@@ -85,6 +85,14 @@ class TestSymbols:
         with pytest.raises(ValueError, match=rf"^scale must be positive and "
                                              rf"finite, got {s}$"):
             gaussian_symbol(s)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, complex(0, math.inf),
+                                   complex(math.nan, 1)])
+    def test_non_finite_constant_rejected(self, c):
+        # it would otherwise fail only inside the radial pass
+        with pytest.raises(ValueError, match=re.escape(
+                f"constant must be finite, got {c}")):
+            const_symbol(c)
 
     def test_const_modulus_past_float_range_is_named(self):
         c = complex(1.5e308, 1.5e308)
@@ -667,8 +675,8 @@ def _same_outcome(x, y) -> bool:
 
 
 def _sin_symbol(bound: float) -> RadialSymbol:
-    return RadialSymbol(lambda r: 1000 + 100 * np.sin(r), bound=bound,
-                        name=f"1000 + 100 sin r, bound {bound}")
+    return RadialSymbol(lambda r: 1000 + 10 * np.sin(r), bound=bound,
+                        name=f"1000 + 10 sin r, bound {bound}")
 
 
 #: symbols with sup |a| > 2, where the rounding floor can exceed
@@ -677,7 +685,7 @@ def _sin_symbol(bound: float) -> RadialSymbol:
 _FLOOR_SYMBOLS = {
     "const 1e3": const_symbol(1e3),
     "const 3e3+4e3i": const_symbol(3e3 + 4e3j),
-    "sine": _sin_symbol(1100.0),
+    "sine": _sin_symbol(1010.0),
     "sine, bound too low": _sin_symbol(1.0),
     "1e6 gauss": RadialSymbol(lambda r: 1e6 * np.exp(-r * r / 9),
                               limit_at_infinity=0.0, bound=1e6,
@@ -846,8 +854,8 @@ class TestFusedSelfCheck:
         # the window of d = 0, degree 0 has the pieces [0, 1] and
         # [1, sqrt 14] in r before its tail; r0 is a 128-node of the second
         # that no 64-node comes near
-        x64, _ = np.polynomial.legendre.leggauss(64)
-        x128, _ = np.polynomial.legendre.leggauss(128)
+        x64, _ = leggauss(64)
+        x128, _ = leggauss(128)
         half = 0.5 * (math.sqrt(14.0) - 1.0)
         r0 = 1.0 + half * (x128[64] + 1.0)
         assert np.min(np.abs(1.0 + half * (x64 + 1.0) - r0)) > 1e-3
@@ -896,6 +904,43 @@ class TestFusedSelfCheck:
         monkeypatch.setattr(toeplitz, "ROUNDING_FLOOR", 0.0)
         assert not all(_same_outcome(_outcome(call), want)
                        for call, want in zip(calls, outcomes))
+
+
+#: radial symbols whose outputs are compared under the two Legendre rules
+_RULE_SYMBOLS = {**{k: _CROSS_SYMBOLS[k] for k in ("const", "gauss", "rational",
+                                                   "indicator", "complex")},
+                 "exp decay": exp_decay_symbol()}
+
+
+class TestLegendreRule:
+    """The window rule's Legendre pieces come from the Jacobi matrix
+    (`quadrature._leggauss`); with numpy's companion-matrix rule in their
+    place every radial output moves by at most 1e-13 max(1, |x|)."""
+
+    @pytest.mark.parametrize("name", sorted(_RULE_SYMBOLS))
+    def test_outputs_match_the_oracle_rule(self, monkeypatch, name):
+        a = _RULE_SYMBOLS[name]
+
+        def outputs():
+            return [lambda_seq(a, 8, 120).values, *toeplitz_blocks(a, 8, 60),
+                    *(toeplitz_block(a, n, d)
+                      for n, d in ((8, -7), (3, 0), (8, 99), (2, 10**5))),
+                    toeplitz_matrix(a, SpaceId("poly", 3), 20).entries,
+                    np.array([beta(a, d, j, k) for d, j, k in
+                              ((0, 0, 0), (-2, 3, 4), (5, 1, 2), (1000, 0, 3))])]
+        ours = outputs()
+        toeplitz._rule_base.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(quadrature, "_leggauss", leggauss)
+                theirs = outputs()
+        finally:
+            toeplitz._rule_base.cache_clear()
+        assert len(ours) == len(theirs)
+        for x, y in zip(ours, theirs):
+            assert np.all(np.abs(x - y) <= 1e-13 * np.maximum(1.0, np.abs(y)))
+        # the rules differ in the last digits, so the outputs do too
+        assert not all(map(np.array_equal, ours, theirs))
 
 
 class TestToeplitzMatrix:
