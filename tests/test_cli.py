@@ -419,8 +419,9 @@ class TestExitCodes:
 
 
 class TestProgramEntry:
-    """`python -m polyfock.cli` runs `run()`: main's output and exit code,
-    with the collector off and the heap frozen for the process's exit."""
+    """`python -m polyfock.cli` runs `run()`: main's output, with the
+    collector off and the heap frozen for the process's exit.  Its exit
+    codes are in TestExitCodes."""
 
     @pytest.mark.parametrize("args", [
         ("toeplitz", "--n", "3", "--symbol", "gauss:2", "--pmax", "30"),
@@ -434,13 +435,6 @@ class TestProgramEntry:
         proc = run_cli(*args)
         assert proc.returncode == 0
         assert proc.stdout == capsys.readouterr().out
-
-    @pytest.mark.parametrize("args, code", [
-        (("basis", "--p", "1", "--q", "1"), 0),
-        (("toeplitz", "--n", "1", "--symbol", "nope:1"), 1),
-        (("toeplitz", "--n", "0"), 2)])
-    def test_exit_codes(self, args, code):
-        assert run_cli(*args).returncode == code
 
     def test_run_disables_and_freezes_the_collector(self):
         script = ("import atexit, gc, sys\n"
