@@ -85,7 +85,10 @@ def _checked_exp_arg(z: complex, w: complex) -> complex:
 
 
 def _laguerre_factor(n: int, alpha: int, z: complex, w: complex) -> float:
-    """L_{n-1}^(alpha)(|w-z|^2); a named OverflowError when it is not finite."""
+    """L_{n-1}^(alpha)(|w-z|^2); a named OverflowError when it is not finite.
+    L_0 = 1 at every distance, |w-z|^2 past the float range included."""
+    if n == 1:
+        return 1.0
     try:
         t = abs(w - z) ** 2
     except OverflowError:

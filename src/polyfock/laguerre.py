@@ -174,14 +174,24 @@ def laguerre_exact(n: int, alpha: int) -> list[Fraction]:
             for k in range(n + 1)]
 
 
+def _turning_point(m: int, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Outer turning point t_hi of the Laguerre function of degree m, order
+    alpha (int or float array): t_lo + t_hi = 4m + 2 alpha + 2, t_lo t_hi ~
+    alpha^2; and its decay length max(sqrt(alpha+1), t_hi^(1/3))."""
+    import numpy as np
+    nu = 4 * m + 2 * alpha + 2
+    t_hi = 0.5 * (nu + np.sqrt(nu * nu - 4.0 * alpha * alpha))
+    return t_hi, np.maximum(np.sqrt(alpha + 1), np.cbrt(t_hi))
+
+
 def laguerre_function_sup(m: int, alpha: int, x: float) -> float:
     """Max over 4096 evenly spaced points of [0, x] of
     |e^(-t/2) psi_m(t) t^(alpha/2)| / sqrt(alpha!), the normalized Laguerre
     function of unit L2(dt) norm.
 
-    The points stop at T, 40 decay lengths max(sqrt(alpha+1), t_hi^(1/3))
-    past the turning point t_hi (as in `toeplitz._window`), beyond which the
-    function stays below 1e-11, so the result is the same for every x >= T.
+    The points stop at T, 40 decay lengths past the turning point t_hi
+    (`_turning_point`), beyond which the function stays below 1e-11, so the
+    result is the same for every x >= T.
     Grid-based diagnostic only; used to witness the decay of the functions
     in the order parameter on compact intervals.
     """
@@ -189,11 +199,8 @@ def laguerre_function_sup(m: int, alpha: int, x: float) -> float:
     m, alpha = integers(0, m=m, alpha=alpha)
     if not 0 <= x < math.inf:
         raise ValueError(f"interval end x must be finite and nonnegative, got {x}")
-    # turning points of the function: t_lo + t_hi = nu, t_lo t_hi ~ alpha^2
-    nu = 4 * m + 2 * alpha + 2
-    t_hi = 0.5 * (nu + math.sqrt(nu * nu - 4 * alpha * alpha))
-    reach = t_hi + 40 * max(math.sqrt(alpha + 1), t_hi ** (1 / 3))
-    t = np.linspace(0.0, min(x, reach), 4096)
+    t_hi, decay = _turning_point(m, alpha)
+    t = np.linspace(0.0, min(x, t_hi + 40 * decay), 4096)
     v, s = profile_scaled([m], alpha, np.sqrt(t))
     return float(np.max(np.abs(v[0] * np.exp(s[0] - 0.5 * t))))
 

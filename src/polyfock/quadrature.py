@@ -4,6 +4,8 @@ equispaced circle samples, and the one self-checked polar tensor route on
 the Gaussian plane, which `plane_inner` and the matrix of a plain callable
 symbol (`toeplitz.toeplitz_matrix`) share: one sampler of callables on
 arrays, and one loop doubling the radial nodes and the angles together.
+The self-checked rules double from 64 to 512 nodes, here and on the window
+rule of `toeplitz`; that policy is defined once, as _N_START and _N_MAX.
 
 All rules are immutable once built; integration itself is pure, so rules can
 be shared freely across threads.
@@ -150,10 +152,10 @@ class CircleRule:
         return np.exp(1j * angles)
 
 
-DEFAULT_RADIAL_NODES = 64
+_N_START = 64
+_N_MAX = 512
 DEFAULT_ANGLES = 64
 _SELF_CHECK_TOL = 1e-9
-_MAX_REFINE = 3
 
 
 def _sampler(fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
@@ -192,12 +194,12 @@ def _polar_samples(values, rr: QuadratureRule, cr: CircleRule) -> np.ndarray:
 
 
 def _polar_checked(once: Callable, m_angles: int = DEFAULT_ANGLES):
-    """`once` on 64 Gauss-Laguerre nodes in t = r^2 times `m_angles` angles,
-    both doubled together until two consecutive results agree entry by entry
-    to 1e-9 max(1, |x|), at most three times; the last result is returned."""
-    n, m = DEFAULT_RADIAL_NODES, m_angles
+    """`once` on _N_START Gauss-Laguerre nodes in t = r^2 times `m_angles`
+    angles, both doubled together, up to _N_MAX nodes, until two consecutive
+    results agree entry by entry to 1e-9 max(1, |x|); returns the last."""
+    n, m = _N_START, m_angles
     prev = once(gauss_laguerre(0, n), CircleRule(m))
-    for _ in range(_MAX_REFINE):
+    while n < _N_MAX:
         n, m = 2 * n, 2 * m
         cur = once(gauss_laguerre(0, n), CircleRule(m))
         if np.all(np.abs(cur - prev)

@@ -6,17 +6,18 @@ Symbols are callables in the radius r; the substitution t = r^2 and the
 mapping of declared breakpoints are handled here, in one place.  All beta
 values, blocks, eigenvalue sequences and matrices of radial symbols come from
 one batched pass over their diagonals (`_diagonal_blocks`) on one
-self-checked window rule with its own weight constant (`_window`); the
-blocks on F_n of any diagonals are one pass (`_blocks`), and so is every
-true-layer sequence up to an order (`_true_layers`).
-The pass stacks adjacent diagonals with the
-same degrees as rows of (rows, nodes) arrays, in bounded chunks, and returns
+self-checked window rule with one log weight constant per diagonal
+(`_window`); the blocks on F_n of any diagonals are one pass (`_blocks`),
+and so is every true-layer sequence up to an order (`_true_layers`).  The
+pass stacks adjacent diagonals with the same degrees as rows of (rows,
+nodes) arrays, in bounded chunks, and returns
 one (rows, K, K) array.  The chunks of a pass share one scratch buffer for
 those arrays, so a long pass does not map fresh pages for every chunk; each
 call has its own.  Each row's window is built once; the self-check's
 first step evaluates the rules of 64 and 128 nodes on it in one pass
 (`_block_once`), and from there each row doubles its rule until it converges
-on its own.  A row is first tested against the absolute tolerance alone; the
+on its own, up to 512 nodes: `quadrature`'s size policy, which its polar
+route shares.  A row is first tested against the absolute tolerance alone; the
 rounding scale that may loosen it is computed only for the rows that fail
 that test (`_agreed`).  The matrix of a plain callable g(z) takes
 `quadrature`'s polar route.
@@ -32,8 +33,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .defaults import DEFAULT_P_MAX, integers
-from .laguerre import orthonormal_scaled
-from .quadrature import (QuadratureConvergenceError, _polar_checked,
+from .laguerre import _turning_point, orthonormal_scaled
+from .quadrature import (_N_MAX, _N_START, DEFAULT_ANGLES,
+                         QuadratureConvergenceError, _polar_checked,
                          _polar_samples, _sampler, gauss_laguerre, legendre_rule)
 
 # the plane and exact layers are imported inside `toeplitz_matrix`, so the
@@ -44,8 +46,6 @@ if TYPE_CHECKING:
 
 BETA_REL_TOL = 1e-9
 BETA_ABS_TOL = 1e-12
-_N_START = 64
-_N_MAX = 512
 #: least self-check tolerance, relative to the sum of |w a phi_j phi_k|
 ROUNDING_FLOOR = 1000 * float(np.finfo(float).eps)
 #: c = |d| + 1 from which a row's log constant comes from Stirling's series
@@ -194,24 +194,20 @@ def _window(a: RadialSymbol, ds: np.ndarray,
             ms: Sequence[int]) -> tuple[np.ndarray, ...]:
     """The part of the window rule of each diagonal d in ds that does not
     depend on the rule size: the piece edges in u = sqrt(t), one row per d,
-    then as columns (rows, 1) alpha = |d|, c and the terms head, c and
-    lgamma(c) of the weight's log constant (the last two 0 where Stirling's
-    series gives head).
+    then as columns (rows, 1) alpha = |d|, c and the weight's log constant.
     t^|d| e^{-t} is centred at c = |d| + 1, width sqrt(c): Legendre pieces in
-    u span the turning points of phi_max(ms) widened by 12 sqrt(c), split at
-    c, at breakpoints and once per 8 degrees; a shifted Gauss-Laguerre rule
-    covers the rest.  No piece size depends on d, and every diagonal has the
-    same number of pieces: a breakpoint below a diagonal's window is moved up
-    to its lower edge, where its piece has zero length and zero weight; one
-    far above it moves down to where the weight is below e^-40, so no piece
-    is too long for its rule.
+    u span the turning points of phi_max(ms) (`laguerre._turning_point`)
+    widened by 12 sqrt(c), split at c, at breakpoints and once per 8
+    degrees; a shifted Gauss-Laguerre rule covers the rest.  No piece size
+    depends on d, and every diagonal has the same number of pieces: a
+    breakpoint below a diagonal's window is moved up to its lower edge, where
+    its piece has zero length and zero weight; one far above it moves down
+    to where the weight is below e^-40, so no piece is too long for its rule.
     Not `laguerre.profile_scaled`: its prefactor alpha log r - lgamma(alpha+1)/2
     cancels to about 1e-9 at |d| ~ 10^6; see the log constant below."""
     alpha = np.abs(ds).astype(float)
     c, m = alpha + 1.0, max(ms)
-    # turning points of phi_m^alpha: t_lo + t_hi = 4m + 2c, t_lo t_hi ~ alpha^2
-    nu = 4 * m + 2 * c
-    t_hi = 0.5 * (nu + np.sqrt(nu * nu - 4.0 * alpha * alpha))
+    t_hi, decay = _turning_point(m, alpha)
     mid = np.sqrt(c)
     margin = 12 * mid
     lo = np.sqrt(np.maximum(0.0, alpha * alpha / t_hi - margin))
@@ -225,27 +221,23 @@ def _window(a: RadialSymbol, ds: np.ndarray,
     # ascending as they stand: lo <= mid <= hi
     edges = np.concatenate([spaced[:, 0], spaced[:, 1, 1:]], axis=1)
     if a.breakpoints:
-        # 40 decay lengths: sqrt(c) at the peak, t_hi^(1/3) past a turning
-        # point
-        reach = np.sqrt(t_hi + margin + 40 * np.maximum(mid, np.cbrt(t_hi)))
+        # 40 decay lengths past the widened window
+        reach = np.sqrt(t_hi + margin + 40 * decay)
         edges = np.sort(np.concatenate(
             [edges, np.clip(np.array(a.breakpoints)[None, :], lo[:, None],
                             reach[:, None])], axis=1), axis=1)
     # t^alpha e^{-t} / alpha! = exp(alpha log c - c - lgamma(c)) times
     # exp(alpha log1p(s/c) - s), s = t - c.  alpha log c - c - lgamma(c)
     # cancels terms of size alpha log alpha; from c = _STIRLING_FROM on,
-    # Stirling's series gives it with no cancellation.  It stands in the head
-    # of the sum, with c and lgamma replaced by 0, so rows below it give the
-    # plain expression's sum, rounding included
+    # Stirling's series gives it with no cancellation
     log_c = np.array([[math.log(x)] for x in c.tolist()])
     lgam = np.array([[math.lgamma(x + 1)] for x in alpha.tolist()])
     alpha, c = alpha[:, None], c[:, None]
-    head, c_off, lgam_off = alpha * log_c, c, lgam
+    const = alpha * log_c - c - lgam
     big = c >= _STIRLING_FROM
     if big.any():
-        head = np.where(big, _stirling_constant(c, log_c), head)
-        c_off, lgam_off = np.where(big, 0.0, c), np.where(big, 0.0, lgam)
-    return edges, alpha, c, head, c_off, lgam_off
+        const = np.where(big, _stirling_constant(c, log_c), const)
+    return edges, alpha, c, const
 
 
 def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
@@ -265,12 +257,13 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
     segment.
     The (rows, nodes) arrays r, log w, t = r^2, s = t - c and the term
     alpha log1p(s/c) are the five planes of the pass's scratch buffer
-    scratch[0], which is replaced by a larger one when it is too small, and
-    phi is formed in place; the r plane, which the symbol's values may be or
-    view, is not written after sampling.  Only the blocks are tested for
-    non-finite values: a non-finite integrand value reaches its block's
-    sums."""
-    edges, alpha, c, head, c_off, lgam_off = window
+    scratch[0], which is replaced by a larger one when it is too small; log w
+    becomes the log root weight with `_window`'s one log constant per row in
+    four passes, and phi is formed in place; the r plane, which the symbol's
+    values may be or view, is not written after sampling.  Only the blocks
+    are tested for non-finite values: a non-finite integrand value reaches
+    its block's sums."""
+    edges, alpha, c, const = window
     rows, pieces = len(ds), edges.shape[1] - 1
     segments, start = [], 0
     for n in sizes:
@@ -311,9 +304,7 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
         for part in pieces_of:
             np.log(log_w[:, part], out=log_w[:, part])
         # row k is psi_k(t) sqrt(w t^alpha e^{-t} / alpha!); log_w becomes
-        # the log root weight 0.5 (log w + alpha log1p(s/c) - s + head - c
-        # - lgamma), summed in place in that order, with the weight's log
-        # constant from `_window`
+        # 0.5 (log w + alpha log1p(s/c) - s + const), in place in that order
         np.divide(s, c, out=term)
         np.log1p(term, out=term)
         np.multiply(alpha, term, out=term)
@@ -321,9 +312,7 @@ def _block_once(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
             term[alpha[:, 0] == 0] = 0.0
         log_w += term
         log_w -= s
-        log_w += head
-        log_w -= c_off
-        log_w -= lgam_off
+        log_w += const
         log_w *= 0.5
         v, log_v = orthonormal_scaled(ms, alpha, t)
         log_v += log_w
@@ -377,12 +366,10 @@ def _block_checked(a: RadialSymbol, values: Callable[[np.ndarray], np.ndarray],
                    ds: np.ndarray, ms: Sequence[int],
                    scratch: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The blocks of a stack of diagonals sharing the degrees ms, each
-    self-checked by doubling its node count from _N_START until every entry
-    agrees with the previous size to atol + BETA_REL_TOL |entry|.  atol is
-    BETA_ABS_TOL or the rounding floor ROUNDING_FLOOR * sum |w a phi_j phi_k|
-    if larger, which by Cauchy-Schwarz happens only for symbols with
-    sup |a| > 2; the sum is computed only for the rows that fail with
-    BETA_ABS_TOL (`_agreed`).  The `_window` of every row is built once; the
+    self-checked by doubling its node count from _N_START, up to _N_MAX,
+    until it agrees with the previous size (`_agreed`; by Cauchy-Schwarz the
+    rounding floor binds only for symbols with sup |a| > 2).  The `_window`
+    of every row is built once; the
     first step evaluates the first two sizes, 64 and 128 nodes, on it in one
     `_block_once` pass, and each later doubling evaluates only the rows that
     have not converged.  Every `_block_once` call works in the pass's
@@ -569,7 +556,7 @@ def toeplitz_matrix(symbol: RadialSymbol | Callable[[complex], complex],
     from .hermite_basis import _radial_values
     d = np.array([p - q for p, q in indices])
     # 8 angles of margin for low-degree angular content of g
-    m_angles = max(64, int(d.max() - d.min()) + 8)
+    m_angles = max(DEFAULT_ANGLES, int(d.max() - d.min()) + 8)
     values = _sampler(symbol)
 
     def once(rr, cr) -> np.ndarray:

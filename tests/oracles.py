@@ -15,10 +15,13 @@ before it ran in place, which is kept as the reference for that recurrence.
 Two analytic radial symbols serve as test cases: 1/(1+r), with a slow
 limit, and the unbounded r^2, with closed-form blocks.  numpy's
 companion-matrix Gauss-Legendre rule is the reference for the package's
-Jacobi-matrix rule.
+Jacobi-matrix rule.  The window rule's log constant is checked against a
+40-digit `decimal` evaluation from the exact integer factorial, or from
+Stirling's series with exact Bernoulli numbers for large orders.
 """
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -37,6 +40,41 @@ def leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """numpy's n-point Gauss-Legendre rule on [-1, 1], from the eigenvalues
     of the Legendre companion matrix."""
     return np.polynomial.legendre.leggauss(n)
+
+
+#: B_2, B_4, ..., B_20
+_BERNOULLI = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42),
+              Fraction(-1, 30), Fraction(5, 66), Fraction(-691, 2730),
+              Fraction(7, 6), Fraction(-3617, 510), Fraction(43867, 798),
+              Fraction(-174611, 330)]
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097")
+
+
+def log_weight_constant(c: int, series: bool | None = None) -> Decimal:
+    """alpha ln c - c - ln alpha! for alpha = c - 1, to 40 digits: the log of
+    t^alpha e^-t / alpha! at its peak t = c.
+
+    ln alpha! comes from the leading 256 bits of the exact integer alpha! for
+    c <= 10^4, and from Stirling's series to the term in B_20 past that,
+    where the first omitted term is below 1e-80; `series` forces either."""
+    if series is None:
+        series = c > 10**4
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if series:
+            x = Decimal(c)
+            log_fact = (x - Decimal("0.5")) * x.ln() - x + (2 * _PI).ln() / 2
+            for k, b in enumerate(_BERNOULLI, 1):
+                log_fact += (Decimal(b.numerator) / (Decimal(b.denominator)
+                             * (2 * k) * (2 * k - 1) * x ** (2 * k - 1)))
+        else:
+            n = math.factorial(c - 1)
+            drop = max(0, n.bit_length() - 256)
+            log_fact = Decimal(n >> drop).ln() + drop * Decimal(2).ln()
+        value = (c - 1) * Decimal(c).ln() - c - log_fact
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return +value
 
 
 def gammp(s: float, x: float) -> float:
@@ -248,12 +286,11 @@ def block_once_one_size(a, values, ds, ms, n_nodes):
     log_c = np.array([[math.log(x)] for x in c.tolist()])
     lgam = np.array([[math.lgamma(x + 1)] for x in alpha.tolist()])
     alpha, c = alpha[:, None], c[:, None]
-    big = c >= _STIRLING_FROM
-    head = np.where(big, _stirling_constant(c, log_c), alpha * log_c)
+    const = np.where(c >= _STIRLING_FROM, _stirling_constant(c, log_c),
+                     alpha * log_c - c - lgam)
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.where(alpha > 0, alpha * np.log1p((t - c) / c), 0.0)
-    log_root_w = 0.5 * (log_w + power - (t - c)
-                        + head - np.where(big, 0.0, c) - np.where(big, 0.0, lgam))
+    log_root_w = 0.5 * (log_w + power - (t - c) + const)
     v, s = orthonormal_scaled_out_of_place(ms, alpha, t)
     avals = values(r)
     with np.errstate(over="ignore", invalid="ignore"):

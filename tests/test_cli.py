@@ -105,6 +105,15 @@ class TestKernelCommand:
         record = json.loads(proc.stdout)
         assert record["value_re"] == pytest.approx(0.0, abs=1e-14)
 
+    def test_order_one_far_point(self, capsys):
+        # L_0 = 1: the order-1 kernel needs no finite |w-z|^2; from order 2
+        # on the Laguerre factor does, and its error is named
+        argv = ["kernel", "--kind", "true", "--z", "1e200+0i", "--w", "0+0i"]
+        assert main(argv + ["--n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["value_re"] == 1
+        assert main(argv + ["--n", "2"]) == 1
+        assert "|w-z|^2 = inf is not finite" in capsys.readouterr().err
+
     def test_series_residual_reported(self):
         # values starting with a minus sign need the --flag=value form
         proc = run_cli("kernel", "--n", "2", "--kind", "poly", "--z", "0.5+0.5i",

@@ -66,8 +66,8 @@ class TestClosedForms:
     @pytest.mark.parametrize("kernel, n, z, w, match", [
         (kernel_poly, 8, 0j, 1e100 + 0j, "kernel factor"),
         (kernel_true, 8, 0j, 1e60 + 0j, "kernel factor"),
-        (kernel_poly, 1, 1e200 + 0j, 0j, r"\|w-z\|\^2 = inf is not finite"),
-        (kernel_true, 1, 1e308 + 0j, -1e308 + 0j, "is not finite"),
+        (kernel_poly, 2, 1e200 + 0j, 0j, r"\|w-z\|\^2 = inf is not finite"),
+        (kernel_true, 2, 1e308 + 0j, -1e308 + 0j, "is not finite"),
         (kernel_true, 1, 30 + 0j, 30 + 0j,
          r"Re\(zbar w\) = 900\.0 exceeds the limit 700\.0$"),
         (kernel_poly, 8, 1e3 + 0j, 0.7 + 0j,
@@ -78,6 +78,14 @@ class TestClosedForms:
         # as nan or inf
         with pytest.raises(OverflowError, match=match):
             kernel(n, z, w)
+
+    @pytest.mark.parametrize("kernel", [kernel_poly, kernel_true])
+    def test_order_one_far_apart(self, kernel):
+        # L_0 = 1, so the order-1 kernel is e^{zbar w} even where |w-z|^2
+        # leaves the float range
+        assert kernel(1, 1e200 + 0j, 0j) == 1.0
+        assert kernel(1, 1e308 + 0j, -1e308 + 0j) == 0.0
+        assert kernel(1, 0j, 1e300j) == 1.0
 
     @pytest.mark.parametrize("kernel", [kernel_poly, kernel_true])
     @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf),

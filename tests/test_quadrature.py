@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from polyfock.exact_poly import BiPolynomial, gaussian_inner
-from polyfock.quadrature import (CircleRule, _leggauss, gauss_laguerre,
+from polyfock.quadrature import (CircleRule, QuadratureConvergenceError,
+                                 _leggauss, _polar_checked, gauss_laguerre,
                                  legendre_rule, plane_inner)
 
 from oracles import leggauss
@@ -186,3 +187,16 @@ class TestPlaneInner:
             return z * np.conj(z)
         assert plane_inner(f, lambda z: 1.0) == pytest.approx(1.0, abs=1e-12)
         assert shapes == [(64, 64), (128, 128)]
+
+    def test_polar_rule_stops_at_512_radial_nodes(self):
+        # results that never agree: the rule doubles from 64 radial nodes,
+        # with the angles, and names the last size it tried
+        sizes = []
+
+        def once(rr, cr):
+            sizes.append((len(rr.nodes), cr.m_angles))
+            return np.array([float(len(rr.nodes))])
+        with pytest.raises(QuadratureConvergenceError, match=r"^polar tensor "
+                           r"rule did not stabilize up to 512 radial nodes$"):
+            _polar_checked(once, 10)
+        assert sizes == [(64, 10), (128, 20), (256, 40), (512, 80)]

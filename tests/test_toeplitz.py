@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from polyfock.toeplitz import (BETA_REL_TOL, EigenvalueSequence,
 from polyfock.verify import _indicator_eigenvalue
 
 from oracles import (block_checked_by_doubling, gammp, inverse_linear_symbol,
-                     leggauss, squared_radius_symbol)
+                     leggauss, log_weight_constant, squared_radius_symbol)
 
 
 def test_gammp_oracle_self_check():
@@ -39,6 +40,16 @@ def test_gammp_oracle_self_check():
     poisson = 1 - math.fsum(math.exp(k * math.log(x) - x - math.lgamma(k + 1))
                             for k in range(s))
     assert gammp(s, x) == pytest.approx(poisson, abs=1e-10)
+
+
+def test_log_weight_constant_oracle_self_check():
+    # ln 0! = 0, and the exact factorial and Stirling's series agree where
+    # both apply
+    assert log_weight_constant(1) == -1
+    for c in (10**3, 10**4):
+        exact = log_weight_constant(c, series=False)
+        series = log_weight_constant(c, series=True)
+        assert abs(exact - series) < Decimal("1e-38") * abs(exact)
 
 
 class TestSymbols:
@@ -430,6 +441,26 @@ class TestWindowRule:
         want = [gammp(p + 1, u * u) for p in range(401)]
         assert np.max(np.abs(values.real - want)) < 1e-11
         assert np.all(values.imag == 0.0)
+
+    def test_log_constant_against_the_decimal_reference(self):
+        # c = |d| + 1 on both sides of the switch to Stirling's series at
+        # c = 100: below it alpha log c - c - lgamma(c) cancels terms of size
+        # up to 460, from it on nothing cancels
+        cs = [*range(1, 201), 10**3, 10**4, 10**5, 10**6]
+        ds = np.array(cs) - 1
+        const = toeplitz._window(gaussian_symbol(2.0), ds, [0])[3]
+        assert const.shape == (len(cs), 1)
+        for c, got in zip(cs, const[:, 0].tolist()):
+            want = log_weight_constant(c)
+            rel = 1e-15 if c >= toeplitz._STIRLING_FROM else 5e-14
+            assert abs(Decimal(got) - want) <= Decimal(rel) * abs(want), c
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_unit_symbol_blocks_across_the_stirling_switch(self, n):
+        one = const_symbol(1.0)
+        for d in (97, 98, 99, 100, 101, 10**4, 10**6):
+            block = toeplitz_block(one, n, d)
+            assert np.max(np.abs(block - np.eye(n))) <= 1e-13, d
 
     def test_edges_ascend_as_built_without_breakpoints(self):
         # a symbol with no breakpoints gets its edges unsorted: the spaced
