@@ -17,9 +17,9 @@ import os
 
 import numpy as np
 
-from polyfock.toeplitz import (RadialSymbol, _blocks, exp_decay_symbol,
-                               gaussian_symbol, indicator_symbol,
-                               inverse_quadratic_symbol, lambda_seq)
+from polyfock.toeplitz import (RadialSymbol, exp_decay_symbol, gaussian_symbol,
+                               indicator_symbol, inverse_quadratic_symbol,
+                               lambda_seq, toeplitz_blocks)
 
 
 def oscillating_symbol(freq: float) -> RadialSymbol:
@@ -58,17 +58,13 @@ def emit_eigenvalue_oscillation(outdir: str, n: int, pmax: int) -> None:
 def emit_block_scalar_distance(outdir: str, n: int, dmax: int) -> None:
     symbols = [indicator_symbol(1.0), exp_decay_symbol(),
                inverse_quadratic_symbol()]
-    if dmax < -n + 1:
-        raise ValueError(f"diagonal {dmax} is empty in a space of order {n}")
     ds = sorted(d for d in {0, 1, 2, 5, 10, 20, 50, 100, dmax} if d <= dmax)
     records = []
     for a in symbols:
         v = a.limit_at_infinity
-        # one pass per symbol; block d is the leading min(n, n+d) corner
-        for d, row in zip(ds, _blocks(a, n, ds)):
-            size = min(n, n + d)
-            block = row[:size, :size]
-            dist = float(np.linalg.norm(block - v * np.eye(size), 2))
+        # one pass per symbol
+        for d, block in zip(ds, toeplitz_blocks(a, n, ds)):
+            dist = float(np.linalg.norm(block - v * np.eye(len(block)), 2))
             records.append({"symbol": a.name, "d": d,
                             "distance_to_scalar": dist})
     path = os.path.join(outdir, f"block_scalar_distance_n{n}.json")

@@ -162,7 +162,7 @@ def cmd_toeplitz(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suites
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, quick=args.quick, corrupt=args.inject_corruption)
+    results = run_suites(names, quick=args.quick)
     lines = [r.line() for r in results]
     passed = sum(r.passed for r in results)
     lines.append(f"{passed}/{len(results)} checks passed")
@@ -212,8 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=("all",) + SUITE_NAMES,
                           default="all")
     p_verify.add_argument("--quick", action="store_true")
-    p_verify.add_argument("--inject-corruption", action="store_true",
-                          help=argparse.SUPPRESS)  # negative-control test hook
     p_verify.add_argument("--out", type=str, default=None)
     p_verify.set_defaults(func=cmd_verify)
     return parser

@@ -1,11 +1,12 @@
-"""Defaults that the library and the CLI parser share, and the one reader
-of the integer arguments (orders, degrees, indices, sizes, truncations and
-positions) of every module.
+"""Defaults that the library and the CLI parser share, the one reader of
+the integer arguments (orders, degrees, indices, sizes, truncations and
+positions) of every module, and the one reader of complex points.
 
 Kept apart from the numerical modules, and free of numpy, so that building
 the parser loads nothing the chosen subcommand does not need.
 """
 
+import cmath
 import operator
 
 #: default truncation P: eigenvalues p = 0..P and kernel series terms
@@ -34,3 +35,11 @@ def integers(least: int | None = None, **args) -> list[int]:
             raise ValueError(f"{name} must be >= {least}, got {value}")
         out.append(value)
     return out
+
+
+def _finite_point(z: complex, name: str = "z") -> complex:
+    """z as a complex number; a ValueError naming it when it is not finite."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"point must be finite, got {name}={z}")
+    return z

@@ -210,12 +210,6 @@ class BiPolynomial:
         result._terms = {key: v * rc for key, v in self._terms.items()}
         return result
 
-    def conjugate(self) -> "BiPolynomial":
-        """Complex conjugate: swaps the roles of z and zbar."""
-        result = BiPolynomial()
-        result._terms = {(k, j): c.conjugate() for (j, k), c in self._terms.items()}
-        return result
-
     def evaluate(self, z: complex) -> complex:
         """Floating-point value at a concrete point.
 

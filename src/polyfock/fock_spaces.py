@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
-from .defaults import integers
+from .defaults import _finite_point, integers
 from .laguerre import _recurrence_scalar, _times_exp, profile_point
 
 # numpy is imported inside the array function (`berezin`) and the exact layer
@@ -66,13 +66,6 @@ class SpaceId:
         for i, (p, q) in enumerate(self.basis_indices(truncation)):
             rows.setdefault(p - q, []).append(i)
         return rows
-
-
-def _finite_point(z: complex, name: str = "z") -> complex:
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"point must be finite, got {name}={z}")
-    return z
 
 
 def _checked_exp_arg(z: complex, w: complex) -> complex:

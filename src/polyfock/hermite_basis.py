@@ -11,13 +11,12 @@ never used numerically): `laguerre.profile_point` at one point,
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .defaults import integers
+from .defaults import _finite_point, integers
 from .laguerre import _times_exp, profile_point, profile_scaled
 
 # numpy is imported inside the array function and the exact layer inside the
@@ -128,9 +127,7 @@ def b_eval(idx: HermiteIndex, z: complex) -> complex:
     raises OverflowError.
     """
     p, q = idx.p, idx.q
-    z = complex(z)
-    if not cmath.isfinite(z):
-        raise ValueError(f"point must be finite, got z={z}")
+    z = _finite_point(z)
     r = math.hypot(z.real, z.imag)
     tau = z / r if 0 < r < math.inf else 1.0
     return _radial_point(p, q, r, z) * tau ** (p - q)

@@ -7,8 +7,10 @@ mapping of declared breakpoints are handled here, in one place.  All beta
 values, blocks, eigenvalue sequences and matrices of radial symbols come from
 one batched pass over their diagonals (`_diagonal_blocks`) on one
 self-checked window rule with one log weight constant per diagonal
-(`_window`); the blocks on F_n of any diagonals are one pass (`_blocks`),
-and so is every true-layer sequence up to an order (`_true_layers`).  The
+(`_window`); the blocks on F_n of any set of diagonals are one pass
+(`toeplitz_blocks`, the one public reader, which checks the diagonals once;
+`toeplitz_block` reads one diagonal through it), and so is every true-layer
+sequence up to an order (`_true_layers`).  The
 pass stacks adjacent diagonals with the same degrees as rows of (rows,
 nodes) arrays, in bounded chunks, and returns
 one (rows, K, K) array.  The chunks of a pass share one scratch buffer for
@@ -502,23 +504,26 @@ def _true_layers(a: RadialSymbol, n_max: int, p_max: int) -> np.ndarray:
 def toeplitz_block(a: RadialSymbol, n: int, d: int) -> np.ndarray:
     """Block of the radial Toeplitz operator on diagonal d: the matrix of
     beta values over the indices living inside the order-n space."""
-    [n] = integers(1, n=n)
-    [d] = integers(d=d)
-    if d < -n + 1:
-        raise ValueError(f"diagonal {d} is empty in a space of order {n}")
-    size = min(n, n + d)
-    return _blocks(a, n, [d])[0, :size, :size]
+    return toeplitz_blocks(a, n, [d])[0]
 
 
-def toeplitz_blocks(a: RadialSymbol, n: int, d_max: int) -> list[np.ndarray]:
-    """The blocks `toeplitz_block(a, n, d)` for d = -n+1, ..., d_max, in one
-    pass."""
+def toeplitz_blocks(a: RadialSymbol, n: int,
+                    d_max: int | Sequence[int]) -> list[np.ndarray]:
+    """The blocks of the radial Toeplitz operator on F_n of many diagonals
+    in one pass: d = -n+1, ..., d_max when d_max is an integer, or each
+    diagonal of the sequence d_max, in its order, repeats included.  Block d
+    is min(n, n+d) square.  Every diagonal must be at least -n+1; an integer
+    d_max below that asks for no diagonal and is named as one."""
     [n] = integers(1, n=n)
-    [d_max] = integers(d_max=d_max)
-    if d_max < -n + 1:
-        raise ValueError(f"d_max must be at least {-n + 1}, the first diagonal "
-                         f"of a space of order {n}, got {d_max}")
-    ds = range(-n + 1, d_max + 1)
+    if np.ndim(d_max):
+        ds = [integers(d=d)[0] for d in d_max]
+        least = min(ds, default=-n + 1)
+    else:
+        [d_max] = integers(d_max=d_max)
+        ds, least = range(-n + 1, d_max + 1), min(d_max, -n + 1)
+    if least < -n + 1:
+        raise ValueError(f"diagonals must be at least {-n + 1}, the first of a "
+                         f"space of order {n}, got {least}")
     stack = _blocks(a, n, ds)
     return [block[:min(n, n + d), :min(n, n + d)] for d, block in zip(ds, stack)]
 

@@ -17,10 +17,14 @@ limit, and the unbounded r^2, with closed-form blocks.  numpy's
 companion-matrix Gauss-Legendre rule is the reference for the package's
 Jacobi-matrix rule.  The window rule's log constant is checked against a
 40-digit `decimal` evaluation from the exact integer factorial, or from
-Stirling's series with exact Bernoulli numbers for large orders.
+Stirling's series with exact Bernoulli numbers for large orders.  The
+negative control of `verify` runs the program in a fresh process with the
+closed-form coefficients of b_{2,1} off by 1.
 """
 
 import math
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -337,3 +341,30 @@ def block_checked_by_doubling(a, values, ds, ms, scratch):
     raise QuadratureConvergenceError(
         f"block on diagonal d={ds[todo[0]]} for degrees {list(ms)} did not "
         f"converge up to {_N_MAX} nodes for symbol {a.name}")
+
+
+_CORRUPTED_B21 = """
+import sys
+from polyfock import cli, verify
+from polyfock.exact_poly import BiPolynomial, ScaledPolynomial
+
+closed = verify.b_coeffs
+
+def b_coeffs(idx):
+    right = closed(idx)
+    if (idx.p, idx.q) != (2, 1):
+        return right
+    return ScaledPolynomial(right.body + BiPolynomial.monomial(0, 0, 1),
+                            right.scale_sq)
+
+verify.b_coeffs = b_coeffs
+sys.argv = ["polyfock", "verify", *sys.argv[1:]]
+cli.run()
+"""
+
+
+def run_verify_with_b21_corrupted(*argv: str) -> subprocess.CompletedProcess:
+    """`polyfock verify *argv` through `cli.run()` in a fresh process, with
+    `verify.b_coeffs` replaced by one that adds 1 to b_{2,1}."""
+    return subprocess.run([sys.executable, "-c", _CORRUPTED_B21, *argv],
+                          capture_output=True, text=True)

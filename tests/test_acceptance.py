@@ -24,7 +24,7 @@ from polyfock.radial_ops import (assemble_blocks, is_radial, phi_n,
 from polyfock.toeplitz import (beta, const_symbol, exp_decay_symbol,
                                indicator_symbol, lambda_seq, toeplitz_matrix)
 
-from oracles import gammp
+from oracles import gammp, run_verify_with_b21_corrupted
 
 
 class Budget:
@@ -247,6 +247,7 @@ def test_criterion_9_cli_determinism():
     assert run_cli("basis", "--q", "1").returncode == 2
     assert run_cli("toeplitz", "--n", "1", "--symbol", "bad", "--pmax",
                    "1").returncode == 1
-    assert run_cli("verify", "--suite", "basis", "--quick",
-                   "--inject-corruption").returncode == 1
+    corrupted = run_verify_with_b21_corrupted("--suite", "basis", "--quick")
+    assert corrupted.returncode == 1
+    assert "FAIL  basis/operator_vs_closed_coefficients" in corrupted.stdout
     budget.done()

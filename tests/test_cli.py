@@ -11,6 +11,8 @@ from polyfock import toeplitz, verify
 from polyfock.cli import dumps_fixed, format_float, main, parse_complex
 from polyfock.quadrature import QuadratureConvergenceError
 
+from oracles import run_verify_with_b21_corrupted
+
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "polyfock.cli", *args],
@@ -287,8 +289,7 @@ class TestVerifyCommand:
         assert elapsed < 5.0
 
     def test_corruption_is_caught_by_name(self):
-        proc = run_cli("verify", "--suite", "basis", "--quick",
-                       "--inject-corruption")
+        proc = run_verify_with_b21_corrupted("--suite", "basis", "--quick")
         assert proc.returncode == 1
         assert "FAIL  basis/operator_vs_closed_coefficients" in proc.stdout
 

@@ -85,6 +85,8 @@ ROWS = [
     ("toeplitz_blocks-n", "n", 1, 2, lambda v: toeplitz_blocks(GAUSS, v, 3)),
     ("toeplitz_blocks-d_max", "d_max", None, 3,
      lambda v: toeplitz_blocks(GAUSS, 2, v)),
+    ("toeplitz_blocks-d", "d", None, 3,
+     lambda v: toeplitz_blocks(GAUSS, 2, [0, v])),
 ]
 
 

@@ -5,6 +5,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from polyfock import toeplitz
 from polyfock.toeplitz import (exp_decay_symbol, indicator_symbol,
@@ -40,6 +41,13 @@ def test_block_scalar_distance_stops_at_dmax(tmp_path):
     script.emit_block_scalar_distance(str(tmp_path), 2, 20)
     check_block_scalar_distances(tmp_path / "block_scalar_distance_n2.json", 2,
                                  (0, 1, 2, 5, 10, 20))
+
+
+def test_block_scalar_distance_rejects_a_diagonal_below_the_first(tmp_path):
+    script = load_script("emit_conjecture_data")
+    with pytest.raises(ValueError, match="got -3$"):
+        script.emit_block_scalar_distance(str(tmp_path), 3, -3)
+    assert not any(tmp_path.iterdir())
 
 
 def test_block_scalar_distance_one_pass_per_symbol(tmp_path, monkeypatch):

@@ -362,6 +362,28 @@ class TestBlocks:
             toeplitz_blocks(const_symbol(1.0), 2, -5)
         assert [b.shape for b in toeplitz_blocks(const_symbol(1.0), 2, -1)] == [(1, 1)]
 
+    @pytest.mark.parametrize("ds", [
+        [5, -2, 0, 5, 40, -1, 0], range(-2, 4), np.array([7, 3, -2, 3])],
+        ids=["unsorted-repeated", "range", "numpy"])
+    def test_any_diagonals_read_as_their_own_blocks(self, ds):
+        a = gaussian_symbol(2.0)
+        blocks = toeplitz_blocks(a, 3, ds)
+        assert len(blocks) == len(ds)
+        for d, block in zip(ds, blocks):
+            assert np.array_equal(block, toeplitz_block(a, 3, d)), d
+
+    def test_no_diagonals_read_no_blocks(self):
+        assert toeplitz_blocks(const_symbol(1.0), 3, []) == []
+
+    @pytest.mark.parametrize("call", [
+        lambda a: toeplitz_blocks(a, 3, -3),
+        lambda a: toeplitz_blocks(a, 3, [4, -3, 0]),
+        lambda a: toeplitz_block(a, 3, -3)], ids=["d_max", "diagonals", "block"])
+    def test_diagonal_below_the_first_is_one_error(self, call):
+        with pytest.raises(ValueError, match=r"^diagonals must be at least -2, "
+                           r"the first of a space of order 3, got -3$"):
+            call(const_symbol(1.0))
+
     def test_block_limit_toward_scalar(self):
         a = indicator_symbol(1.0)
         norms = [np.linalg.norm(toeplitz_block(a, 2, d), 2) for d in (10, 50, 200)]
