@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 computation or verification failure (a request too
 large for memory included), 2 bad arguments.
 
 Each command imports the layers it uses when it runs, so start-up loads only
-those: `basis` and `kernel` are exact or point work and never load numpy,
-`basis --eval` and `kernel` load no exact layer either, and `toeplitz` loads
+those: `basis` and `kernel` are exact or point work and never load numpy
+or `dataclasses`, `basis --eval` and `kernel` load no exact layer either,
+and `toeplitz` loads
 only the radial route (`laguerre`, `quadrature`, `toeplitz` and numpy), none
 of the plane or exact layers.
 

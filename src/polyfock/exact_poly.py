@@ -1,20 +1,22 @@
 """Exact rational arithmetic for polynomials in z and z-bar.
 
 Coefficients are complex numbers whose real and imaginary parts are
-arbitrary-precision rationals, so every identity established here holds
-without rounding.  This layer is the ground truth that the floating-point
-layers are checked against; it never touches a float except in `evaluate`.
+arbitrary-precision rationals, each an int or a Fraction and never a float,
+so every identity established here holds without rounding.  Integer
+coefficients (every basis body has them) stay ints, whose arithmetic is far
+cheaper than Fraction's.  This layer is the ground truth that the
+floating-point layers are checked against; it never touches a float except
+in `evaluate`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
-from .defaults import integers
+from .defaults import Value, integers
 
 MAX_FACTORIAL = 256
 
@@ -41,19 +43,28 @@ def sqrt_fraction(value: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class RationalComplex:
-    """Complex number with exact rational real and imaginary parts."""
+class RationalComplex(Value):
+    """Complex number with exact rational real and imaginary parts.
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    Each part is an int or a Fraction, never a float, so integer arithmetic
+    stays in ints and division is exact.
+    """
+
+    __slots__ = ("re", "im")
+    re: int | Fraction
+    im: int | Fraction
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0):
+        super().__init__(re, im)
 
     @staticmethod
     def coerce(value: Scalar) -> "RationalComplex":
         if isinstance(value, RationalComplex):
             return value
-        if isinstance(value, (int, Fraction)):
-            return RationalComplex(Fraction(value))
+        if isinstance(value, int):
+            return RationalComplex(int(value))  # a bool becomes an int
+        if isinstance(value, Fraction):
+            return RationalComplex(value)
         raise TypeError(f"cannot coerce {type(value).__name__} to RationalComplex")
 
     def __eq__(self, other: object) -> bool:
@@ -90,12 +101,12 @@ class RationalComplex:
         if d == 0:
             raise ZeroDivisionError("division by zero RationalComplex")
         num = self * o.conjugate()
-        return RationalComplex(num.re / d, num.im / d)
+        return RationalComplex(Fraction(num.re, d), Fraction(num.im, d))
 
     def conjugate(self) -> "RationalComplex":
         return RationalComplex(self.re, -self.im)
 
-    def abs_sq(self) -> Fraction:
+    def abs_sq(self) -> int | Fraction:
         return self.re * self.re + self.im * self.im
 
     @property
@@ -114,7 +125,7 @@ class RationalComplex:
 
 
 RC_ZERO = RationalComplex()
-RC_ONE = RationalComplex(Fraction(1))
+RC_ONE = RationalComplex(1)
 
 
 class BiPolynomial:
@@ -245,8 +256,9 @@ class BiPolynomial:
 def _raise_minus_derivative(f: BiPolynomial, wrt_z: bool) -> BiPolynomial:
     """zbar*f - df/dz (wrt_z) or z*f - df/dzbar, in one pass over the terms.
 
-    Real and imaginary parts add up as plain rationals in one dict; the
-    coefficients that cancel to zero are dropped at the end.
+    Real and imaginary parts add up as plain rationals in one dict, ints
+    staying ints; the coefficients that cancel to zero are dropped at the
+    end.
     """
     acc: dict[tuple[int, int], list] = {}
     for (j, k), c in f.terms():
@@ -262,7 +274,7 @@ def _raise_minus_derivative(f: BiPolynomial, wrt_z: bool) -> BiPolynomial:
             slot[0] -= n * c.re
             slot[1] -= n * c.im
     out = BiPolynomial()
-    out._terms = {key: RationalComplex(Fraction(re), Fraction(im))
+    out._terms = {key: RationalComplex(re, im)
                   for key, (re, im) in acc.items() if re or im}
     return out
 
@@ -283,7 +295,9 @@ def gaussian_inner(f: BiPolynomial, g: BiPolynomial) -> RationalComplex:
     Reduces to the monomial rule <z^p zbar^q, z^j zbar^k> =
     delta_{p+k, q+j} * (p+k)!, extended sesquilinearly (conjugate-linear in
     the second argument).  Only terms on the same diagonal p - q = j - k
-    pair up; their real and imaginary parts add up as plain rationals.
+    pair up; their real and imaginary parts add up as plain rationals, in
+    ints while the coefficients are ints, and the parts returned are
+    Fractions.
     """
     by_diagonal: dict[int, list] = {}
     for (j, k), c in g.terms():
@@ -302,8 +316,7 @@ def gaussian_inner(f: BiPolynomial, g: BiPolynomial) -> RationalComplex:
     return RationalComplex(Fraction(re), Fraction(im))
 
 
-@dataclass(frozen=True)
-class ScaledPolynomial:
+class ScaledPolynomial(Value):
     """A polynomial together with the square of a positive scalar prefactor.
 
     Represents sqrt(scale_sq) * body.  Tracking the squared scale keeps all
@@ -311,12 +324,14 @@ class ScaledPolynomial:
     squares, and square roots are only extracted when exact.
     """
 
+    __slots__ = ("body", "scale_sq")
     body: BiPolynomial
     scale_sq: Fraction
 
-    def __post_init__(self):
-        if self.scale_sq <= 0:
+    def __init__(self, body: BiPolynomial, scale_sq: Fraction):
+        if scale_sq <= 0:
             raise ValueError("scale_sq must be positive")
+        super().__init__(body, scale_sq)
 
     def same_polynomial(self, other: "ScaledPolynomial") -> bool:
         """Exact equality of the represented polynomials."""

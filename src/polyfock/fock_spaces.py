@@ -4,9 +4,12 @@ transform.
 
 The kernel of the order-n polyanalytic space is e^(zbar w) L_{n-1}^(1)(|w-z|^2);
 its true-polyanalytic sibling replaces L^(1) by the plain Laguerre polynomial.
-The closed forms are evaluated while Re(zbar w) <= 700; past that, and
-wherever a factor or their product leaves the float range, they raise a named
-OverflowError.
+The closed forms are evaluated while Re(zbar w) <= 700; past that they raise
+a named OverflowError.  Where a factor leaves the float range, or
+e^(zbar w) is subnormal, the product is formed in the log domain:
+log|L| + Re(zbar w), with the sign of L and the phase kept apart, so a
+finite value is returned, and only a value past the float range raises a
+named OverflowError.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
-from .defaults import _finite_point, integers
-from .laguerre import _recurrence_scalar, _times_exp, profile_point
+from .defaults import Value, _finite_point, integers
+from .laguerre import (_profile_points, _recurrence_binary, _recurrence_scalar,
+                       _times_exp)
 
 # numpy is imported inside the array function (`berezin`) and the exact layer
 # inside `kernel_recursion_check`, so the kernels and their series (the CLI's
@@ -30,19 +33,24 @@ Kind = Literal["poly", "true_poly"]
 
 EXP_OVERFLOW_LIMIT = 700.0
 
+#: e^x is a normal float for x >= _EXP_NORMAL
+_EXP_NORMAL = -708.0
 
-@dataclass(frozen=True)
-class SpaceId:
+#: ln 2 = _LN2_HI + _LN2_LO, with e * _LN2_HI exact for |e| < 2^21
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+class SpaceId(Value):
     """Either the order-n polyanalytic space or its true-polyanalytic layer."""
 
+    __slots__ = ("kind", "n")
     kind: Kind
     n: int
 
-    def __post_init__(self):
-        if self.kind not in ("poly", "true_poly"):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        [n] = integers(1, n=self.n)
-        object.__setattr__(self, "n", n)
+    def __init__(self, kind: Kind, n: int):
+        if kind not in ("poly", "true_poly"):
+            raise ValueError(f"unknown space kind {kind!r}")
+        super().__init__(kind, *integers(1, n=n))
 
     def basis_indices(self, truncation: int) -> list[tuple[int, int]]:
         """Basis enumeration up to the truncation: p ranges over 0..P-1.
@@ -77,31 +85,63 @@ def _checked_exp_arg(z: complex, w: complex) -> complex:
     return arg
 
 
-def _laguerre_factor(n: int, alpha: int, z: complex, w: complex) -> float:
-    """L_{n-1}^(alpha)(|w-z|^2); a named OverflowError when it is not finite.
-    L_0 = 1 at every distance, |w-z|^2 past the float range included."""
-    if n == 1:
-        return 1.0
+def _log_factor(k: int, alpha: int, z: complex, w: complex,
+                t: float) -> tuple[float, float, int]:
+    """L_k^(alpha)(t) at t = |w-z|^2 as (sign, log|v|, e), the value being
+    sign |v| 2^e, at any distance.  Past the float range of t, its leading
+    term (-1)^k t^k / k!, to which the next adds a relative k (k + alpha) / t
+    < 1e-290, with log t = 2 log|w-z| and |w-z| = 4h, h the distance between
+    the quarters of the points, which stays in the float range.
+    """
+    if math.isfinite(t):
+        v, e = _recurrence_binary(k, alpha, t)
+        return math.copysign(1.0, v), math.log(abs(v)) if v else -math.inf, e
+    h, e = math.frexp(math.hypot(w.real / 4 - z.real / 4, w.imag / 4 - z.imag / 4))
+    return (-1.0) ** k, 2 * k * math.log(h) - math.lgamma(k + 1), k * (2 * e + 4)
+
+
+def _product_from_logs(arg: complex, sign: float, log_v: float, e: int) -> complex:
+    """sign e^arg |v| 2^e from log|v|: the modulus is e to the sum
+    Re(arg) + log|v| + e log 2, rounded once (`math.fsum`, with e log 2 in
+    two exact parts), the sign and the phase e^(i Im arg) kept apart; inf
+    where the value leaves the float range."""
+    log_mod = math.fsum((arg.real, log_v, e * _LN2_HI, e * _LN2_LO))
     try:
-        t = abs(w - z) ** 2
-    except OverflowError:
-        t = math.inf
-    if not math.isfinite(t):
-        raise OverflowError(f"kernel argument |w-z|^2 = {t} is not finite")
-    lag = _recurrence_scalar(n - 1, alpha, t)
-    if not math.isfinite(lag):
-        raise OverflowError(f"kernel factor L_{n - 1}^({alpha})(|w-z|^2) is not "
-                            f"finite at |w-z|^2 = {t:.3g}")
-    return lag
+        return cmath.exp(complex(log_mod, arg.imag)) * sign
+    except (OverflowError, ValueError):  # ValueError: a phase of inf
+        return complex(math.inf)
 
 
 def _kernel_plain(n: int, z: complex, w: complex, alpha: int) -> complex:
+    """e^(zbar w) L_{n-1}^(alpha)(|w-z|^2), the product of the two float
+    factors while both are finite and e^(zbar w) is normal or |L| <= 1.
+    Otherwise the value comes from summed logs (`_log_factor`,
+    `_product_from_logs`), so a finite value is returned where a factor
+    leaves the float range, and a value past it raises an OverflowError
+    naming the factor.  L_0 = 1 at every distance, |w-z|^2 past the float
+    range included."""
     [n] = integers(1, n=n)
     z, w = _finite_point(z), _finite_point(w, "w")
     arg = _checked_exp_arg(z, w)
-    value = cmath.exp(arg) * _laguerre_factor(n, alpha, z, w)
+    lag, t, why = 1.0, 0.0, "kernel value overflows the float range"
+    if n > 1:
+        try:
+            t = abs(w - z) ** 2
+        except OverflowError:
+            t = math.inf
+        if not math.isfinite(t):
+            lag, why = t, f"kernel argument |w-z|^2 = {t} is not finite"
+        else:
+            lag = _recurrence_scalar(n - 1, alpha, t)
+            if not math.isfinite(lag):
+                why = (f"kernel factor L_{n - 1}^({alpha})(|w-z|^2) is not "
+                       f"finite at |w-z|^2 = {t:.3g}")
+    if math.isfinite(lag) and (arg.real >= _EXP_NORMAL or abs(lag) <= 1):
+        value = cmath.exp(arg) * lag
+    else:
+        value = _product_from_logs(arg, *_log_factor(n - 1, alpha, z, w, t))
     if not cmath.isfinite(value):
-        raise OverflowError("kernel value overflows the float range")
+        raise OverflowError(why)
     return value
 
 
@@ -122,7 +162,10 @@ def kernel_partial_sum(space: SpaceId, z: complex, w: complex,
     With z = r_z tau_z, w = r_w tau_w and the basis profiles
     `profile_point` = v e^s at r_z and r_w, each term is
     v_z v_w (conj(tau_z) tau_w)^(p-q) times one exponential of s_z + s_w; a
-    zero product v_z v_w is an exact 0 term.  A non-finite point raises
+    zero product v_z v_w is an exact 0 term.  Every degree m = min(p, q) is
+    below the order n, so the profiles of one order alpha = |p - q| come
+    from one recurrence run of n degrees per radius (`_profile_points`), and
+    each power of the phase is taken once.  A non-finite point raises
     ValueError, and a term past the float range OverflowError.
     """
     z, w = _finite_point(z), _finite_point(w, "w")
@@ -130,18 +173,31 @@ def kernel_partial_sum(space: SpaceId, z: complex, w: complex,
     tz = z / rz if 0 < rz < math.inf else 1.0
     tw = w / rw if 0 < rw < math.inf else 1.0
     rho = tz.conjugate() * tw
+    n, indices = space.n, space.basis_indices(truncation)
+    # 0 <= alpha = |p - q| < truncation + n and 0 < d + n, d = p - q
+    size = len(indices) + n
+    runs: list = [None] * size  # alpha -> profiles of degrees < n at z, w
+    powers: list = [None] * size  # d + n -> rho ** d
     total = 0j
-    for p, q in space.basis_indices(truncation):
-        m, alpha = min(p, q), abs(p - q)
-        vz, sz = profile_point(m, alpha, rz)
-        vw, sw = profile_point(m, alpha, rw)
+    for p, q in indices:
+        alpha, m = (p - q, q) if p >= q else (q - p, p)  # m < n
+        run = runs[alpha]
+        if run is None:
+            run = runs[alpha] = (_profile_points(n, alpha, rz),
+                                 _profile_points(n, alpha, rw))
+        vz, sz = run[0][m]
+        vw, sw = run[1][m]
         if not vz * vw:
             continue
         term = _times_exp(vz * vw, sz + sw)
         if not math.isfinite(term):
             raise OverflowError(f"kernel series term b_{p},{q} at z={z}, w={w} "
                                 "does not fit in a float")
-        total += term * rho ** (p - q)
+        d = p - q
+        power = powers[d + n]
+        if power is None:
+            power = powers[d + n] = rho ** d
+        total += term * power
     return total
 
 

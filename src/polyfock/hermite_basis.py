@@ -12,11 +12,10 @@ never used numerically): `laguerre.profile_point` at one point,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .defaults import _finite_point, integers
+from .defaults import Value, _finite_point, integers
 from .laguerre import _times_exp, profile_point, profile_scaled
 
 # numpy is imported inside the array function and the exact layer inside the
@@ -32,17 +31,15 @@ if TYPE_CHECKING:
 MAX_EXACT_INDEX = 32
 
 
-@dataclass(frozen=True)
-class HermiteIndex:
+class HermiteIndex(Value):
     """Index pair (p, q): p powers of z, q powers of zbar."""
 
+    __slots__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        p, q = integers(0, p=self.p, q=self.q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+    def __init__(self, p: int, q: int):
+        super().__init__(*integers(0, p=p, q=q))
 
     @property
     def d(self) -> int:

@@ -7,7 +7,8 @@ recurrence with a per-entry log scale, which neither overflows nor
 underflows at any degree (`orthonormal_scaled` on arrays).  The basis
 profile psi_m(r^2) r^alpha / sqrt(alpha!) adds its prefactor to that scale
 in one array and one point evaluator, `profile_scaled` and the numpy-free
-`profile_point`.
+`profile_point`, which reads the first degrees of one point run,
+`_profile_points`, as the kernel series reads all of them.
 """
 
 from __future__ import annotations
@@ -36,6 +37,22 @@ def _recurrence_scalar(n: int, alpha: int, x: float) -> float:
     for k in range(2, n + 1):
         prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
     return cur
+
+
+def _recurrence_binary(n: int, alpha: int, x: float) -> tuple[float, int]:
+    """Plain L_n^(alpha)(x) = v 2^e at any finite x >= 0, also where the
+    value leaves the float range: the recurrence of `_recurrence_scalar` with
+    both terms scaled to at most 1 by a power of two before each step, so no
+    step overflows.  Such scaling is exact short of the subnormal range, so
+    v 2^e is the value `_recurrence_scalar` gives wherever that is finite."""
+    if n == 0:
+        return 1.0, 0
+    prev, cur, e = 1.0, 1.0 + alpha - x, 0
+    for k in range(2, n + 1):
+        shift = math.frexp(max(abs(prev), abs(cur)))[1]
+        prev, cur, e = math.ldexp(prev, -shift), math.ldexp(cur, -shift), e + shift
+        prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
+    return cur, e
 
 
 def orthonormal_scaled(ms: Sequence[int], alpha, t) -> tuple[np.ndarray, np.ndarray]:
@@ -127,14 +144,24 @@ def profile_point(m: int, alpha: int, r: float) -> tuple[float, float]:
     """psi_m(r^2) r^alpha / sqrt(alpha!) = v e^s at one radius r >= 0, the
     numpy-free twin of `profile_scaled`; (0, 0) where r = 0 and alpha > 0.
 
+    The last entry of `_profile_points(m + 1, alpha, r)`.
+    """
+    return _profile_points(m + 1, alpha, r)[m]
+
+
+def _profile_points(n: int, alpha: int, r: float) -> list[tuple[float, float]]:
+    """`profile_point` (v, s) of every degree m < n at one order alpha and
+    radius r, from one run of the recurrence: entry m is its first m steps.
+
     The recurrence of `orthonormal_scaled` on plain floats, with the same
     rescaling, started from the prefactor's log as its scale.
     """
     if alpha and not r:
-        return 0.0, 0.0
+        return [(0.0, 0.0)] * n
     t, prev, cur, off = r * r, 0.0, 1.0, 0.0
     scale = alpha * math.log(r) - 0.5 * math.lgamma(alpha + 1) if alpha else 0.0
-    for k in range(m):
+    out = [(cur, scale)]
+    for k in range(n - 1):
         off_next = math.sqrt((k + 1) * (k + 1 + alpha))
         prev, cur = cur, ((t - (2 * k + alpha + 1)) * cur - off * prev) / off_next
         off = off_next
@@ -144,7 +171,8 @@ def profile_point(m: int, alpha: int, r: float) -> tuple[float, float]:
             if mag > 1e100 or 0 < mag < 1e-100:
                 prev, cur = prev / mag, cur / mag
                 scale += math.log(mag)
-    return cur, scale
+        out.append((cur, scale))
+    return out
 
 
 def _times_exp(v: float, s: float) -> float:

@@ -57,13 +57,15 @@ def _check(suite: str, name: str, residual: float, tol: float) -> CheckResult:
 
 
 def _laguerre_explicit_float(n: int, alpha: int, x: float) -> float:
-    # exact rational Horner evaluation at the exact binary value of x
-    coeffs = laguerre_exact(n, alpha)
-    xf = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * xf + c
-    return float(acc)
+    """The explicit sum of L_n^(alpha) at the exact binary value x = u / v of
+    the float x, rounded once: n! v^n L_n^(alpha)(x) =
+    sum_k (-1)^k binom(n+alpha, n-k) (n!/k!) u^k v^(n-k) is an integer."""
+    u, v = x.as_integer_ratio()
+    fact_n = math.factorial(n)
+    total = sum((-1) ** k * math.comb(n + alpha, n - k)
+                * (fact_n // math.factorial(k)) * u ** k * v ** (n - k)
+                for k in range(n + 1))
+    return float(Fraction(total, fact_n * v ** n))
 
 
 def suite_laguerre(quick: bool = False) -> list[CheckResult]:

@@ -7,7 +7,9 @@ references build the creation operators from the general polynomial
 product and the Wirtinger derivatives, the Gaussian inner product from `RationalComplex` sums over every
 pair of terms, and each basis body by a fresh fold of creation steps on 1.
 The kernel series is summed from whole arrays of basis values on the
-numpy route, which the point route of `kernel_partial_sum` does not use.
+numpy route, which the point route of `kernel_partial_sum` does not use,
+and term by term as that point route summed it before it ran one Laguerre
+recurrence per order, which is kept as the bit-for-bit reference.
 The radial pass's self-check is kept in its one-size-per-evaluation form,
 each rule size on a window built afresh, as the reference for the fused
 evaluation of its first two sizes; it runs the Laguerre recurrence as it was
@@ -30,8 +32,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from polyfock.defaults import _finite_point
 from polyfock.exact_poly import BiPolynomial, RationalComplex, factorial
 from polyfock.hermite_basis import _radial_values
+from polyfock.laguerre import _times_exp, profile_point
 from polyfock.quadrature import (QuadratureConvergenceError, gauss_laguerre,
                                  legendre_rule)
 from polyfock.toeplitz import (_N_MAX, _N_START, _STIRLING_FROM, BETA_ABS_TOL,
@@ -201,6 +205,31 @@ def kernel_partial_sum_array(space, z: complex, w: complex,
         phase = x / abs(x) if x != 0 else 1.0
         return _radial_values(indices, abs(x)) * phase ** d
     return complex(np.sum(values(z).conjugate() * values(w)))
+
+
+def kernel_partial_sum_per_term(space, z: complex, w: complex,
+                                truncation: int) -> complex:
+    """`fock_spaces.kernel_partial_sum` as it was before it ran one Laguerre
+    recurrence per order: two `profile_point` runs and one power of the
+    phase for every term, summed in the basis order."""
+    z, w = _finite_point(z), _finite_point(w, "w")
+    rz, rw = math.hypot(z.real, z.imag), math.hypot(w.real, w.imag)
+    tz = z / rz if 0 < rz < math.inf else 1.0
+    tw = w / rw if 0 < rw < math.inf else 1.0
+    rho = tz.conjugate() * tw
+    total = 0j
+    for p, q in space.basis_indices(truncation):
+        m, alpha = min(p, q), abs(p - q)
+        vz, sz = profile_point(m, alpha, rz)
+        vw, sw = profile_point(m, alpha, rw)
+        if not vz * vw:
+            continue
+        term = _times_exp(vz * vw, sz + sw)
+        if not math.isfinite(term):
+            raise OverflowError(f"kernel series term b_{p},{q} at z={z}, w={w} "
+                                "does not fit in a float")
+        total += term * rho ** (p - q)
+    return total
 
 
 def orthonormal_scaled_out_of_place(ms, alpha, t):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import wirtinger_dz, wirtinger_dzbar
+from polyfock.defaults import Value
 from polyfock.exact_poly import (BiPolynomial, RationalComplex, ScaledPolynomial,
                                  creation_adagger, creation_adagger_bar, factorial,
                                  gaussian_inner, sqrt_fraction)
+from polyfock.fock_spaces import SpaceId
+from polyfock.hermite_basis import HermiteIndex, b_exact
 
 
 def mono(j, k, c=1):
@@ -24,6 +29,33 @@ complex_polys = st.lists(
     max_size=6).map(lambda terms: sum(
         (mono(j, k, RationalComplex(Fraction(a, e), Fraction(b, e)))
          for j, k, a, b, e in terms), BiPolynomial.zero()))
+
+
+# parts that are ints or Fractions, and polynomials built from them
+rationals = st.one_of(st.integers(-6, 6),
+                      st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+mixed_polys = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), rationals, rationals),
+    max_size=6).map(lambda terms: BiPolynomial(
+        {(j, k): RationalComplex(a, b) for j, k, a, b in terms}))
+int_polys = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(-6, 6),
+              st.integers(-6, 6)),
+    max_size=6).map(lambda terms: BiPolynomial(
+        {(j, k): RationalComplex(a, b) for j, k, a, b in terms}))
+
+
+def all_fraction(x):
+    """The same value with every part a Fraction."""
+    if isinstance(x, BiPolynomial):
+        return BiPolynomial({key: all_fraction(c) for key, c in x.terms()})
+    return RationalComplex(Fraction(x.re), Fraction(x.im))
+
+
+def parts(x) -> list:
+    if isinstance(x, BiPolynomial):
+        return [part for _, c in x.terms() for part in (c.re, c.im)]
+    return [x.re, x.im]
 
 
 class TestWirtinger:
@@ -150,6 +182,94 @@ class TestRationalComplex:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             RationalComplex(Fraction(1)) / RationalComplex()
+
+
+class TestIntegerParts:
+    """Integer parts stay ints; every result equals the one computed with
+    all parts Fractions, and no part is ever a float or a bool."""
+
+    @given(mixed_polys, mixed_polys, rationals, rationals)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_mixed_parts_match_all_fraction_reference(self, f, g, a, b):
+        ff, gf, c = all_fraction(f), all_fraction(g), RationalComplex(a, b)
+        results = [
+            (f + g, ff + gf), (f - g, ff - gf), (f * g, ff * gf),
+            (f.scale(c), ff.scale(all_fraction(c))),
+            (creation_adagger(f), oracles.creation_adagger(ff)),
+            (creation_adagger_bar(f), oracles.creation_adagger_bar(ff)),
+            (gaussian_inner(f, g), oracles.gaussian_inner(ff, gf)),
+            (f.evaluate_exact(a, b), ff.evaluate_exact(Fraction(a), Fraction(b))),
+        ]
+        if not c.is_zero:
+            results.append((RationalComplex(b, a) / c,
+                            all_fraction(RationalComplex(b, a)) / all_fraction(c)))
+        for got, want in results:
+            assert got == want
+            assert all(type(part) in (int, Fraction) for part in parts(got))
+
+    @given(int_polys, int_polys, st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_integer_parts_stay_ints(self, f, g, a, b):
+        for got in (f + g, f - g, f * g, f.scale(RationalComplex(a, b)),
+                    creation_adagger(f), creation_adagger_bar(f),
+                    f.evaluate_exact(a, b)):
+            assert all(type(part) is int for part in parts(got))
+        inner = gaussian_inner(f, g)
+        assert type(inner.re) is type(inner.im) is Fraction
+
+    def test_basis_bodies_have_int_parts(self):
+        for p in range(6):
+            for q in range(6):
+                assert all(type(part) is int
+                           for part in parts(b_exact(HermiteIndex(p, q)).body))
+
+    def test_coercion(self):
+        # an int part equals the Fraction of the same value, and so do scalars
+        assert RationalComplex(3) == 3 == RationalComplex(Fraction(3))
+        assert hash(RationalComplex(3)) == hash(RationalComplex(Fraction(3)))
+        assert type(RationalComplex.coerce(True).re) is int
+        assert RationalComplex.coerce(True) == 1
+        assert type(RationalComplex.coerce(Fraction(1, 2)).re) is Fraction
+        with pytest.raises(TypeError):
+            RationalComplex.coerce(0.5)
+
+
+class _Lookalike(Value):
+    __slots__ = ("p", "q")
+
+
+VALUES = [
+    (HermiteIndex(2, 2), HermiteIndex(2, 2), "HermiteIndex(p=2, q=2)", "p"),
+    (SpaceId("poly", 2), SpaceId("poly", 2), "SpaceId(kind='poly', n=2)", "n"),
+    (RationalComplex(Fraction(1, 2), 3), RationalComplex(Fraction(1, 2), Fraction(3)),
+     "(1/2+3i)", "re"),
+    (ScaledPolynomial(mono(1, 1) - mono(0, 0), Fraction(1, 2)),
+     ScaledPolynomial(mono(1, 1) - mono(0, 0), Fraction(1, 2)),
+     "ScaledPolynomial(body=BiPolynomial((-1+0i)*z^0*zb^0 + (1+0i)*z^1*zb^1), "
+     "scale_sq=Fraction(1, 2))", "scale_sq"),
+]
+
+
+@pytest.mark.parametrize("value, same, text, field", VALUES,
+                         ids=[type(row[0]).__name__ for row in VALUES])
+def test_value_class(value, same, text, field):
+    assert repr(value) == text
+    assert value == same and not value != same
+    assert copy.copy(value) == value == pickle.loads(pickle.dumps(value))
+    fields = tuple(getattr(value, name) for name in type(value).__slots__)
+    assert value != fields and value != _Lookalike(*fields[:2])
+    if isinstance(value, ScaledPolynomial):
+        # as for the frozen dataclass: its body is not hashable
+        with pytest.raises(TypeError, match="unhashable type: 'BiPolynomial'"):
+            hash(value)
+    else:
+        assert hash(value) == hash(same)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(value, field, 1)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    with pytest.raises(AttributeError):
+        value.other = 1
 
 
 class TestScaledPolynomial:

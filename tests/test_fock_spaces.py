@@ -20,6 +20,17 @@ SAMPLES = [(0.3 + 0.4j, -1.2 + 0.5j), (1.0 + 0j, 1.0 + 0j), (0j, 1.0 + 0j),
            (-0.7 - 0.7j, 0.2 + 1.1j), (1.4 - 0.2j, -0.5 - 0.9j)]
 
 
+def assert_same_as_per_term_sum(space, z, w, truncation):
+    """kernel_partial_sum == the per-term oracle, or the same OverflowError."""
+    try:
+        want = oracles.kernel_partial_sum_per_term(space, z, w, truncation)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
+            kernel_partial_sum(space, z, w, truncation)
+    else:
+        assert kernel_partial_sum(space, z, w, truncation) == want
+
+
 class TestClosedForms:
     def test_order_one_is_classical(self):
         for z, w in SAMPLES:
@@ -67,7 +78,6 @@ class TestClosedForms:
         (kernel_poly, 8, 0j, 1e100 + 0j, "kernel factor"),
         (kernel_true, 8, 0j, 1e60 + 0j, "kernel factor"),
         (kernel_poly, 2, 1e200 + 0j, 0j, r"\|w-z\|\^2 = inf is not finite"),
-        (kernel_true, 2, 1e308 + 0j, -1e308 + 0j, "is not finite"),
         (kernel_true, 1, 30 + 0j, 30 + 0j,
          r"Re\(zbar w\) = 900\.0 exceeds the limit 700\.0$"),
         (kernel_poly, 8, 1e3 + 0j, 0.7 + 0j,
@@ -78,6 +88,26 @@ class TestClosedForms:
         # as nan or inf
         with pytest.raises(OverflowError, match=match):
             kernel(n, z, w)
+
+    @pytest.mark.parametrize("kernel, n, z, w, want", [
+        # 50-digit mpmath values, where the Laguerre factor or |w-z|^2
+        # leaves the float range and e^(zbar w) underflows; kernel_poly
+        # agrees to 17 digits there
+        (kernel_true, 3, 1e150 + 0j, -8e-148 + 0j, 1.8339372920889658e+252),
+        (kernel_poly, 3, 1e150 + 0j, -8e-148 + 0j, 1.8339372920889658e+252),
+        (kernel_true, 2, 1e200 + 0j, -1e-197 + 0j, -5.0759588975496774e-35),
+        (kernel_poly, 2, 1e200 + 0j, -1e-197 + 0j, -5.0759588975496774e-35),
+        # e^(zbar w) subnormal, the value a normal float
+        (kernel_true, 3, 19 + 0j, -38 + 0j, 1.4498349510890641e-307),
+        (kernel_poly, 3, 19 + 0j, -38 + 0j, 1.448941920460101e-307),
+        # about -2.9e-4342944819..., -2.4e-434294481903... and
+        # -4e616 e^(-1e616), which underflow
+        (kernel_true, 2, 1e200 + 0j, -1e200 + 0j, 0.0),
+        (kernel_true, 8, 1e60 + 0j, -1e60 + 0j, 0.0),
+        (kernel_true, 2, 1e308 + 0j, -1e308 + 0j, 0.0),
+    ])
+    def test_far_apart_values(self, kernel, n, z, w, want):
+        assert kernel(n, z, w) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("kernel", [kernel_poly, kernel_true])
     def test_order_one_far_apart(self, kernel):
@@ -127,6 +157,25 @@ class TestSeries:
         want = oracles.kernel_partial_sum_array(space, z, w, truncation)
         got = kernel_partial_sum(space, z, w, truncation)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from(["poly", "true_poly"]), st.integers(1, 8),
+           st.integers(1, 300),
+           st.one_of(st.just(0j), st.complex_numbers(max_magnitude=40.0)),
+           st.one_of(st.just(0j), st.complex_numbers(max_magnitude=40.0)))
+    def test_matches_per_term_sum_bit_for_bit(self, kind, n, truncation, z, w):
+        # one recurrence run per order reads the same prefixes as one run per
+        # term, and the terms are summed in the same order
+        assert_same_as_per_term_sum(SpaceId(kind, n), z, w, truncation)
+
+    @pytest.mark.parametrize("kind, n, z, w, truncation", [
+        # high degrees at large radii, where the recurrence rescales, and a
+        # series whose terms leave the float range
+        ("poly", 60, 40 + 0j, 0j, 100), ("true_poly", 150, 40j, 0j, 200),
+        ("poly", 100, 25 + 0j, 0j, 50), ("poly", 3, 40 + 0j, 40 + 0j, 300),
+    ])
+    def test_rescaled_runs_match_per_term_sum(self, kind, n, z, w, truncation):
+        assert_same_as_per_term_sum(SpaceId(kind, n), z, w, truncation)
 
     def test_overflowing_term_names_points(self):
         with pytest.raises(OverflowError, match=r"z=\(40\+0j\), w=\(40\+0j\)"):

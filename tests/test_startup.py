@@ -1,8 +1,8 @@
 """Start-up loads only what is used: `import polyfock` is lazy, the CLI
 commands that do exact or point work (`basis`, `kernel`) never load numpy,
-the point evaluations load no exact layer either, `toeplitz` loads only
-the radial route, none of the plane or exact layers, and no command loads
-`numpy.polynomial`.
+nor `dataclasses` and the `inspect` it imports, the point evaluations load
+no exact layer either, `toeplitz` loads only the radial route, none of the
+plane or exact layers, and no command loads `numpy.polynomial`.
 
 Each check runs in a fresh interpreter, so `sys.modules` starts clean.
 """
@@ -86,6 +86,20 @@ def test_exact_and_scalar_commands_leave_numpy_unloaded(cli_args):
     modules = imported_modules(cli_args)
     assert "polyfock" in modules
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("cli_args", [
+    ["basis", "--p", "3", "--q", "1", "--eval", "0.5+1i"],
+    ["basis", "--p", "2", "--q", "2", "--coeffs"],
+    ["kernel", "--n", "3", "--kind", "poly", "--z", "1+0i", "--w", "1+0i"],
+    ["kernel", "--n", "4", "--kind", "true", "--z", "0.5+0i", "--w", "0+1i",
+     "--series", "200"],
+])
+def test_numpy_free_commands_load_no_dataclasses(cli_args):
+    # the value classes of these layers are plain slotted classes
+    modules = imported_modules(cli_args)
+    assert "polyfock.defaults" in modules
+    assert not modules & {"dataclasses", "inspect"}
 
 
 #: the exact layer, which a point evaluation never uses
