@@ -4,12 +4,12 @@ transform.
 
 The kernel of the order-n polyanalytic space is e^(zbar w) L_{n-1}^(1)(|w-z|^2);
 its true-polyanalytic sibling replaces L^(1) by the plain Laguerre polynomial.
-The closed forms are evaluated while Re(zbar w) <= 700; past that they raise
-a named OverflowError.  Where a factor leaves the float range, or
-e^(zbar w) is subnormal, the product is formed in the log domain:
-log|L| + Re(zbar w), with the sign of L and the phase kept apart, so a
-finite value is returned, and only a value past the float range raises a
-named OverflowError.
+One range rule holds here: a value that fits in a float is returned, and one
+past the float range raises a named OverflowError.  Where a kernel factor
+leaves the float range, or e^(zbar w) is subnormal, the product is formed in
+the log domain, log|L| + Re(zbar w), with the sign of L and the phase kept
+apart.  A phase Im(zbar w) past the float range raises, unless
+Re(zbar w) = -inf, where the value is 0.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import warnings
 from typing import TYPE_CHECKING, Literal
 
 from .defaults import Value, _finite_point, integers
-from .laguerre import (_profile_points, _recurrence_binary, _recurrence_scalar,
-                       _times_exp)
+from .laguerre import _profile_points, _recurrence_binary, _times_exp
 
 # numpy is imported inside the array function (`berezin`) and the exact layer
 # inside `kernel_recursion_check`, so the kernels and their series (the CLI's
@@ -30,8 +29,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 Kind = Literal["poly", "true_poly"]
-
-EXP_OVERFLOW_LIMIT = 700.0
 
 #: e^x is a normal float for x >= _EXP_NORMAL
 _EXP_NORMAL = -708.0
@@ -76,26 +73,15 @@ class SpaceId(Value):
         return rows
 
 
-def _checked_exp_arg(z: complex, w: complex) -> complex:
-    arg = z.conjugate() * w
-    if arg.real > EXP_OVERFLOW_LIMIT:
-        raise OverflowError(
-            f"kernel exponent Re(zbar w) = {arg.real:.1f} exceeds the limit "
-            f"{EXP_OVERFLOW_LIMIT}")
-    return arg
-
-
-def _log_factor(k: int, alpha: int, z: complex, w: complex,
-                t: float) -> tuple[float, float, int]:
-    """L_k^(alpha)(t) at t = |w-z|^2 as (sign, log|v|, e), the value being
-    sign |v| 2^e, at any distance.  Past the float range of t, its leading
-    term (-1)^k t^k / k!, to which the next adds a relative k (k + alpha) / t
-    < 1e-290, with log t = 2 log|w-z| and |w-z| = 4h, h the distance between
-    the quarters of the points, which stays in the float range.
-    """
+def _log_factor(k: int, z: complex, w: complex, t: float, v: float,
+                e: int) -> tuple[float, float, int]:
+    """L_k^(alpha)(|w-z|^2) = v 2^e as (sign, log|m|, e + s), v = m 2^s with
+    1/2 <= |m| < 1.  Past the float range of t = |w-z|^2, its leading term
+    (-1)^k t^k / k!, the next being a relative k (k + alpha) / t < 1e-290,
+    with log t = 2 log|w-z|, |w-z| = 4h, h the distance of the points' quarters."""
     if math.isfinite(t):
-        v, e = _recurrence_binary(k, alpha, t)
-        return math.copysign(1.0, v), math.log(abs(v)) if v else -math.inf, e
+        m, s = math.frexp(v)
+        return math.copysign(1.0, v), math.log(abs(m)) if v else -math.inf, e + s
     h, e = math.frexp(math.hypot(w.real / 4 - z.real / 4, w.imag / 4 - z.imag / 4))
     return (-1.0) ** k, 2 * k * math.log(h) - math.lgamma(k + 1), k * (2 * e + 4)
 
@@ -108,41 +94,46 @@ def _product_from_logs(arg: complex, sign: float, log_v: float, e: int) -> compl
     log_mod = math.fsum((arg.real, log_v, e * _LN2_HI, e * _LN2_LO))
     try:
         return cmath.exp(complex(log_mod, arg.imag)) * sign
-    except (OverflowError, ValueError):  # ValueError: a phase of inf
+    except OverflowError:
         return complex(math.inf)
 
 
 def _kernel_plain(n: int, z: complex, w: complex, alpha: int) -> complex:
-    """e^(zbar w) L_{n-1}^(alpha)(|w-z|^2), the product of the two float
-    factors while both are finite and e^(zbar w) is normal or |L| <= 1.
-    Otherwise the value comes from summed logs (`_log_factor`,
-    `_product_from_logs`), so a finite value is returned where a factor
-    leaves the float range, and a value past it raises an OverflowError
-    naming the factor.  L_0 = 1 at every distance, |w-z|^2 past the float
-    range included."""
+    """e^(zbar w) L_{n-1}^(alpha)(|w-z|^2), L = v 2^e from one recurrence run:
+    the float product where both factors are floats and e^(zbar w) is normal
+    or |L| <= 1, else summed logs of v 2^e.  A value past the float range
+    raises an OverflowError naming what left it.  L_0 = 1 at any distance."""
     [n] = integers(1, n=n)
     z, w = _finite_point(z), _finite_point(w, "w")
-    arg = _checked_exp_arg(z, w)
-    lag, t, why = 1.0, 0.0, "kernel value overflows the float range"
+    arg = z.conjugate() * w
+    if not math.isfinite(arg.imag) and arg.real != -math.inf:
+        raise OverflowError(f"kernel phase Im(zbar w) = {arg.imag} is not finite")
+    t, v, e = 0.0, 1.0, 0
     if n > 1:
         try:
             t = abs(w - z) ** 2
         except OverflowError:
             t = math.inf
-        if not math.isfinite(t):
-            lag, why = t, f"kernel argument |w-z|^2 = {t} is not finite"
-        else:
-            lag = _recurrence_scalar(n - 1, alpha, t)
-            if not math.isfinite(lag):
-                why = (f"kernel factor L_{n - 1}^({alpha})(|w-z|^2) is not "
-                       f"finite at |w-z|^2 = {t:.3g}")
-    if math.isfinite(lag) and (arg.real >= _EXP_NORMAL or abs(lag) <= 1):
-        value = cmath.exp(arg) * lag
-    else:
-        value = _product_from_logs(arg, *_log_factor(n - 1, alpha, z, w, t))
-    if not cmath.isfinite(value):
-        raise OverflowError(why)
-    return value
+        if math.isfinite(t):
+            v, e = _recurrence_binary(n - 1, alpha, t)
+    value = None
+    try:
+        lag = math.ldexp(v, e)
+        if math.isfinite(t) and (arg.real >= _EXP_NORMAL or abs(lag) <= 1):
+            value = cmath.exp(arg) * lag
+    except OverflowError:  # L or e^(zbar w) past the float range
+        pass
+    if value is None:
+        value = _product_from_logs(arg, *_log_factor(n - 1, z, w, t, v, e))
+    if cmath.isfinite(value):
+        return value
+    if not math.isfinite(t):
+        raise OverflowError(f"kernel argument |w-z|^2 = {t} is not finite")
+    if math.frexp(v)[1] + e > 1024:
+        raise OverflowError(f"kernel factor L_{n - 1}^({alpha})(|w-z|^2) is not "
+                            f"finite at |w-z|^2 = {t:.3g}")
+    raise OverflowError("kernel value overflows the float range at "
+                        f"Re(zbar w) = {arg.real:.6g}")
 
 
 def kernel_true(n: int, z: complex, w: complex) -> complex:
@@ -229,11 +220,13 @@ def kernel_recursion_check(n: int) -> bool:
 def evaluation_bound(n: int, z: complex) -> float:
     """Sharp bound sqrt(n) e^(|z|^2 / 2) on point evaluation at z."""
     [n] = integers(1, n=n)
-    half = 0.5 * abs(_finite_point(z)) ** 2
-    if half > EXP_OVERFLOW_LIMIT:
-        raise OverflowError(f"bound exponent |z|^2 / 2 = {half:.1f} exceeds the "
-                            f"limit {EXP_OVERFLOW_LIMIT}")
-    return math.sqrt(n) * math.exp(half)
+    r = abs(_finite_point(z))
+    half = 0.5 * (r * r)
+    bound = _times_exp(math.sqrt(n), half)
+    if bound == math.inf:
+        raise OverflowError(f"bound sqrt(n) e^(|z|^2 / 2) at |z|^2 / 2 = {half:.1f} "
+                            "overflows the float range")
+    return bound
 
 
 _TAIL_FRACTION = 10  # last 1/10 of the enumerated diagonal feeds the tail estimate
@@ -245,7 +238,8 @@ def berezin(space: SpaceId, operator_matrix: np.ndarray, z: complex,
 
     The matrix is indexed by the space enumeration at the given truncation,
     entry [out, in] = <S b_in, b_out>.  A tail estimate on the kernel series
-    warns when the truncation has not converged at this z.
+    warns when the truncation has not converged at this z.  A squared basis
+    value or their sum K(z, z) past the float range raises OverflowError.
     """
     import numpy as np
 
@@ -258,9 +252,14 @@ def berezin(space: SpaceId, operator_matrix: np.ndarray, z: complex,
                          f"enumeration of size {k}")
     phase = z / abs(z) if z != 0 else 1.0
     d = np.array([p - q for p, q in indices])
-    values = _radial_values(indices, abs(z)) * phase ** d
-    den_terms = np.abs(values) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        values = _radial_values(indices, abs(z)) * phase ** d
+        den_terms = np.abs(values) ** 2
     den = float(np.sum(den_terms))
+    if not math.isfinite(den):
+        bad = [pq for pq, s in zip(indices, den_terms.tolist()) if not math.isfinite(s)]
+        what = "|b_{},{}|^2".format(*bad[0]) if bad else "K(z, z)"
+        raise OverflowError(f"{what} at z={z} does not fit in a float")
     tail_start = truncation - max(1, truncation // _TAIL_FRACTION)
     tail_mask = np.array([p >= tail_start for p, _ in indices])
     tail = float(np.sum(den_terms[tail_mask]))

@@ -1,7 +1,8 @@
 """Associated Laguerre polynomials and normalized Laguerre functions.
 
 The plain polynomial L_n^(alpha) is evaluated by its three-term recurrence,
-with the exact rational coefficient list kept alongside as an oracle.  Every
+rescaled only near the float range, beside the exact rational coefficient
+list as an oracle; `laguerre_eval` names a value past the float range.  Every
 normalized radial profile goes through one recurrence: the orthonormal
 recurrence with a per-entry log scale, which neither overflows nor
 underflows at any degree (`orthonormal_scaled` on arrays).  The basis
@@ -28,30 +29,25 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _recurrence_scalar(n: int, alpha: int, x: float) -> float:
-    """Plain L_n^(alpha)(x), as the kernels' closed forms need it."""
-    # n L_n = (2n-1+alpha-x) L_{n-1} - (n-1+alpha) L_{n-2}
-    if n == 0:
-        return 1.0
-    prev, cur = 1.0, 1.0 + alpha - x
-    for k in range(2, n + 1):
-        prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
-    return cur
-
-
 def _recurrence_binary(n: int, alpha: int, x: float) -> tuple[float, int]:
-    """Plain L_n^(alpha)(x) = v 2^e at any finite x >= 0, also where the
-    value leaves the float range: the recurrence of `_recurrence_scalar` with
-    both terms scaled to at most 1 by a power of two before each step, so no
-    step overflows.  Such scaling is exact short of the subnormal range, so
-    v 2^e is the value `_recurrence_scalar` gives wherever that is finite."""
+    """Plain L_n^(alpha)(x) = v 2^e at any finite x >= 0, also past the float
+    range, by n L_n = (2n-1+alpha-x) L_{n-1} - (n-1+alpha) L_{n-2}.  No step
+    overflows: its products are at most 3n + 2 alpha + x times its larger
+    term, and a term past hi = 2^1000 over that factor scales both to at
+    most 1 by a power of two, exactly short of the subnormal range.  So
+    v 2^e is the unscaled value wherever that is a normal float, e = 0 where
+    no term passes hi."""
     if n == 0:
         return 1.0, 0
+    hi = 2.0 ** 1000 / (3 * n + 2 * alpha + x)
     prev, cur, e = 1.0, 1.0 + alpha - x, 0
+    a, b = 1.0 + alpha, float(alpha)  # 2k-1+alpha and k-1+alpha, exact below 2^53
     for k in range(2, n + 1):
-        shift = math.frexp(max(abs(prev), abs(cur)))[1]
-        prev, cur, e = math.ldexp(prev, -shift), math.ldexp(cur, -shift), e + shift
-        prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
+        if abs(cur) > hi:
+            shift = math.frexp(max(abs(prev), abs(cur)))[1]
+            prev, cur, e = math.ldexp(prev, -shift), math.ldexp(cur, -shift), e + shift
+        a, b = a + 2.0, b + 1.0
+        prev, cur = cur, ((a - x) * cur - b * prev) / k
     return cur, e
 
 
@@ -184,11 +180,15 @@ def _times_exp(v: float, s: float) -> float:
 
 
 def laguerre_eval(n: int, alpha: int, x: float) -> float:
-    """Value of L_n^(alpha)(x), integers n, alpha >= 0, for finite x >= 0."""
+    """Value of L_n^(alpha)(x), integers n, alpha >= 0, for finite x >= 0;
+    an OverflowError where it leaves the float range, never nan or inf."""
     n, alpha = integers(0, n=n, alpha=alpha)
     if not 0 <= x < math.inf:
         raise ValueError(f"argument x must be finite and nonnegative, got {x}")
-    return _recurrence_scalar(n, alpha, float(x))
+    v, e = _recurrence_binary(n, alpha, float(x))
+    if e and math.frexp(v)[1] + e > 1024:
+        raise OverflowError(f"L_{n}^({alpha})({x}) does not fit in a float")
+    return math.ldexp(v, e)
 
 
 def laguerre_exact(n: int, alpha: int) -> list[Fraction]:

@@ -14,6 +14,9 @@ The radial pass's self-check is kept in its one-size-per-evaluation form,
 each rule size on a window built afresh, as the reference for the fused
 evaluation of its first two sizes; it runs the Laguerre recurrence as it was
 before it ran in place, which is kept as the reference for that recurrence.
+The plain Laguerre recurrence without rescaling, as `laguerre_eval` and the
+kernels ran it before one rescaled recurrence served both, is kept as the
+bit-for-bit reference wherever its value is a normal float.
 Two analytic radial symbols serve as test cases: 1/(1+r), with a slow
 limit, and the unbounded r^2, with closed-form blocks.  numpy's
 companion-matrix Gauss-Legendre rule is the reference for the package's
@@ -230,6 +233,18 @@ def kernel_partial_sum_per_term(space, z: complex, w: complex,
                                 "does not fit in a float")
         total += term * rho ** (p - q)
     return total
+
+
+def laguerre_unscaled(n: int, alpha: int, x: float) -> float:
+    """Plain L_n^(alpha)(x) by the three-term recurrence with no rescaling:
+    inf, nan or a lost value where a step leaves the float range."""
+    # n L_n = (2n-1+alpha-x) L_{n-1} - (n-1+alpha) L_{n-2}
+    if n == 0:
+        return 1.0
+    prev, cur = 1.0, 1.0 + alpha - x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1 + alpha - x) * cur - (k - 1 + alpha) * prev) / k
+    return cur
 
 
 def orthonormal_scaled_out_of_place(ms, alpha, t):

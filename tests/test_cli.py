@@ -116,6 +116,21 @@ class TestKernelCommand:
         assert main(argv + ["--n", "2"]) == 1
         assert "|w-z|^2 = inf is not finite" in capsys.readouterr().err
 
+    def test_unbounded_phase_exit_one(self, capsys):
+        # zbar w = 1e400 i: its phase leaves the float range
+        assert main(["kernel", "--n", "1", "--kind", "true", "--z", "1e200+0i",
+                     "--w", "0+1e200i"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: kernel phase Im(zbar w) = inf is not finite\n"
+
+    def test_value_near_the_float_maximum(self, capsys):
+        # Re(zbar w) = 702.25: the value 2 e^702.25 fits in a float
+        assert main(["kernel", "--n", "2", "--kind", "poly", "--z", "26.5+0i",
+                     "--w", "26.5+0i"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["value_re"] == 2 * math.exp(702.25)
+
     def test_series_residual_reported(self):
         # values starting with a minus sign need the --flag=value form
         proc = run_cli("kernel", "--n", "2", "--kind", "poly", "--z", "0.5+0.5i",

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -78,16 +78,57 @@ class TestClosedForms:
         (kernel_poly, 8, 0j, 1e100 + 0j, "kernel factor"),
         (kernel_true, 8, 0j, 1e60 + 0j, "kernel factor"),
         (kernel_poly, 2, 1e200 + 0j, 0j, r"\|w-z\|\^2 = inf is not finite"),
-        (kernel_true, 1, 30 + 0j, 30 + 0j,
-         r"Re\(zbar w\) = 900\.0 exceeds the limit 700\.0$"),
+        (kernel_true, 1, 30 + 0j, 30 + 0j, r"Re\(zbar w\) = 900$"),
         (kernel_poly, 8, 1e3 + 0j, 0.7 + 0j,
          "kernel value overflows the float range"),
+        # zbar w = 1e320 i: the phase leaves the float range at every order
+        (kernel_true, 1, 1e160 + 0j, 1e160j,
+         r"^kernel phase Im\(zbar w\) = inf is not finite$"),
+        (kernel_poly, 1, 1e160 + 0j, 1e160j,
+         r"^kernel phase Im\(zbar w\) = inf is not finite$"),
+        (kernel_true, 2, 1e160 + 0j, 1e160j,
+         r"^kernel phase Im\(zbar w\) = inf is not finite$"),
+        (kernel_poly, 2, 1e160 + 0j, 1e160j,
+         r"^kernel phase Im\(zbar w\) = inf is not finite$"),
     ])
     def test_overflow_named(self, kernel, n, z, w, match):
-        # a non-finite |w-z|^2, Laguerre factor or product never comes back
-        # as nan or inf
+        # a non-finite |w-z|^2, Laguerre factor, phase or product never
+        # comes back as nan or inf
         with pytest.raises(OverflowError, match=match):
             kernel(n, z, w)
+
+    def test_values_near_the_float_maximum(self):
+        # past Re(zbar w) = 700 a value that fits in a float is returned
+        assert kernel_poly(2, 26.5 + 0j, 26.5 + 0j) == 2 * math.exp(702.25)
+        assert kernel_true(1, 26.6 + 0j, 26.6 + 0j) == math.exp(26.6 ** 2)
+        # e^(zbar w) overflows at Re(zbar w) = 712.89, and the factor
+        # 1 - |w-z|^2 = 0.0199 brings the value back: a 50-digit mpmath value
+        assert kernel_true(2, 26.7 + 0j, 26.7 + 0.99j) == pytest.approx(
+            2.1377806748574968e+307 + 7.708243211345055e+307j, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from([(kernel_true, 0), (kernel_poly, 1)]),
+           st.integers(1, 40), st.complex_numbers(max_magnitude=30.0),
+           st.complex_numbers(max_magnitude=30.0))
+    def test_float_product_matches_unscaled_recurrence(self, kernel_alpha, n,
+                                                       z, w):
+        # where e^(zbar w), the unscaled Laguerre factor and their product are
+        # floats, and e^(zbar w) is normal or |L| <= 1, the kernel is that
+        # product bit for bit
+        kernel, alpha = kernel_alpha
+        arg = z.conjugate() * w
+        lag = oracles.laguerre_unscaled(n - 1, alpha, abs(w - z) ** 2)
+        assume(math.isfinite(lag) and (arg.real >= -708 or abs(lag) <= 1)
+               and arg.real < 709)
+        want = cmath.exp(arg) * lag
+        assume(cmath.isfinite(want))
+        assert kernel(n, z, w) == want
+
+    @pytest.mark.parametrize("kernel", [kernel_poly, kernel_true])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_modulus_with_unbounded_phase(self, kernel, n):
+        # zbar w = -inf + nan i: e^(zbar w) is 0 whatever its phase
+        assert kernel(n, 1e200 + 1e200j, -1e200 - 1e200j) == 0
 
     @pytest.mark.parametrize("kernel, n, z, w, want", [
         # 50-digit mpmath values, where the Laguerre factor or |w-z|^2
@@ -224,8 +265,16 @@ class TestEvaluationBound:
 
     def test_overflow_names_the_limit(self):
         with pytest.raises(OverflowError,
-                           match=r"\|z\|\^2 / 2 = 800\.0 exceeds the limit 700\.0"):
+                           match=r"\|z\|\^2 / 2 = 800\.0 overflows the float range"):
             evaluation_bound(1, 40 + 0j)
+
+    def test_value_near_the_float_maximum(self):
+        # |z|^2 / 2 = 706.88: past the old cap of 700, inside the float range
+        assert evaluation_bound(1, 37.6 + 0j) == math.exp(37.6 ** 2 / 2)
+        with pytest.raises(OverflowError, match="overflows the float range"):
+            evaluation_bound(10 ** 6, 37.6 + 0j)
+        with pytest.raises(OverflowError, match="overflows the float range"):
+            evaluation_bound(1, 1e200 + 0j)
 
     def test_equality_witness(self):
         # the bound is attained by the kernel itself: sqrt(K(z,z)) = bound
@@ -288,6 +337,20 @@ class TestBerezin:
         space = SpaceId("poly", 1)
         with pytest.warns(UserWarning):
             berezin(space, np.eye(4, dtype=complex), 2.0 + 0j, 4)
+
+    @pytest.mark.parametrize("z, what", [
+        # b_8,0 ~ z^8 / sqrt(8!) fits, its square does not
+        (1e20 + 0j, r"\|b_8,0\|\^2"),
+        (1e20j, r"\|b_8,0\|\^2"),
+        (1e160 + 0j, r"\|b_1,0\|\^2"),
+    ])
+    def test_overflow_named(self, z, what):
+        space = SpaceId("poly", 2)
+        k = len(space.basis_indices(10))
+        with pytest.raises(OverflowError,
+                           match=f"^{what} at z={re.escape(str(z))} does not fit"
+                                 " in a float$"):
+            berezin(space, np.eye(k, dtype=complex), z, 10)
 
 
 class TestMeanValueFixture:

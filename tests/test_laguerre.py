@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from polyfock.laguerre import (laguerre_eval, laguerre_exact,
 from polyfock.hermite_basis import _radial_values
 from polyfock.quadrature import gauss_laguerre
 
-from oracles import orthonormal_scaled_out_of_place
+from oracles import laguerre_unscaled, orthonormal_scaled_out_of_place
 
 
 def explicit_sum(n, alpha, x):
@@ -60,6 +61,39 @@ class TestLaguerreEval:
                     got = laguerre_eval(n, alpha, x)
                     scale = abs(exact) if exact != 0 else 1.0
                     assert abs(got - exact) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, alpha, x", [
+        (60, 0, 1e10), (5, 0, 1e300), (3, 0, 1e200)])
+    def test_overflow_named(self, n, alpha, x):
+        # the unscaled recurrence returns nan, nan and -inf here
+        with pytest.raises(OverflowError, match=re.escape(
+                f"L_{n}^({alpha})({x}) does not fit in a float")):
+            laguerre_eval(n, alpha, x)
+
+    def test_value_near_the_float_maximum(self):
+        # the unscaled recurrence overflows to -inf at its last step, whose
+        # product 1e6 L_66 passes the float range before the division by 67
+        exact = explicit_sum(67, 0, 1e6)
+        assert -1.8e308 < exact < -1e307
+        assert laguerre_eval(67, 0, 1e6) == pytest.approx(exact, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 300), alpha=st.integers(0, 300),
+           x=st.floats(1e-5, 1e6))
+    @example(n=66, alpha=0, x=1e6)  # rescaled once, its value a normal float
+    @example(n=300, alpha=300, x=1e-5)
+    def test_matches_unscaled_recurrence(self, n, alpha, x):
+        want = laguerre_unscaled(n, alpha, x)
+        if math.isfinite(want) and abs(want) >= sys.float_info.min:
+            assert laguerre_eval(n, alpha, x) == want
+            return
+        # past the float range: a named error, or a value that fits
+        try:
+            got = laguerre_eval(n, alpha, x)
+        except OverflowError as exc:
+            assert str(exc).endswith("does not fit in a float")
+        else:
+            assert math.isfinite(got)
 
 
 class TestLaguerreExact:
